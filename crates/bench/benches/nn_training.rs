@@ -1,6 +1,6 @@
-//! Criterion benches for model training and online prediction — the
-//! paper's Section 4.3 claims: ~6.5 s power-model training, ~2.6 s time
-//! model, ~0.2 s prediction across the DVFS space.
+//! Criterion benches for model training — the paper's Section 4.3
+//! claims: ~6.5 s power-model training, ~2.6 s time model. (Its ~0.2 s
+//! prediction across the DVFS space is timed in `prediction.rs`.)
 //!
 //! The `nn_training` group is the before/after guard for the
 //! zero-allocation engine: `epoch_reference` times the original
@@ -165,22 +165,5 @@ fn bench_epoch_cost(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_prediction(c: &mut Criterion) {
-    let (spec, ds) = campaign_dataset();
-    let models = PowerTimeModels::train(&ds);
-    let grid = DvfsGrid::for_spec(&spec);
-    let freqs = grid.used();
-    c.bench_function("predict_power_time_61_states", |b| {
-        b.iter(|| {
-            let mut acc = 0.0;
-            for &f in &freqs {
-                acc += models.predict_power_w(&spec, black_box(0.6), black_box(0.5), f);
-                acc += models.predict_time_ratio(&spec, black_box(0.6), black_box(0.5), f);
-            }
-            acc
-        })
-    });
-}
-
-criterion_group!(benches, bench_training, bench_epoch_cost, bench_prediction);
+criterion_group!(benches, bench_training, bench_epoch_cost);
 criterion_main!(benches);

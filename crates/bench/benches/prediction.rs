@@ -1,19 +1,17 @@
-//! Criterion benches for the online prediction phase: scalar per-frequency
-//! forward passes vs the batched sweep vs the cache-aware path, each over
-//! the full 61-state GA100 DVFS grid (the headline comparison for the
-//! batch-first online phase).
+//! Criterion benches for the online prediction phase: the batched sweep
+//! and the cache-aware path over the full 61-state GA100 DVFS grid, and
+//! the network forward pass behind them at every engine precision.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dvfs_core::cache::ProfileCache;
 use dvfs_core::dataset::Dataset;
 use dvfs_core::models::PowerTimeModels;
-use dvfs_core::predictor::{PredictedProfile, Predictor};
+use dvfs_core::predictor::Predictor;
 use gpu_model::{DeviceSpec, DvfsGrid, MetricSample, NoiseModel, SignatureBuilder};
 use nn::activation::Activation;
 use nn::network::NetworkBuilder;
-use nn::{reference, Workspace};
+use nn::{reference, InferenceEngine, Precision};
 use std::hint::black_box;
-use tensor::Matrix;
 
 /// A small but representative training campaign: enough coverage that the
 /// trained networks behave like the real ones, cheap enough that the bench
@@ -63,29 +61,6 @@ fn reference_sample(spec: &DeviceSpec) -> MetricSample {
     gpu_model::sample::measure(spec, &sig, spec.max_core_mhz, 0, &NoiseModel::none())
 }
 
-/// The pre-batching online phase: two scalar forward passes per frequency
-/// (2F single-row network evaluations for an F-state sweep).
-fn scalar_profile(
-    models: &PowerTimeModels,
-    spec: &DeviceSpec,
-    reference: &MetricSample,
-    freqs: &[f64],
-) -> PredictedProfile {
-    let fp = reference.fp_active();
-    let dram = reference.dram_active;
-    let ratio_at_max = models.predict_time_ratio(spec, fp, dram, spec.max_core_mhz);
-    let anchor = reference.exec_time / ratio_at_max.max(1e-9);
-    let power_w: Vec<f64> = freqs
-        .iter()
-        .map(|&f| models.predict_power_w(spec, fp, dram, f))
-        .collect();
-    let time_s: Vec<f64> = freqs
-        .iter()
-        .map(|&f| anchor * models.predict_time_ratio(spec, fp, dram, f))
-        .collect();
-    PredictedProfile::new(reference.workload.clone(), freqs.to_vec(), power_w, time_s)
-}
-
 fn bench_prediction(c: &mut Criterion) {
     let spec = DeviceSpec::ga100();
     let models = trained_models(&spec);
@@ -95,33 +70,25 @@ fn bench_prediction(c: &mut Criterion) {
     let reference = reference_sample(&spec);
 
     let mut group = c.benchmark_group("predict_61_states");
-    group.bench_function("scalar_loop", |b| {
-        b.iter(|| scalar_profile(&models, &spec, black_box(&reference), black_box(&freqs)))
-    });
     group.bench_function("batched", |b| {
         b.iter(|| predictor.predict_from_reference(black_box(&reference), black_box(&freqs)))
     });
     let cache = ProfileCache::new(16);
+    let one = std::slice::from_ref(&reference);
     // Warm the single entry so the steady-state (hit) path is measured.
-    let _ = predictor.predict_from_reference_cached(&cache, &reference, &freqs);
+    let _ = predictor.predict_batch_cached(&cache, one, &freqs);
     group.bench_function("cached_hit", |b| {
-        b.iter(|| {
-            predictor.predict_from_reference_cached(
-                &cache,
-                black_box(&reference),
-                black_box(&freqs),
-            )
-        })
+        b.iter(|| predictor.predict_batch_cached(&cache, black_box(one), black_box(&freqs)))
     });
     group.finish();
 }
 
-/// Before/after guard for the zero-allocation inference path: a raw
-/// paper-topology network evaluated over a 61-row feature matrix (one
-/// DVFS sweep) through the preserved allocating reference, the
-/// workspace-backed `predict`, a caller-held `predict_into` workspace,
-/// and the single-row `predict_one` vector path. All four produce
-/// bitwise-identical numbers.
+/// A raw paper-topology network evaluated over a 61-row feature matrix
+/// (one DVFS sweep): the allocating reference oracle, then the compiled
+/// engine at each precision. `engine_f64` runs the workspace kernels and
+/// is bitwise identical to the oracle; `engine_f32` and `engine_bf16` run
+/// one packed GEMM per layer over all 61 rows, f32 lanes or bf16-truncated
+/// weights with f32 accumulation.
 fn bench_nn_forward(c: &mut Criterion) {
     let net = NetworkBuilder::new(3)
         .hidden(64, Activation::Selu)
@@ -132,59 +99,21 @@ fn bench_nn_forward(c: &mut Criterion) {
         .build();
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(13);
     let x = tensor::init::uniform(61, 3, 0.0, 1.0, &mut rng);
-    let rows: Vec<Vec<f64>> = x.rows_iter().map(|r| r.to_vec()).collect();
 
     let mut group = c.benchmark_group("nn_forward_61_states");
     group.bench_function("reference_alloc", |b| {
         b.iter(|| reference::predict(&net, black_box(&x)))
     });
-    group.bench_function("workspace_predict", |b| {
-        b.iter(|| net.predict(black_box(&x)))
-    });
-    let mut ws = Workspace::for_network(&net, x.rows());
-    group.bench_function("predict_into", |b| {
-        b.iter(|| {
-            let out: &Matrix = net.predict_into(black_box(&x), &mut ws);
-            out.as_slice()[0]
-        })
-    });
-    group.bench_function("predict_one_x61", |b| {
-        b.iter(|| {
-            let mut acc = 0.0;
-            for row in &rows {
-                acc += net.predict_one(black_box(row))[0];
-            }
-            acc
-        })
-    });
-    // The batch-fused engines: one packed GEMM per layer over all 61
-    // rows, f32 lanes (engine_f32) or bf16-truncated weights with f32
-    // accumulation (engine_bf16) — the serving fast path.
-    let engine_f32 = nn::InferenceEngine::compile(&net, nn::Precision::F32);
-    let engine_bf16 = nn::InferenceEngine::compile(&net, nn::Precision::Bf16);
     let mut out = Vec::new();
-    group.bench_function("engine_f32", |b| {
-        b.iter(|| {
-            engine_f32.predict_into(black_box(&x), &mut out);
-            out[0]
-        })
-    });
-    group.bench_function("engine_bf16", |b| {
-        b.iter(|| {
-            engine_bf16.predict_into(black_box(&x), &mut out);
-            out[0]
-        })
-    });
-    group.bench_function("engine_one_x61", |b| {
-        b.iter(|| {
-            let mut acc = 0.0;
-            for row in &rows {
-                engine_f32.predict_one_into(black_box(row), &mut out);
-                acc += out[0];
-            }
-            acc
-        })
-    });
+    for precision in [Precision::F64, Precision::F32, Precision::Bf16] {
+        let engine = InferenceEngine::compile(&net, precision);
+        group.bench_function(format!("engine_{}", precision.name()), |b| {
+            b.iter(|| {
+                engine.predict_into(black_box(&x), &mut out);
+                out[0]
+            })
+        });
+    }
     group.finish();
 }
 

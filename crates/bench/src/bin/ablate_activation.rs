@@ -5,8 +5,8 @@
 //! model and reports final validation loss and real-application accuracy.
 
 use dvfs_core::dataset::Dataset;
-use dvfs_core::models::{ModelConfig, PowerTimeModels};
-use nn::Activation;
+use dvfs_core::models::{ModelConfig, PowerTimeModels, PredictEngines};
+use nn::{Activation, Precision};
 
 fn main() {
     let lab = bench::build_lab();
@@ -50,15 +50,12 @@ fn main() {
             .unwrap_or(f64::NAN);
 
         // Mean power accuracy over the six applications under this model.
+        let engines = PredictEngines::compile(&models, Precision::F64);
         let mut acc_sum = 0.0;
         for app in &lab.apps {
             let measured = &lab.measured_ga100[&app.name];
             let (fp, dram) = app.activities(&spec, spec.max_core_mhz);
-            let pred: Vec<f64> = measured
-                .frequencies
-                .iter()
-                .map(|&f| models.predict_power_w(&spec, fp, dram, f))
-                .collect();
+            let pred = engines.predict_power_w_batch(&spec, fp, dram, &measured.frequencies);
             acc_sum += nn::metrics::accuracy_from_mape(&pred, &measured.power_w);
         }
         println!(

@@ -6,8 +6,8 @@
 //! costs no application accuracy.
 
 use dvfs_core::dataset::Dataset;
-use dvfs_core::models::{ModelConfig, PowerTimeModels, BATCH_SIZE};
-use nn::{Loss, OptimizerKind, TrainConfig, Trainer};
+use dvfs_core::models::{ModelConfig, PowerTimeModels, PredictEngines, BATCH_SIZE};
+use nn::{Loss, OptimizerKind, Precision, TrainConfig, Trainer};
 use telemetry::GpuBackend;
 use tensor::Matrix;
 
@@ -73,15 +73,12 @@ fn report(
     models: &PowerTimeModels,
     epochs: usize,
 ) {
+    let engines = PredictEngines::compile(models, Precision::F64);
     let mut acc = 0.0;
     for app in &lab.apps {
         let measured = &lab.measured_ga100[&app.name];
         let (fp, dram) = app.activities(spec, spec.max_core_mhz);
-        let pred: Vec<f64> = measured
-            .frequencies
-            .iter()
-            .map(|&f| models.predict_power_w(spec, fp, dram, f))
-            .collect();
+        let pred = engines.predict_power_w_batch(spec, fp, dram, &measured.frequencies);
         acc += nn::metrics::accuracy_from_mape(&pred, &measured.power_w);
     }
     println!(

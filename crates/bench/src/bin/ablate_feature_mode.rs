@@ -6,7 +6,8 @@
 //! default-clock rows anchor the online regime.
 
 use dvfs_core::dataset::{Dataset, FeatureMode};
-use dvfs_core::models::PowerTimeModels;
+use dvfs_core::models::{PowerTimeModels, PredictEngines};
+use nn::Precision;
 use telemetry::GpuBackend;
 
 fn main() {
@@ -26,21 +27,15 @@ fn main() {
         let ds = Dataset::from_samples_with(&spec, &lab.pipeline.samples, mode)
             .expect("campaign covers the default clock");
         let models = PowerTimeModels::train(&ds);
+        let engines = PredictEngines::compile(&models, Precision::F64);
         let mut p_acc = 0.0;
         let mut t_acc = 0.0;
         for app in &lab.apps {
             let measured = &lab.measured_ga100[&app.name];
             let (fp, dram) = app.activities(&spec, spec.max_core_mhz);
-            let pred_p: Vec<f64> = measured
-                .frequencies
-                .iter()
-                .map(|&f| models.predict_power_w(&spec, fp, dram, f))
-                .collect();
-            let pred_t: Vec<f64> = measured
-                .frequencies
-                .iter()
-                .map(|&f| models.predict_time_ratio(&spec, fp, dram, f))
-                .collect();
+            let freqs = &measured.frequencies;
+            let pred_p = engines.predict_power_w_batch(&spec, fp, dram, freqs);
+            let pred_t = engines.predict_time_ratio_batch(&spec, fp, dram, freqs);
             let pred_t_norm: Vec<f64> =
                 pred_t.iter().map(|&t| t / pred_t.last().unwrap()).collect();
             p_acc += nn::metrics::accuracy_from_mape(&pred_p, &measured.power_w);

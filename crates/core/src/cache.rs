@@ -321,8 +321,8 @@ fn publish_cache_stats(stats: &CacheStats, resident: usize, capacity: usize) {
 /// The lookup surface the online predictor needs from a profile cache.
 ///
 /// Implemented by both the flat [`ProfileCache`] and the
-/// [`ShardedProfileCache`], so `Predictor::predict_from_reference_cached`
-/// and friends work unchanged against either topology.
+/// [`ShardedProfileCache`], so `Predictor::predict_batch_cached` works
+/// unchanged against either topology.
 pub trait CacheHandle: Sync {
     /// Builds the key for a (device, activities, frequency-grid) request.
     fn key(

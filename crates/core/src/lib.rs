@@ -10,9 +10,9 @@
 //!   trained with RMSprop on MSE, plus JSON persistence;
 //! * [`predictor`] — the online phase: profile an *unseen* application
 //!   once at the default clock, predict its power/time/energy at every
-//!   DVFS state (paper Figure 2, right half) — batch-first (one forward
-//!   pass per model for the whole sweep) with a rayon fan-out for many
-//!   concurrent requests;
+//!   DVFS state (paper Figure 2, right half) — batch-first (one engine
+//!   pass per model for the whole sweep, through
+//!   [`models::PredictEngines`], the one prediction path);
 //! * [`cache`] — a bounded LRU over normalized profiles keyed on
 //!   quantized activities + device/grid identity, so repeated
 //!   applications skip the forward passes entirely;

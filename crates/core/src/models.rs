@@ -139,96 +139,6 @@ impl PowerTimeModels {
         }
     }
 
-    /// Assembles the F x 3 feature matrix for one application (fixed
-    /// activities, one row per frequency) and runs a single forward pass
-    /// through `network`.
-    ///
-    /// Both the feature matrix and the network intermediates live in
-    /// thread-local buffers reused across calls, so a steady stream of
-    /// sweeps allocates only the returned `Vec` per request.
-    fn batch_forward(
-        network: &nn::Network,
-        spec: &DeviceSpec,
-        fp_active: f64,
-        dram_active: f64,
-        frequencies: &[f64],
-    ) -> Vec<f64> {
-        thread_local! {
-            static FEATURES: std::cell::RefCell<tensor::Matrix> =
-                std::cell::RefCell::new(tensor::Matrix::zeros(0, 0));
-        }
-        FEATURES.with(|cell| {
-            let mut x = cell.borrow_mut();
-            x.resize_to(frequencies.len(), NUM_FEATURES);
-            for (r, &mhz) in frequencies.iter().enumerate() {
-                x.row_mut(r).copy_from_slice(&Dataset::feature_row(
-                    fp_active,
-                    dram_active,
-                    mhz / spec.max_core_mhz,
-                ));
-            }
-            nn::Workspace::with_thread_local(network, |ws| {
-                network.predict_into(&x, ws).as_slice().to_vec()
-            })
-        })
-    }
-
-    /// Predicted power in watts at every frequency in `frequencies`, with
-    /// one network forward pass for the whole sweep.
-    ///
-    /// Each output row depends only on its own input row, so this matches
-    /// [`PowerTimeModels::predict_power_w`] bit-for-bit per frequency.
-    pub fn predict_power_w_batch(
-        &self,
-        spec: &DeviceSpec,
-        fp_active: f64,
-        dram_active: f64,
-        frequencies: &[f64],
-    ) -> Vec<f64> {
-        Self::batch_forward(&self.power, spec, fp_active, dram_active, frequencies)
-            .into_iter()
-            .map(|frac| (frac * spec.tdp_w).max(0.0))
-            .collect()
-    }
-
-    /// Predicted normalized times `T(f)/T(f_max)` at every frequency in
-    /// `frequencies`, with one network forward pass for the whole sweep.
-    pub fn predict_time_ratio_batch(
-        &self,
-        spec: &DeviceSpec,
-        fp_active: f64,
-        dram_active: f64,
-        frequencies: &[f64],
-    ) -> Vec<f64> {
-        Self::batch_forward(&self.time, spec, fp_active, dram_active, frequencies)
-            .into_iter()
-            .map(|ratio| ratio.max(0.0))
-            .collect()
-    }
-
-    /// Predicted power in watts for `spec` at the given features/clock.
-    pub fn predict_power_w(
-        &self,
-        spec: &DeviceSpec,
-        fp_active: f64,
-        dram_active: f64,
-        mhz: f64,
-    ) -> f64 {
-        self.predict_power_w_batch(spec, fp_active, dram_active, std::slice::from_ref(&mhz))[0]
-    }
-
-    /// Predicted normalized time `T(f)/T(f_max)` at the given
-    /// features/clock.
-    pub fn predict_time_ratio(
-        &self,
-        spec: &DeviceSpec,
-        fp_active: f64,
-        dram_active: f64,
-        mhz: f64,
-    ) -> f64 {
-        self.predict_time_ratio_batch(spec, fp_active, dram_active, std::slice::from_ref(&mhz))[0]
-    }
-
     /// Serializes both models to JSON.
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("models serialize")
@@ -240,18 +150,17 @@ impl PowerTimeModels {
     }
 }
 
-/// The compiled inference-engine pair for the serving hot path: both
-/// trained networks frozen into [`nn::InferenceEngine`]s at a chosen
-/// [`Precision`].
+/// Both trained networks compiled into [`nn::InferenceEngine`]s at a
+/// chosen [`Precision`]: the one prediction path, offline and online.
 ///
-/// Mirrors the [`PowerTimeModels`] prediction API (same feature
-/// assembly, same output clamping) but runs every sweep through the
-/// packed batch-fused kernels — one fused GEMM per layer over all
-/// frequencies instead of per-state matvecs. In [`Precision::F64`] mode
-/// the outputs are **bitwise identical** to the corresponding
-/// `PowerTimeModels` methods; the reduced-precision modes carry the
-/// documented error bounds from [`nn::infer`] and are gated behind the
-/// quality monitor before a snapshot may serve them (see
+/// Every sweep assembles one feature row per frequency
+/// ([`Dataset::feature_row`]), runs one batched engine pass per model,
+/// scales power by the device TDP and clamps both outputs at zero. In
+/// [`Precision::F64`] mode the engine runs the training crate's own
+/// forward kernels, **bitwise identical** to [`nn::reference::predict`];
+/// the reduced-precision modes run the packed batch-fused kernels, carry
+/// the documented error bounds from [`nn::infer`] and are gated behind
+/// the quality monitor before a snapshot may serve them (see
 /// `crate::snapshot`).
 #[derive(Debug, Clone)]
 pub struct PredictEngines {
@@ -274,9 +183,9 @@ impl PredictEngines {
         self.power.precision()
     }
 
-    /// Assembles the F x 3 feature matrix (thread-local, reused across
-    /// calls) and runs one batched engine pass — the engine-side twin of
-    /// `PowerTimeModels::batch_forward`.
+    /// Assembles the F x 3 feature matrix for one application (fixed
+    /// activities, one row per frequency; thread-local, reused across
+    /// calls) and runs one batched engine pass over it.
     fn batch_forward(
         engine: &InferenceEngine,
         spec: &DeviceSpec,
@@ -456,16 +365,24 @@ mod tests {
             .kappa_compute(0.9)
             .build();
         let (fp, dram) = gpu_model::model::activities(&spec, &sig, spec.max_core_mhz);
-        let p_low = models.predict_power_w(&spec, fp, dram, 510.0);
-        let p_high = models.predict_power_w(&spec, fp, dram, 1410.0);
+        let engines = PredictEngines::compile(&models, Precision::F64);
+        let p = engines.predict_power_w_batch(&spec, fp, dram, &[510.0, 1410.0]);
+        let (p_low, p_high) = (p[0], p[1]);
         assert!(p_high > p_low * 1.5, "{p_low} -> {p_high}");
-        let t_low = models.predict_time_ratio(&spec, fp, dram, 510.0);
-        let t_high = models.predict_time_ratio(&spec, fp, dram, 1410.0);
+        let t_low = engines.predict_time_ratio(&spec, fp, dram, 510.0);
+        let t_high = engines.predict_time_ratio(&spec, fp, dram, 1410.0);
         assert!(t_low > 1.5 * t_high, "{t_low} -> {t_high}");
         assert!(
             (t_high - 1.0).abs() < 0.15,
             "time ratio at fmax ~ 1, got {t_high}"
         );
+    }
+
+    /// f64 power predictions over a 61-state sweep at fixed activities.
+    fn power_sweep(models: &PowerTimeModels, spec: &DeviceSpec, fp: f64, dram: f64) -> Vec<f64> {
+        let freqs: Vec<f64> = (0..61).map(|i| 510.0 + 15.0 * i as f64).collect();
+        PredictEngines::compile(models, Precision::F64)
+            .predict_power_w_batch(spec, fp, dram, &freqs)
     }
 
     #[test]
@@ -474,18 +391,20 @@ mod tests {
         let ds = small_dataset(&spec);
         let models = PowerTimeModels::train(&ds);
         let back = PowerTimeModels::from_json(&models.to_json()).unwrap();
-        let a = models.predict_power_w(&spec, 0.5, 0.5, 1005.0);
-        let b = back.predict_power_w(&spec, 0.5, 0.5, 1005.0);
-        assert_eq!(a, b);
+        assert_eq!(
+            power_sweep(&models, &spec, 0.5, 0.5),
+            power_sweep(&back, &spec, 0.5, 0.5)
+        );
     }
 
     mod props {
         use super::*;
         use proptest::prelude::*;
         use std::sync::OnceLock;
+        use tensor::Matrix;
 
         /// Trains once and shares across all property cases — the property
-        /// is about the prediction paths, not training.
+        /// is about the prediction path, not training.
         fn shared() -> &'static (DeviceSpec, PowerTimeModels) {
             static SHARED: OnceLock<(DeviceSpec, PowerTimeModels)> = OnceLock::new();
             SHARED.get_or_init(|| {
@@ -497,55 +416,43 @@ mod tests {
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(12))]
-            /// The batched sweep must be *bitwise* identical to the scalar
-            /// per-frequency path — including grids larger than the matmul
-            /// parallel-dispatch threshold (64 rows), where the blocked
-            /// kernel hands rows to worker threads.
+            /// f64 engines are the naive reference forward pass plus the
+            /// model contract — feature rows from `Dataset::feature_row`,
+            /// power scaled by TDP, both outputs clamped at zero — *bitwise*,
+            /// for every batched row (including grids larger than the
+            /// matmul parallel-dispatch threshold of 64 rows, where the
+            /// blocked kernel hands rows to worker threads) and for the
+            /// single-row time anchor.
             #[test]
-            fn batch_matches_scalar_bitwise(
+            fn f64_engines_match_reference_bitwise(
                 fp in 0.0..1.0f64,
                 dram in 0.0..1.0f64,
                 n in 1usize..100,
             ) {
                 let (spec, models) = shared();
+                let engines = PredictEngines::compile(models, Precision::F64);
                 let freqs: Vec<f64> =
                     (0..n).map(|i| 510.0 + 900.0 * i as f64 / n as f64).collect();
-                let batch_p = models.predict_power_w_batch(spec, fp, dram, &freqs);
-                let batch_t = models.predict_time_ratio_batch(spec, fp, dram, &freqs);
-                prop_assert_eq!(batch_p.len(), n);
-                prop_assert_eq!(batch_t.len(), n);
-                for (i, &f) in freqs.iter().enumerate() {
-                    let p = models.predict_power_w(spec, fp, dram, f);
-                    let t = models.predict_time_ratio(spec, fp, dram, f);
-                    prop_assert_eq!(batch_p[i].to_bits(), p.to_bits());
-                    prop_assert_eq!(batch_t[i].to_bits(), t.to_bits());
+                let row = |mhz: f64| Dataset::feature_row(fp, dram, mhz / spec.max_core_mhz);
+                let rows: Vec<Vec<f64>> = freqs.iter().map(|&f| row(f)).collect();
+                let x = Matrix::from_rows(&rows).unwrap();
+                let want_p = nn::reference::predict(&models.power, &x);
+                let want_t = nn::reference::predict(&models.time, &x);
+                let got_p = engines.predict_power_w_batch(spec, fp, dram, &freqs);
+                let got_t = engines.predict_time_ratio_batch(spec, fp, dram, &freqs);
+                prop_assert_eq!(got_p.len(), n);
+                prop_assert_eq!(got_t.len(), n);
+                for i in 0..n {
+                    let p = (want_p[(i, 0)] * spec.tdp_w).max(0.0);
+                    prop_assert_eq!(got_p[i].to_bits(), p.to_bits());
+                    prop_assert_eq!(got_t[i].to_bits(), want_t[(i, 0)].max(0.0).to_bits());
                 }
+                let anchor = engines.predict_time_ratio(spec, fp, dram, spec.max_core_mhz);
+                let x_max = Matrix::row_vector(&row(spec.max_core_mhz));
+                let want = nn::reference::predict(&models.time, &x_max)[(0, 0)].max(0.0);
+                prop_assert_eq!(anchor.to_bits(), want.to_bits());
             }
         }
-    }
-
-    #[test]
-    fn f64_engines_match_models_bitwise() {
-        let spec = DeviceSpec::ga100();
-        let ds = small_dataset(&spec);
-        let models = PowerTimeModels::train(&ds);
-        let engines = PredictEngines::compile(&models, Precision::F64);
-        let freqs: Vec<f64> = (0..61).map(|i| 510.0 + 15.0 * i as f64).collect();
-        let (fp, dram) = (0.62, 0.31);
-        assert_eq!(
-            engines.predict_power_w_batch(&spec, fp, dram, &freqs),
-            models.predict_power_w_batch(&spec, fp, dram, &freqs)
-        );
-        assert_eq!(
-            engines.predict_time_ratio_batch(&spec, fp, dram, &freqs),
-            models.predict_time_ratio_batch(&spec, fp, dram, &freqs)
-        );
-        assert_eq!(
-            engines
-                .predict_time_ratio(&spec, fp, dram, 1005.0)
-                .to_bits(),
-            models.predict_time_ratio(&spec, fp, dram, 1005.0).to_bits()
-        );
     }
 
     #[test]
@@ -553,6 +460,7 @@ mod tests {
         let spec = DeviceSpec::ga100();
         let ds = small_dataset(&spec);
         let models = PowerTimeModels::train(&ds);
+        let exact = PredictEngines::compile(&models, Precision::F64);
         let freqs: Vec<f64> = (0..61).map(|i| 510.0 + 15.0 * i as f64).collect();
         // Normalized-output tolerances: power fractions and time ratios
         // live in O(1) units, so the nn-level bounds apply directly
@@ -560,7 +468,7 @@ mod tests {
         for (precision, rtol) in [(Precision::F32, 1e-3), (Precision::Bf16, 5e-2)] {
             let engines = PredictEngines::compile(&models, precision);
             assert_eq!(engines.precision(), precision);
-            let want_t = models.predict_time_ratio_batch(&spec, 0.7, 0.4, &freqs);
+            let want_t = exact.predict_time_ratio_batch(&spec, 0.7, 0.4, &freqs);
             let got_t = engines.predict_time_ratio_batch(&spec, 0.7, 0.4, &freqs);
             for (g, w) in got_t.iter().zip(&want_t) {
                 assert!(
@@ -568,7 +476,7 @@ mod tests {
                     "{precision}: time ratio {g} vs {w}"
                 );
             }
-            let want_p = models.predict_power_w_batch(&spec, 0.7, 0.4, &freqs);
+            let want_p = exact.predict_power_w_batch(&spec, 0.7, 0.4, &freqs);
             let got_p = engines.predict_power_w_batch(&spec, 0.7, 0.4, &freqs);
             for (g, w) in got_p.iter().zip(&want_p) {
                 assert!(
@@ -587,8 +495,8 @@ mod tests {
         let m2 = PowerTimeModels::train(&ds);
         assert_eq!(m1.power_history.train_loss, m2.power_history.train_loss);
         assert_eq!(
-            m1.predict_power_w(&spec, 0.7, 0.3, 900.0),
-            m2.predict_power_w(&spec, 0.7, 0.3, 900.0)
+            power_sweep(&m1, &spec, 0.7, 0.3),
+            power_sweep(&m2, &spec, 0.7, 0.3)
         );
     }
 }

@@ -10,8 +10,10 @@ use crate::cache::{CacheHandle, NormalizedProfile};
 use crate::models::{PowerTimeModels, PredictEngines};
 use crate::objective::{select_optimal, Objective, Selection};
 use gpu_model::{DeviceSpec, MetricSample, PhasedWorkload};
+use nn::Precision;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use telemetry::{GpuBackend, Profiler};
 
 /// Predicted (or measured) per-frequency profile of one application.
@@ -109,16 +111,13 @@ impl PredictedProfile {
     }
 }
 
-/// The online predictor: trained models bound to a device spec.
+/// The online predictor: compiled models bound to a device spec.
 pub struct Predictor<'a> {
-    models: &'a PowerTimeModels,
-    /// Batch-fused inference engines (packed f32/bf16 kernels). When
-    /// bound — the serve path binds its snapshot's engines — every sweep
-    /// runs through [`PredictEngines`] instead of the training-path
-    /// forward; in [`nn::Precision::F64`] mode that is bitwise identical
-    /// to `models`, in reduced-precision modes it is the quality-gated
-    /// fast path.
-    engines: Option<&'a PredictEngines>,
+    /// The engines every sweep runs on: f64 engines compiled by
+    /// [`Predictor::new`], or a snapshot's engines borrowed by
+    /// [`Predictor::with_engines`] (in reduced-precision modes, the
+    /// quality-gated fast path).
+    engines: Cow<'a, PredictEngines>,
     spec: DeviceSpec,
     /// Request-latency histogram (`predict.request_ns` in the global
     /// registry). The handle is fetched once here so the per-request
@@ -134,31 +133,38 @@ pub struct Predictor<'a> {
 }
 
 impl<'a> Predictor<'a> {
-    /// Creates a predictor for `spec`.
-    pub fn new(models: &'a PowerTimeModels, spec: DeviceSpec) -> Self {
+    /// Creates a predictor for `spec`, compiling `models` into f64
+    /// engines (bitwise identical to the training crate's forward pass).
+    pub fn new(models: &PowerTimeModels, spec: DeviceSpec) -> Self {
+        Self::bind(
+            Cow::Owned(PredictEngines::compile(models, Precision::F64)),
+            spec,
+        )
+    }
+
+    /// Creates a predictor that runs every sweep on already-compiled
+    /// `engines` (the serve hot path binds its snapshot's engines here,
+    /// so nothing is compiled per binding).
+    ///
+    /// `models` is not read: the engines carry their own frozen copy of
+    /// both networks. The argument stays so that existing callers, which
+    /// pass a snapshot's models and engines side by side, need no change.
+    pub fn with_engines(
+        _models: &'a PowerTimeModels,
+        engines: &'a PredictEngines,
+        spec: DeviceSpec,
+    ) -> Self {
+        Self::bind(Cow::Borrowed(engines), spec)
+    }
+
+    fn bind(engines: Cow<'a, PredictEngines>, spec: DeviceSpec) -> Self {
         Self {
-            models,
-            engines: None,
+            engines,
             spec,
             latency: obs::global().histogram("predict.request_ns"),
             trace_request: obs::trace::intern("predict.request"),
             trace_arg_workload: obs::trace::intern("workload"),
             trace_arg_hit: obs::trace::intern("hit"),
-        }
-    }
-
-    /// Creates a predictor that routes every sweep through the packed
-    /// batch-fused `engines` (the serve hot path binds its snapshot's
-    /// engines here). `models` remains the source of truth for anything
-    /// outside the forward pass.
-    pub fn with_engines(
-        models: &'a PowerTimeModels,
-        engines: &'a PredictEngines,
-        spec: DeviceSpec,
-    ) -> Self {
-        Self {
-            engines: Some(engines),
-            ..Self::new(models, spec)
         }
     }
 
@@ -211,56 +217,25 @@ impl<'a> Predictor<'a> {
     }
 
     /// Runs both models once each over the whole sweep: one `F x 3`
-    /// feature matrix and one forward pass per model, instead of `2F`
-    /// single-row passes. Per-row results are bitwise identical to the
-    /// scalar path (the matmul kernels accumulate per row in a fixed
-    /// order regardless of batch size).
+    /// feature matrix and one batched engine pass per model, plus the
+    /// single-row time ratio at the default clock that anchors absolute
+    /// times.
     fn normalized_profile(
         &self,
         fp_active: f64,
         dram_active: f64,
         frequencies: &[f64],
     ) -> NormalizedProfile {
-        if let Some(engines) = self.engines {
-            return NormalizedProfile {
-                power_w: engines.predict_power_w_batch(
-                    &self.spec,
-                    fp_active,
-                    dram_active,
-                    frequencies,
-                ),
-                time_ratio: engines.predict_time_ratio_batch(
-                    &self.spec,
-                    fp_active,
-                    dram_active,
-                    frequencies,
-                ),
-                ratio_at_max: engines.predict_time_ratio(
-                    &self.spec,
-                    fp_active,
-                    dram_active,
-                    self.spec.max_core_mhz,
-                ),
-            };
-        }
+        let spec = &self.spec;
+        let engines = &self.engines;
         NormalizedProfile {
-            power_w: self.models.predict_power_w_batch(
-                &self.spec,
+            power_w: engines.predict_power_w_batch(spec, fp_active, dram_active, frequencies),
+            time_ratio: engines.predict_time_ratio_batch(spec, fp_active, dram_active, frequencies),
+            ratio_at_max: engines.predict_time_ratio(
+                spec,
                 fp_active,
                 dram_active,
-                frequencies,
-            ),
-            time_ratio: self.models.predict_time_ratio_batch(
-                &self.spec,
-                fp_active,
-                dram_active,
-                frequencies,
-            ),
-            ratio_at_max: self.models.predict_time_ratio(
-                &self.spec,
-                fp_active,
-                dram_active,
-                self.spec.max_core_mhz,
+                spec.max_core_mhz,
             ),
         }
     }
@@ -283,41 +258,8 @@ impl<'a> Predictor<'a> {
         )
     }
 
-    /// Predicts profiles for many reference samples, fanning the
-    /// (independent) per-sample batch predictions across the rayon pool.
-    /// Output order matches `references`, and each profile is bitwise
-    /// identical to a sequential [`Predictor::predict_from_reference`]
-    /// call.
-    ///
-    /// Every worker thread runs its sweeps through a thread-local
-    /// `nn::Workspace` (plus a reused feature matrix), so per-request work
-    /// allocates only the output profile — no per-request network
-    /// intermediates.
-    ///
-    /// # Panics
-    /// Panics if any reference was not taken at the default clock.
-    pub fn predict_many(
-        &self,
-        references: &[MetricSample],
-        frequencies: &[f64],
-    ) -> Vec<PredictedProfile> {
-        references
-            .par_iter()
-            .map(|reference| self.predict_from_reference(reference, frequencies))
-            .collect()
-    }
-
-    /// Like [`Predictor::predict_from_reference`], but consults `cache`
-    /// first (either a flat [`crate::cache::ProfileCache`] or a
-    /// [`crate::cache::ShardedProfileCache`] — anything implementing
-    /// [`CacheHandle`]). On a hit the two forward passes are skipped
-    /// entirely and only the per-request time anchor is recomputed. On a
-    /// miss the profile is predicted from the *quantized* activities (so
-    /// the cached entry is independent of request order) and inserted.
-    ///
-    /// # Panics
-    /// Panics if the reference sample was not taken at the default clock.
-    pub fn predict_from_reference_cached<C: CacheHandle>(
+    /// One request of [`Predictor::predict_batch_cached`].
+    fn predict_from_reference_cached<C: CacheHandle>(
         &self,
         cache: &C,
         reference: &MetricSample,
@@ -348,34 +290,23 @@ impl<'a> Predictor<'a> {
         profile
     }
 
-    /// Cache-aware [`Predictor::predict_many`]: concurrent requests share
-    /// `cache`, so repeated applications in the stream hit after their
-    /// first prediction.
+    /// Like [`Predictor::predict_from_reference`] for each of
+    /// `references`, in order, but consults `cache` first (either a flat
+    /// [`crate::cache::ProfileCache`] or a
+    /// [`crate::cache::ShardedProfileCache`] — anything implementing
+    /// [`CacheHandle`]). On a hit the two forward passes are skipped
+    /// entirely and only the per-request time anchor is recomputed. On a
+    /// miss the profile is predicted from the *quantized* activities (so
+    /// the cached entry is independent of request order and of cache
+    /// capacity) and inserted; repeated applications in the batch hit
+    /// after their first prediction.
+    ///
+    /// Runs sequentially on the calling thread: the `dvfs serve` daemon
+    /// is thread-per-core, and callers that want a fan-out run one-element
+    /// batches from their own workers against a shared cache.
     ///
     /// # Panics
     /// Panics if any reference was not taken at the default clock.
-    pub fn predict_many_cached<C: CacheHandle>(
-        &self,
-        cache: &C,
-        references: &[MetricSample],
-        frequencies: &[f64],
-    ) -> Vec<PredictedProfile> {
-        references
-            .par_iter()
-            .map(|reference| self.predict_from_reference_cached(cache, reference, frequencies))
-            .collect()
-    }
-
-    /// The serve-loop variant of [`Predictor::predict_many_cached`]: the
-    /// same cached per-request path over a coalesced batch, but run
-    /// sequentially on the calling thread.
-    ///
-    /// The `dvfs serve` daemon is thread-per-core — each worker already
-    /// owns its core, and the compat `rayon`'s `par_iter` spawns scoped
-    /// OS threads per call, which would cost more than the cached
-    /// predictions it parallelizes. Results are bitwise identical to
-    /// [`Predictor::predict_many_cached`] for the same cache state
-    /// (both reduce to per-request `predict_from_reference_cached`).
     pub fn predict_batch_cached<C: CacheHandle>(
         &self,
         cache: &C,
@@ -599,33 +530,6 @@ mod tests {
     }
 
     #[test]
-    fn predict_many_matches_sequential_bitwise() {
-        let backend = SimulatorBackend::ga100();
-        let spec = backend.spec().clone();
-        let models = trained_models(&spec);
-        let predictor = Predictor::new(&models, spec.clone());
-        let freqs = backend.grid().used();
-        let refs: Vec<MetricSample> = [
-            ("a", 1.5e13, 1.0e12),
-            ("b", 2.0e11, 1.8e13),
-            ("c", 6.0e12, 4.0e12),
-            ("d", 9.0e12, 7.0e11),
-        ]
-        .iter()
-        .map(|&(n, fl, by)| reference_for(&spec, n, fl, by))
-        .collect();
-        let fanned = predictor.predict_many(&refs, &freqs);
-        assert_eq!(fanned.len(), refs.len());
-        for (reference, parallel) in refs.iter().zip(&fanned) {
-            let sequential = predictor.predict_from_reference(reference, &freqs);
-            // PartialEq on the profile compares every f64 exactly.
-            assert_eq!(&sequential, parallel);
-        }
-        // And a second fan-out is deterministic.
-        assert_eq!(fanned, predictor.predict_many(&refs, &freqs));
-    }
-
-    #[test]
     fn engine_bound_predictor_is_bitwise_identical_in_f64_mode() {
         let backend = SimulatorBackend::ga100();
         let spec = backend.spec().clone();
@@ -673,8 +577,13 @@ mod tests {
         let freqs = backend.grid().used();
         let reference = reference_for(&spec, "app", 1.5e13, 1.0e12);
         let cache = ProfileCache::new(8);
-        let first = predictor.predict_from_reference_cached(&cache, &reference, &freqs);
-        let second = predictor.predict_from_reference_cached(&cache, &reference, &freqs);
+        let one = std::slice::from_ref(&reference);
+        let first = predictor
+            .predict_batch_cached(&cache, one, &freqs)
+            .remove(0);
+        let second = predictor
+            .predict_batch_cached(&cache, one, &freqs)
+            .remove(0);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         // The hit reuses the cached normalized profile and the same anchor,
@@ -692,7 +601,7 @@ mod tests {
     }
 
     #[test]
-    fn predict_many_cached_shares_entries_across_requests() {
+    fn predict_batch_cached_shares_entries_across_requests() {
         let backend = SimulatorBackend::ga100();
         let spec = backend.spec().clone();
         let models = trained_models(&spec);
@@ -705,9 +614,9 @@ mod tests {
         // 6 requests over 2 distinct applications.
         let stream: Vec<MetricSample> = (0..6).map(|i| pool[i % pool.len()].clone()).collect();
         let cache = ProfileCache::new(8);
-        let profiles = predictor.predict_many_cached(&cache, &stream, &freqs);
+        let profiles = predictor.predict_batch_cached(&cache, &stream, &freqs);
         let stats = cache.stats();
-        assert_eq!(stats.hits + stats.misses, 6);
+        assert_eq!((stats.hits, stats.misses), (4, 2));
         assert_eq!(cache.len(), 2);
         // Requests for the same app are identical regardless of arrival
         // order (entries are computed from bucket centers).
@@ -730,8 +639,7 @@ mod tests {
         let before = hist.count();
         let cache = ProfileCache::new(4);
         let _ = predictor.predict_from_reference(&reference, &freqs);
-        let _ = predictor.predict_from_reference_cached(&cache, &reference, &freqs);
-        let _ = predictor.predict_from_reference_cached(&cache, &reference, &freqs);
+        let _ = predictor.predict_batch_cached(&cache, &[reference.clone(), reference], &freqs);
         assert!(
             hist.count() >= before + 3,
             "latency histogram did not grow: {} -> {}",

@@ -505,7 +505,9 @@ pub fn replay(records: &[obs::journal::JournalRecord], snapshot: &ModelSnapshot)
             )
         };
         let reference = reference_from(&req, snapshot.spec.max_core_mhz);
-        let profile = predictor.predict_from_reference_cached(&cache, &reference, &freqs);
+        let profile = predictor
+            .predict_batch_cached(&cache, std::slice::from_ref(&reference), &freqs)
+            .remove(0);
         let mut diverged = false;
         let mut diverge = |field: &'static str, recorded: String, replayed: String| {
             diverged = true;

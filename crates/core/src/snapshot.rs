@@ -144,10 +144,11 @@ fn gate_engines(
 ) -> Result<PredictEngines, String> {
     let engines = PredictEngines::compile(models, precision);
     if precision == Precision::F64 {
-        // f64 engines are bitwise-identical to the reference by
-        // construction; probing them would only dilute the monitors.
+        // f64 engines are the reference; probing them against themselves
+        // would only dilute the monitors.
         return Ok(engines);
     }
+    let reference = PredictEngines::compile(models, Precision::F64);
     let freqs = DvfsGrid::for_spec(spec).used();
     let samples = GATE_ACTIVITIES.len() * GATE_ACTIVITIES.len() * freqs.len();
     let config = QualityConfig {
@@ -158,8 +159,8 @@ fn gate_engines(
     let time_mon = obs::quality::monitor_with("precision_time", config);
     for &fp in &GATE_ACTIVITIES {
         for &dram in &GATE_ACTIVITIES {
-            let ref_p = models.predict_power_w_batch(spec, fp, dram, &freqs);
-            let ref_t = models.predict_time_ratio_batch(spec, fp, dram, &freqs);
+            let ref_p = reference.predict_power_w_batch(spec, fp, dram, &freqs);
+            let ref_t = reference.predict_time_ratio_batch(spec, fp, dram, &freqs);
             let got_p = engines.predict_power_w_batch(spec, fp, dram, &freqs);
             let got_t = engines.predict_time_ratio_batch(spec, fp, dram, &freqs);
             power_mon.observe_profile(&got_p, &ref_p);
@@ -380,14 +381,18 @@ mod tests {
         let store = ModelStore::new(snapshot("v1", 8));
         let spec = DeviceSpec::ga100();
         let held = store.load();
-        let before = held.models.predict_power_w(&spec, 0.6, 0.3, 1005.0);
+        let before = held
+            .engines
+            .predict_power_w_batch(&spec, 0.6, 0.3, &[1005.0])[0];
         // Swap more times than there are slots: the held Arc must stay
         // valid and bitwise stable throughout.
         for i in 0..(SLOTS + 3) {
             store.publish(snapshot(&format!("v{}", i + 2), 6));
         }
         assert_eq!(held.version, 1);
-        let after = held.models.predict_power_w(&spec, 0.6, 0.3, 1005.0);
+        let after = held
+            .engines
+            .predict_power_w_batch(&spec, 0.6, 0.3, &[1005.0])[0];
         assert_eq!(before.to_bits(), after.to_bits());
         assert_eq!(store.load().version, (SLOTS + 4) as u64);
     }

@@ -216,8 +216,6 @@ impl InferenceEngine {
     /// happen here, once; the per-layer cost is one pass over each
     /// weight matrix.
     pub fn compile(net: &Network, precision: Precision) -> Self {
-        let mut frozen = net.clone();
-        frozen.clear_caches();
         let packed = match precision {
             Precision::F64 => Vec::new(),
             Precision::F32 => net
@@ -266,7 +264,7 @@ impl InferenceEngine {
             precision,
             in_dim: net.in_dim(),
             out_dim: net.out_dim(),
-            net: frozen,
+            net: net.clone(),
             packed,
         }
     }

@@ -1,4 +1,5 @@
-//! Fully-connected (dense) layer with cached forward state for backprop.
+//! Fully-connected (dense) layer: parameters plus the forward and
+//! backward kernels the workspace engine drives.
 
 use crate::activation::Activation;
 use serde::{Deserialize, Serialize};
@@ -6,32 +7,14 @@ use tensor::{matmul, ops, Matrix};
 
 /// A dense layer computing `a = act(x @ W + b)`.
 ///
-/// `W` is `(in_dim x out_dim)`, `b` is `(1 x out_dim)`. The layer caches the
-/// input and pre-activation of the most recent [`Dense::forward`] call so
-/// [`Dense::backward`] can compute gradients without recomputation.
+/// `W` is `(in_dim x out_dim)`, `b` is `(1 x out_dim)`. The layer holds
+/// only its parameters; every intermediate of a training step lives in the
+/// caller's [`crate::Workspace`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Dense {
     weights: Matrix,
     bias: Matrix,
     activation: Activation,
-    #[serde(skip)]
-    cache: Option<ForwardCache>,
-}
-
-#[derive(Debug, Clone)]
-struct ForwardCache {
-    input: Matrix,
-    pre_activation: Matrix,
-    output: Matrix,
-}
-
-/// Gradients produced by one backward pass through a layer.
-#[derive(Debug, Clone)]
-pub struct LayerGrads {
-    /// Gradient of the loss w.r.t. the weight matrix (same shape as `W`).
-    pub weights: Matrix,
-    /// Gradient of the loss w.r.t. the bias (same shape as `b`).
-    pub bias: Matrix,
 }
 
 impl Dense {
@@ -46,7 +29,6 @@ impl Dense {
             weights,
             bias,
             activation,
-            cache: None,
         }
     }
 
@@ -99,13 +81,8 @@ impl Dense {
         &mut self.bias
     }
 
-    /// Forward pass for a `(batch x in_dim)` input, caching state for
-    /// [`Dense::backward`]. Returns the `(batch x out_dim)` activations.
-    pub fn forward(&mut self, input: &Matrix) -> Matrix {
-        self.forward_cached(input)
-    }
-
-    /// Forward pass without mutating the cache — for inference.
+    /// Inference forward pass for a `(batch x in_dim)` input, returning the
+    /// `(batch x out_dim)` activations.
     pub fn infer(&self, input: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(input.rows(), self.out_dim());
         self.apply_into(input, &mut out);
@@ -205,88 +182,12 @@ impl Dense {
         }
     }
 
-    fn forward_cached(&mut self, input: &Matrix) -> Matrix {
-        // Reuse the previous cache's buffers so repeated forward calls at a
-        // stable batch size stop allocating (aside from the returned clone).
-        let mut cache = self.cache.take().unwrap_or_else(|| ForwardCache {
-            input: Matrix::zeros(0, 0),
-            pre_activation: Matrix::zeros(0, 0),
-            output: Matrix::zeros(0, 0),
-        });
-        cache.input.resize_to(input.rows(), input.cols());
-        cache.input.copy_from(input);
-        self.forward_into(input, &mut cache.pre_activation, &mut cache.output);
-        let out = cache.output.clone();
-        self.cache = Some(cache);
-        out
-    }
-
-    /// Backward pass. `upstream` is `dL/da` for this layer's output
-    /// (`batch x out_dim`). Returns the parameter gradients (already averaged
-    /// over the batch) and `dL/dx` to propagate to the previous layer.
-    ///
-    /// # Panics
-    /// Panics if called before [`Dense::forward`].
-    pub fn backward(&mut self, upstream: &Matrix) -> (LayerGrads, Matrix) {
-        let cache = self.cache.take().expect("backward called before forward");
-        let mut delta = Matrix::zeros(upstream.rows(), upstream.cols());
-        let mut grad_w = Matrix::zeros(self.in_dim(), self.out_dim());
-        let mut grad_b = Matrix::zeros(1, self.out_dim());
-        let mut downstream = Matrix::zeros(upstream.rows(), self.in_dim());
-        self.backward_into(
-            &cache.input,
-            &cache.pre_activation,
-            &cache.output,
-            upstream,
-            &mut delta,
-            &mut grad_w,
-            &mut grad_b,
-            Some(&mut downstream),
-        );
-        self.cache = Some(cache);
-        (
-            LayerGrads {
-                weights: grad_w,
-                bias: grad_b,
-            },
-            downstream,
-        )
-    }
-
-    /// Workspace backward pass, writing every result into caller-provided
-    /// buffers. `input`, `pre` and `output` are the forward-pass state for
-    /// this layer; `upstream` is `dL/da`. `delta` receives `dL/dz`,
-    /// `grad_w`/`grad_b` the batch-averaged parameter gradients, and `down`
-    /// (when wanted) `dL/dx`. Transpose-free kernels read `input` and the
-    /// weights in stored layout — nothing is materialized.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn backward_into(
-        &self,
-        input: &Matrix,
-        pre: &Matrix,
-        output: &Matrix,
-        upstream: &Matrix,
-        delta: &mut Matrix,
-        grad_w: &mut Matrix,
-        grad_b: &mut Matrix,
-        down: Option<&mut Matrix>,
-    ) {
-        let batch = upstream.rows().max(1);
-        self.backward_sums_into(input, pre, output, upstream, delta, grad_w, grad_b, down);
-        // Batch-average the raw sums; `down` stays unscaled (the upstream
-        // seed already carries the batch compensation).
-        ops::scale_in_place(grad_w, 1.0 / batch as f64);
-        ops::scale_in_place(grad_b, 1.0 / batch as f64);
-    }
-
     /// Backward pass leaving the parameter gradients as *raw sums* over
     /// the rows — no `1/batch` averaging. This is the per-shard kernel of
     /// the data-parallel engine: every row of a shard contributes its raw
     /// `x^T delta` / column-sum terms, the shards' sums are combined with
     /// a fixed pairwise tree, and the engine scales by `1/batch` once at
-    /// the root. All accumulation orders match [`Dense::backward_into`]
-    /// (which is exactly this followed by the two scalings), keeping the
-    /// sharded and full-batch paths bitwise-comparable.
+    /// the root.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn backward_sums_into(
         &self,
@@ -320,16 +221,6 @@ impl Dense {
             matmul::matmul_a_bt_into(delta, &self.weights, d).expect("shapes from workspace");
         }
     }
-
-    /// True while the layer holds cached forward state.
-    pub fn has_cache(&self) -> bool {
-        self.cache.is_some()
-    }
-
-    /// Drops the cached forward state (e.g. before serialization).
-    pub fn clear_cache(&mut self) {
-        self.cache = None;
-    }
 }
 
 #[cfg(test)]
@@ -344,11 +235,44 @@ mod tests {
         Dense::new(w, b, Activation::Linear)
     }
 
+    /// One training step's kernels on a single layer: [`Dense::forward_into`]
+    /// then [`Dense::backward_sums_into`] from the upstream gradient that
+    /// `upstream` derives from the activations. The parameter sums are
+    /// scaled by `1/batch`, as the trainer's reduction root does. Returns
+    /// `(activations, dL/dW, dL/db, dL/dx)`.
+    fn backprop(
+        l: &Dense,
+        x: &Matrix,
+        upstream: impl Fn(&Matrix) -> Matrix,
+    ) -> (Matrix, Matrix, Matrix, Matrix) {
+        let (mut pre, mut out) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        l.forward_into(x, &mut pre, &mut out);
+        let up = upstream(&out);
+        let mut delta = Matrix::zeros(0, 0);
+        let mut grad_w = Matrix::zeros(l.in_dim(), l.out_dim());
+        let mut grad_b = Matrix::zeros(1, l.out_dim());
+        let mut down = Matrix::zeros(0, 0);
+        l.backward_sums_into(
+            x,
+            &pre,
+            &out,
+            &up,
+            &mut delta,
+            &mut grad_w,
+            &mut grad_b,
+            Some(&mut down),
+        );
+        let inv = 1.0 / x.rows() as f64;
+        ops::scale_in_place(&mut grad_w, inv);
+        ops::scale_in_place(&mut grad_b, inv);
+        (out, grad_w, grad_b, down)
+    }
+
     #[test]
     fn forward_computes_affine_for_linear() {
-        let mut l = layer_2x3();
+        let l = layer_2x3();
         let x = Matrix::from_vec(1, 2, vec![1.0, 2.0]).unwrap();
-        let y = l.forward(&x);
+        let y = l.infer(&x);
         // [1,2] @ W + b = [0.1+0.8, 0.2+1.0, 0.3+1.2] + b
         assert!((y[(0, 0)] - 0.91).abs() < 1e-12);
         assert!((y[(0, 1)] - 1.22).abs() < 1e-12);
@@ -358,19 +282,12 @@ mod tests {
     #[test]
     fn infer_matches_forward() {
         let mut rng = StdRng::seed_from_u64(3);
-        let mut l = Dense::init(4, 5, Activation::Selu, &mut rng);
+        let l = Dense::init(4, 5, Activation::Selu, &mut rng);
         let x = tensor::init::uniform(3, 4, -1.0, 1.0, &mut rng);
-        let a = l.forward(&x);
+        let (mut pre, mut a) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        l.forward_into(&x, &mut pre, &mut a);
         let b = l.infer(&x);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "backward called before forward")]
-    fn backward_requires_forward() {
-        let mut l = layer_2x3();
-        let up = Matrix::zeros(1, 3);
-        let _ = l.backward(&up);
     }
 
     /// Finite-difference check of all gradients through a SELU layer.
@@ -389,14 +306,10 @@ mod tests {
             acc / (2.0 * y.rows() as f64)
         };
 
-        let mut l = Dense::init(3, 2, Activation::Selu, &mut rng);
-        let y = l.forward(&x);
-        // dL/da for L = sum((a-t)^2) / (2 batch)
-        let mut upstream = Matrix::zeros(5, 2);
-        for i in 0..y.len() {
-            upstream.as_mut_slice()[i] = y.as_slice()[i] - target.as_slice()[i];
-        }
-        let (grads, _) = l.backward(&upstream);
+        let l = Dense::init(3, 2, Activation::Selu, &mut rng);
+        // dL/da for L = sum((a-t)^2) / (2 batch), times batch: the raw
+        // per-row seed whose sums the root scaling averages.
+        let (_, grad_w, grad_b, _) = backprop(&l, &x, |y| ops::sub(y, &target).unwrap());
 
         let h = 1e-6;
         for idx in 0..l.weights().len() {
@@ -405,7 +318,7 @@ mod tests {
             let mut lm = l.clone();
             lm.weights_mut().as_mut_slice()[idx] -= h;
             let numeric = (loss(&lp, &x) - loss(&lm, &x)) / (2.0 * h);
-            let analytic = grads.weights.as_slice()[idx];
+            let analytic = grad_w.as_slice()[idx];
             assert!(
                 (numeric - analytic).abs() < 1e-5,
                 "weight {idx}: numeric {numeric} vs analytic {analytic}"
@@ -417,7 +330,7 @@ mod tests {
             let mut lm = l.clone();
             lm.bias_mut().as_mut_slice()[idx] -= h;
             let numeric = (loss(&lp, &x) - loss(&lm, &x)) / (2.0 * h);
-            let analytic = grads.bias.as_slice()[idx];
+            let analytic = grad_b.as_slice()[idx];
             assert!(
                 (numeric - analytic).abs() < 1e-5,
                 "bias {idx}: numeric {numeric} vs analytic {analytic}"
@@ -429,7 +342,7 @@ mod tests {
     #[test]
     fn input_gradient_matches_finite_differences() {
         let mut rng = StdRng::seed_from_u64(5);
-        let mut l = Dense::init(3, 2, Activation::Tanh, &mut rng);
+        let l = Dense::init(3, 2, Activation::Tanh, &mut rng);
         let x = tensor::init::uniform(2, 3, -1.0, 1.0, &mut rng);
         let target = tensor::init::uniform(2, 2, -1.0, 1.0, &mut rng);
 
@@ -443,12 +356,7 @@ mod tests {
                 / (2.0 * y.rows() as f64)
         };
 
-        let y = l.forward(&x);
-        let mut upstream = Matrix::zeros(2, 2);
-        for i in 0..y.len() {
-            upstream.as_mut_slice()[i] = (y.as_slice()[i] - target.as_slice()[i]) / 1.0;
-        }
-        let (_, dx) = l.backward(&upstream);
+        let (y, _, _, dx) = backprop(&l, &x, |y| ops::sub(y, &target).unwrap());
 
         let h = 1e-6;
         for idx in 0..x.len() {
@@ -456,8 +364,8 @@ mod tests {
             xp.as_mut_slice()[idx] += h;
             let mut xm = x.clone();
             xm.as_mut_slice()[idx] -= h;
-            // Batch averaging: backward emits dL/dx for the *summed-over-batch
-            // /batch* loss, matching `loss` above.
+            // Batch averaging: dL/dx stays unscaled by the root (only the
+            // parameter sums are), so divide here to match `loss` above.
             let numeric = (loss(&l, &xp) - loss(&l, &xm)) / (2.0 * h);
             let analytic = dx.as_slice()[idx] / y.rows() as f64;
             assert!(
@@ -468,14 +376,13 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip_drops_cache() {
+    fn serde_round_trip_preserves_parameters() {
         let mut rng = StdRng::seed_from_u64(6);
-        let mut l = Dense::init(2, 2, Activation::Relu, &mut rng);
-        let x = Matrix::zeros(1, 2);
-        l.forward(&x);
+        let l = Dense::init(2, 2, Activation::Relu, &mut rng);
         let json = serde_json::to_string(&l).unwrap();
         let back: Dense = serde_json::from_str(&json).unwrap();
         assert_eq!(back.weights(), l.weights());
         assert_eq!(back.bias(), l.bias());
+        assert_eq!(back.activation(), l.activation());
     }
 }

@@ -36,15 +36,15 @@
 //!
 //! Training and inference run through reusable [`Workspace`] buffers and
 //! the tensor crate's `_into` kernels: after a short warm-up, a training
-//! step ([`Network::forward_ws`] + [`Network::backward_ws`]) and a batch
-//! prediction ([`Network::predict_into`]) perform **zero heap
-//! allocations** — `tests/zero_alloc.rs` proves it with a counting global
-//! allocator. The classic allocating API (`forward`/`backward`/`predict`)
-//! remains available as thin wrappers over an internally kept workspace,
-//! and is **bitwise-identical** to the workspace path (every kernel
-//! accumulates in the same order); [`reference`] preserves the original
-//! allocating implementation as the oracle the parity proptests compare
-//! against.
+//! step ([`Network::forward_ws`] + [`Network::shard_grads_ws`] +
+//! [`Network::apply_combined_grads`]) and a batch prediction
+//! ([`Network::predict_into`]) perform **zero heap allocations** —
+//! `tests/zero_alloc.rs` proves it with a counting global allocator. That
+//! step is the only training path; [`Trainer::fit`] drives it. The
+//! convenience [`Network::predict`] runs the same kernels through a
+//! thread-local workspace, and [`reference`] keeps a naive allocating
+//! implementation (`predict`, `fit`, `shard_step`) as the oracle the
+//! parity proptests compare against bitwise.
 //!
 //! # Deterministic data parallelism
 //!

@@ -32,41 +32,6 @@ impl Loss {
         acc / n as f64
     }
 
-    /// Gradient `dL/dpred`, same shape as `pred`.
-    ///
-    /// The gradient is for the *mean* over the batch: each element is
-    /// divided by the element count, matching [`Loss::value`]. Layer
-    /// backward passes must therefore *not* divide by the batch size again —
-    /// see `Network::backward`, which multiplies it back out.
-    pub fn gradient(&self, pred: &Matrix, target: &Matrix) -> Matrix {
-        assert_eq!(pred.shape(), target.shape(), "loss operand shapes differ");
-        let n = pred.len().max(1) as f64;
-        let data = pred
-            .as_slice()
-            .iter()
-            .zip(target.as_slice())
-            .map(|(&p, &t)| self.point_grad(p, t) / n)
-            .collect();
-        Matrix::from_vec(pred.rows(), pred.cols(), data).expect("same shape as pred")
-    }
-
-    /// Allocation-free sibling of [`Loss::gradient`]: writes `dL/dpred` into
-    /// `out`, resizing it to `pred`'s shape (no reallocation once `out` has
-    /// capacity). Bitwise-identical element values.
-    pub fn gradient_into(&self, pred: &Matrix, target: &Matrix, out: &mut Matrix) {
-        assert_eq!(pred.shape(), target.shape(), "loss operand shapes differ");
-        let n = pred.len().max(1) as f64;
-        out.resize_to(pred.rows(), pred.cols());
-        for ((o, &p), &t) in out
-            .as_mut_slice()
-            .iter_mut()
-            .zip(pred.as_slice())
-            .zip(target.as_slice())
-        {
-            *o = self.point_grad(p, t) / n;
-        }
-    }
-
     /// Raw per-element loss sum (no `1/n` normalization) over a shard.
     ///
     /// The fixed-shard training engine computes this per shard, combines
@@ -176,38 +141,29 @@ mod tests {
         assert!((large - 2.5).abs() < 1e-12);
     }
 
+    /// The shard seed over the row count is `dL/dpred` of the batch mean
+    /// (the trainer's root applies that `1/rows` once per batch).
     #[test]
     fn gradients_match_finite_differences() {
-        let t = m(&[0.3, -0.7, 1.5]);
-        let p = m(&[0.5, 0.5, 0.5]);
+        let t = Matrix::from_vec(2, 3, vec![0.3, -0.7, 1.5, 0.1, 0.9, -2.0]).unwrap();
+        let p = Matrix::from_vec(2, 3, vec![0.5, 0.5, 0.5, -0.2, 0.4, 0.0]).unwrap();
         let h = 1e-6;
         for loss in [Loss::Mse, Loss::Mae, Loss::Huber] {
-            let g = loss.gradient(&p, &t);
-            for i in 0..3 {
+            let mut g = Matrix::zeros(4, 4); // wrong shape: the seed resizes
+            loss.shard_gradient_into(&p, &t, &mut g);
+            assert_eq!(g.shape(), p.shape());
+            for i in 0..p.len() {
                 let mut pp = p.clone();
                 pp.as_mut_slice()[i] += h;
                 let mut pm = p.clone();
                 pm.as_mut_slice()[i] -= h;
                 let numeric = (loss.value(&pp, &t) - loss.value(&pm, &t)) / (2.0 * h);
+                let analytic = g.as_slice()[i] / p.rows() as f64;
                 assert!(
-                    (numeric - g.as_slice()[i]).abs() < 1e-5,
-                    "{loss:?} idx {i}: {numeric} vs {}",
-                    g.as_slice()[i]
+                    (numeric - analytic).abs() < 1e-5,
+                    "{loss:?} idx {i}: {numeric} vs {analytic}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn gradient_into_matches_gradient_bitwise() {
-        let t = m(&[0.3, -0.7, 1.5]);
-        let p = m(&[0.5, 0.5, 0.5]);
-        for loss in [Loss::Mse, Loss::Mae, Loss::Huber] {
-            let expect = loss.gradient(&p, &t);
-            let mut out = Matrix::zeros(4, 4); // wrong shape: gradient_into resizes
-            loss.gradient_into(&p, &t, &mut out);
-            assert_eq!(out.shape(), p.shape());
-            assert_eq!(out.as_slice(), expect.as_slice());
         }
     }
 
@@ -230,23 +186,5 @@ mod tests {
             Loss::Mse.total(&Matrix::zeros(0, 2), &Matrix::zeros(0, 2)),
             0.0
         );
-    }
-
-    #[test]
-    fn shard_gradient_is_the_full_gradient_times_rows() {
-        // gradient_into divides by rows*cols; shard_gradient_into by cols
-        // only. On a single-shard batch the two must agree after the
-        // engine's deferred 1/rows scaling.
-        let p = Matrix::from_vec(3, 2, vec![1.0, 3.0, -1.0, 0.5, 0.2, -0.7]).unwrap();
-        let t = Matrix::from_vec(3, 2, vec![0.0, 1.0, 1.0, 0.5, -0.2, 0.7]).unwrap();
-        for loss in [Loss::Mse, Loss::Mae, Loss::Huber] {
-            let mut full = Matrix::zeros(0, 0);
-            loss.gradient_into(&p, &t, &mut full);
-            let mut shard = Matrix::zeros(0, 0);
-            loss.shard_gradient_into(&p, &t, &mut shard);
-            for (s, f) in shard.as_slice().iter().zip(full.as_slice()) {
-                assert!((s / p.rows() as f64 - f).abs() < 1e-15);
-            }
-        }
     }
 }

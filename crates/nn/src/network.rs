@@ -15,10 +15,6 @@ use tensor::Matrix;
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Network {
     layers: Vec<Dense>,
-    /// Workspace backing the allocating `forward`/`backward` wrappers, kept
-    /// across calls so repeated steps stop allocating. Never serialized.
-    #[serde(skip)]
-    scratch: Option<Box<Workspace>>,
 }
 
 impl Network {
@@ -36,10 +32,7 @@ impl Network {
                 w[1].in_dim()
             );
         }
-        Self {
-            layers,
-            scratch: None,
-        }
+        Self { layers }
     }
 
     /// The layers of the network.
@@ -125,23 +118,10 @@ impl Network {
         })
     }
 
-    /// Training forward pass: caches per-layer state for [`Network::backward`].
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let mut ws = self
-            .scratch
-            .take()
-            .unwrap_or_else(|| Box::new(Workspace::for_network(self, x.rows())));
-        self.forward_ws(x, &mut ws);
-        let out = ws.output().clone();
-        self.scratch = Some(ws);
-        out
-    }
-
     /// Training forward pass into a caller-provided workspace. The input is
     /// copied into the workspace and every layer's pre-activation and
-    /// activation are retained for [`Network::backward_ws`]. Allocation-free
-    /// once the workspace has warmed up; bitwise-identical to
-    /// [`Network::forward`].
+    /// activation are retained for [`Network::shard_grads_ws`].
+    /// Allocation-free once the workspace has warmed up.
     pub fn forward_ws(&self, x: &Matrix, ws: &mut Workspace) {
         ws.ensure(self, x.rows());
         ws.input.resize_to(x.rows(), x.cols());
@@ -151,113 +131,6 @@ impl Network {
             let cur = &mut rest[0];
             let input_i: &Matrix = if i == 0 { &ws.input } else { &done[i - 1].out };
             self.layers[i].forward_into(input_i, &mut cur.pre, &mut cur.out);
-        }
-    }
-
-    /// Runs backprop from `loss` at (`pred`, `target`) and applies one
-    /// optimizer step to every parameter tensor. Returns the batch loss.
-    ///
-    /// Must follow a [`Network::forward`] call on the same batch.
-    ///
-    /// # Panics
-    /// Panics if called before [`Network::forward`].
-    pub fn backward(
-        &mut self,
-        pred: &Matrix,
-        target: &Matrix,
-        loss: Loss,
-        opt: &mut Optimizer,
-    ) -> f64 {
-        let mut ws = self.scratch.take().expect("backward called before forward");
-        let value = loss.value(pred, target);
-        self.seed_loss_gradient(pred, target, loss, &mut ws);
-        self.propagate_and_update(opt, &mut ws);
-        self.scratch = Some(ws);
-        value
-    }
-
-    /// Workspace backprop: consumes the forward state left in `ws` by
-    /// [`Network::forward_ws`], seeds the loss gradient from the workspace
-    /// output, applies one optimizer step to every parameter, and returns
-    /// the batch loss. Allocation-free once the workspace has warmed up;
-    /// bitwise-identical to [`Network::backward`].
-    pub fn backward_ws(
-        &mut self,
-        target: &Matrix,
-        loss: Loss,
-        opt: &mut Optimizer,
-        ws: &mut Workspace,
-    ) -> f64 {
-        let value = loss.value(ws.output(), target);
-        // Split the borrow: gradient reads the output buffer while writing
-        // the (disjoint) loss-gradient buffer.
-        let Workspace {
-            layers,
-            input,
-            loss_grad,
-            ..
-        } = ws;
-        let pred: &Matrix = layers.last().map_or(&*input, |lw| &lw.out);
-        loss.gradient_into(pred, target, loss_grad);
-        let batch = pred.rows().max(1) as f64;
-        for v in loss_grad.as_mut_slice() {
-            *v *= batch;
-        }
-        self.propagate_and_update(opt, ws);
-        value
-    }
-
-    /// Writes the batch-compensated loss gradient for `pred` into the
-    /// workspace seed buffer.
-    ///
-    /// `Loss::gradient` averages over elements; layer backward averages
-    /// over rows again. Compensate so the effective gradient is the
-    /// gradient of the *mean over elements* exactly once.
-    fn seed_loss_gradient(&self, pred: &Matrix, target: &Matrix, loss: Loss, ws: &mut Workspace) {
-        loss.gradient_into(pred, target, &mut ws.loss_grad);
-        let batch = pred.rows().max(1) as f64;
-        for v in ws.loss_grad.as_mut_slice() {
-            *v *= batch;
-        }
-    }
-
-    /// Backprop from the seeded loss gradient in `ws` and apply one
-    /// optimizer update per parameter tensor. All layer gradients are
-    /// computed (against pre-update weights) before any update is applied,
-    /// matching the original allocating implementation update-for-update.
-    fn propagate_and_update(&mut self, opt: &mut Optimizer, ws: &mut Workspace) {
-        opt.begin_step();
-        let n = self.layers.len();
-        let Workspace {
-            layers: lws,
-            input,
-            loss_grad,
-            ..
-        } = ws;
-        for i in (0..n).rev() {
-            let (left, right) = lws.split_at_mut(i);
-            let (cur, after) = right.split_first_mut().expect("layer workspace exists");
-            let upstream: &Matrix = if i == n - 1 {
-                loss_grad
-            } else {
-                &after[0].down
-            };
-            let input_i: &Matrix = if i == 0 { input } else { &left[i - 1].out };
-            let down = if i == 0 { None } else { Some(&mut cur.down) };
-            self.layers[i].backward_into(
-                input_i,
-                &cur.pre,
-                &cur.out,
-                upstream,
-                &mut cur.delta,
-                &mut cur.grad_w,
-                &mut cur.grad_b,
-                down,
-            );
-        }
-        for (i, (l, lw)) in self.layers.iter_mut().zip(lws.iter()).enumerate() {
-            opt.update(2 * i, l.weights_mut(), &lw.grad_w);
-            opt.update(2 * i + 1, l.bias_mut(), &lw.grad_b);
         }
     }
 
@@ -331,20 +204,6 @@ impl Network {
         }
     }
 
-    /// Clears all cached forward state (per-layer caches and the wrapper
-    /// workspace).
-    pub fn clear_caches(&mut self) {
-        for l in &mut self.layers {
-            l.clear_cache();
-        }
-        self.scratch = None;
-    }
-
-    /// True while any layer cache or the wrapper workspace is populated.
-    pub fn has_cached_state(&self) -> bool {
-        self.scratch.is_some() || self.layers.iter().any(Dense::has_cache)
-    }
-
     /// Serializes the network to a JSON string.
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("network serializes")
@@ -415,6 +274,7 @@ impl NetworkBuilder {
 mod tests {
     use super::*;
     use crate::optimizer::OptimizerKind;
+    use crate::train::{TrainConfig, Trainer};
 
     fn tiny_net(seed: u64) -> Network {
         NetworkBuilder::new(2)
@@ -453,40 +313,48 @@ mod tests {
         let _ = Network::new(vec![l1, l2]);
     }
 
+    /// Full-batch training through [`Trainer::fit`]: one step per epoch on
+    /// every row, no validation hold-out — the workspace kernels the
+    /// trainer shards each step across.
+    fn full_batch(epochs: usize, rows: usize, optimizer: OptimizerKind) -> TrainConfig {
+        TrainConfig {
+            epochs,
+            batch_size: rows,
+            optimizer,
+            validation_split: 0.0,
+            ..TrainConfig::default()
+        }
+    }
+
     /// End-to-end: a small net must fit y = x0 + 2*x1 almost exactly.
     #[test]
     fn learns_linear_function() {
-        let mut net = tiny_net(1);
-        let mut opt = OptimizerKind::Adam {
+        let adam = OptimizerKind::Adam {
             lr: 0.01,
             beta1: 0.9,
             beta2: 0.999,
             eps: 1e-8,
-        }
-        .build();
+        };
         let mut rng = StdRng::seed_from_u64(2);
         let x = tensor::init::uniform(256, 2, -1.0, 1.0, &mut rng);
         let y_vals: Vec<f64> = x.rows_iter().map(|r| r[0] + 2.0 * r[1]).collect();
         let y = Matrix::col_vector(&y_vals);
 
-        let mut last = f64::INFINITY;
-        for _ in 0..400 {
-            let pred = net.forward(&x);
-            last = net.backward(&pred, &y, Loss::Mse, &mut opt);
-        }
+        let mut trainer = Trainer::new(tiny_net(1), full_batch(400, x.rows(), adam));
+        let history = trainer.fit(&x, &y).unwrap();
+        let last = *history.train_loss.last().unwrap();
         assert!(last < 1e-3, "final loss {last}");
     }
 
     /// SELU + RMSprop (the paper's recipe) learns a nonlinear target.
     #[test]
     fn learns_nonlinear_function_with_paper_recipe() {
-        let mut net = NetworkBuilder::new(2)
+        let net = NetworkBuilder::new(2)
             .hidden(16, Activation::Selu)
             .hidden(16, Activation::Selu)
             .output(1, Activation::Linear)
             .seed(3)
             .build();
-        let mut opt = OptimizerKind::paper_default().build();
         let mut rng = StdRng::seed_from_u64(4);
         let x = tensor::init::uniform(512, 2, -1.0, 1.0, &mut rng);
         let y_vals: Vec<f64> = x
@@ -495,15 +363,11 @@ mod tests {
             .collect();
         let y = Matrix::col_vector(&y_vals);
 
-        let first = {
-            let pred = net.predict(&x);
-            Loss::Mse.value(&pred, &y)
-        };
-        let mut last = f64::INFINITY;
-        for _ in 0..600 {
-            let pred = net.forward(&x);
-            last = net.backward(&pred, &y, Loss::Mse, &mut opt);
-        }
+        let first = Loss::Mse.value(&net.predict(&x), &y);
+        let cfg = full_batch(600, x.rows(), OptimizerKind::paper_default());
+        let mut trainer = Trainer::new(net, cfg);
+        let history = trainer.fit(&x, &y).unwrap();
+        let last = *history.train_loss.last().unwrap();
         assert!(last < first / 10.0, "loss went {first} -> {last}");
     }
 

@@ -14,10 +14,6 @@
 //! 2. **Benchmark baseline.** The `nn_training` and `prediction` criterion
 //!    groups measure both paths so the speedup stays visible to future PRs.
 //!
-//! [`step`] additionally preserves the original pre-shard full-batch
-//! update rule as the oracle for the legacy `Network::forward` /
-//! `Network::backward` API.
-//!
 //! Production code should never call into this module.
 
 use crate::loss::Loss;
@@ -244,72 +240,6 @@ pub fn shard_step(
         opt.update(2 * i + 1, l.bias_mut(), gb);
     }
     totals[0] / (rows * y.cols()) as f64
-}
-
-/// One allocating forward + backward + update step (the original
-/// `Network::forward` / `Network::backward` sequence).
-pub fn step(
-    network: &mut Network,
-    xb: &Matrix,
-    yb: &Matrix,
-    loss: Loss,
-    opt: &mut crate::optimizer::Optimizer,
-) -> f64 {
-    // Forward, capturing per-layer state.
-    let mut states: Vec<LayerState> = Vec::with_capacity(network.layers().len());
-    let mut a = xb.clone();
-    for l in network.layers() {
-        let z = matmul::matmul(&a, l.weights()).expect("layer/input width mismatch");
-        let pre =
-            ops::add_row_broadcast(&z, l.bias()).expect("bias shape verified at construction");
-        let mut out = pre.clone();
-        for r in 0..out.rows() {
-            l.activation().apply_row(out.row_mut(r));
-        }
-        states.push(LayerState {
-            input: a,
-            pre,
-            out: out.clone(),
-        });
-        a = out;
-    }
-    let value = loss.value(&a, yb);
-
-    // Loss gradient with the original batch compensation.
-    let mut upstream = loss.gradient(&a, yb);
-    let batch = a.rows().max(1) as f64;
-    for v in upstream.as_mut_slice() {
-        *v *= batch;
-    }
-
-    // Backward with explicit transposes, gradients before any update.
-    opt.begin_step();
-    let mut grads_rev: Vec<(Matrix, Matrix)> = Vec::with_capacity(states.len());
-    for (l, st) in network.layers().iter().zip(&states).rev() {
-        let b = upstream.rows().max(1);
-        let mut delta = Matrix::zeros(upstream.rows(), upstream.cols());
-        for r in 0..upstream.rows() {
-            l.activation().backward_row(
-                st.pre.row(r),
-                st.out.row(r),
-                upstream.row(r),
-                delta.row_mut(r),
-            );
-        }
-        let grad_w = ops::scale(
-            &matmul::matmul(&st.input.transpose(), &delta).expect("shapes from forward"),
-            1.0 / b as f64,
-        );
-        let grad_b = ops::scale(&ops::sum_rows(&delta), 1.0 / b as f64);
-        upstream = matmul::matmul(&delta, &l.weights().transpose()).expect("shapes from forward");
-        grads_rev.push((grad_w, grad_b));
-    }
-    grads_rev.reverse();
-    for (i, (l, (gw, gb))) in network.layers_mut().iter_mut().zip(&grads_rev).enumerate() {
-        opt.update(2 * i, l.weights_mut(), gw);
-        opt.update(2 * i + 1, l.bias_mut(), gb);
-    }
-    value
 }
 
 #[cfg(test)]

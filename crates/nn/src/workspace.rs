@@ -10,10 +10,10 @@
 //! training steps perform **zero heap allocations** — see
 //! `tests/zero_alloc.rs` for the counting-allocator proof.
 //!
-//! The workspace path is bitwise-identical to the allocating path: every
-//! `_into` kernel it drives accumulates in the same order as its
-//! allocating sibling (see the `tensor` crate docs), which the parity
-//! proptests in `train.rs` assert end to end.
+//! The workspace path is bitwise-identical to the allocating oracle in
+//! [`crate::reference`]: every `_into` kernel it drives accumulates in the
+//! same order as its allocating sibling (see the `tensor` crate docs),
+//! which the parity proptests in `train.rs` assert end to end.
 
 use crate::network::Network;
 use std::cell::RefCell;
@@ -37,8 +37,8 @@ pub(crate) struct LayerWs {
     pub(crate) grad_b: Matrix,
 }
 
-/// Reusable buffers for [`Network::forward_ws`] / [`Network::backward_ws`] /
-/// [`Network::predict_into`].
+/// Reusable buffers for [`Network::forward_ws`] / [`Network::shard_grads_ws`]
+/// / [`Network::predict_into`].
 ///
 /// Create one per training loop (or use [`Workspace::with_thread_local`]
 /// for ad-hoc inference) and pass it to every step; the first steps size

@@ -87,12 +87,20 @@ fn training_steps_are_allocation_free_after_warmup() {
     let mut yb = Matrix::zeros(batch, y.cols());
     let indices: Vec<usize> = (0..x.rows()).collect();
 
-    // Warm-up: size every buffer and let the optimizer register its slots.
-    for chunk in indices.chunks(batch).take(3) {
+    // The trainer's step with the whole batch in one shard: forward, raw
+    // gradient sums, then the root's 1/batch scaling and update (a
+    // one-shard reduction tree has nothing to fold).
+    let mut step = |net: &mut nn::Network, chunk: &[usize]| {
         ops::gather_rows_into(&x, chunk, &mut xb);
         ops::gather_rows_into(&y, chunk, &mut yb);
         net.forward_ws(&xb, &mut ws);
-        net.backward_ws(&yb, Loss::Mse, &mut opt, &mut ws);
+        net.shard_grads_ws(&yb, Loss::Mse, &mut ws);
+        net.apply_combined_grads(&mut opt, &mut ws, chunk.len());
+    };
+
+    // Warm-up: size every buffer and let the optimizer register its slots.
+    for chunk in indices.chunks(batch).take(3) {
+        step(&mut net, chunk);
     }
 
     // Steady state: N full gather + forward + backward + update steps must
@@ -100,10 +108,7 @@ fn training_steps_are_allocation_free_after_warmup() {
     let (bytes, allocs) = counted(|| {
         for _ in 0..5 {
             for chunk in indices.chunks(batch) {
-                ops::gather_rows_into(&x, chunk, &mut xb);
-                ops::gather_rows_into(&y, chunk, &mut yb);
-                net.forward_ws(&xb, &mut ws);
-                net.backward_ws(&yb, Loss::Mse, &mut opt, &mut ws);
+                step(&mut net, chunk);
             }
         }
     });

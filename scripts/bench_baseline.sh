@@ -207,8 +207,9 @@ BEGIN { print "{"; sep = "" }
 printf ',\n  "serve_qps": %s,\n  "serve_p99_us": %s,\n  "serve_qps_telemetry": %s,\n  "serve_p99_telemetry_us": %s,\n  "serve_qps_journal": %s,\n  "serve_p99_journal_us": %s\n}\n' \
     "$serve_qps" "$serve_p99" "$serve_qps_t" "$serve_p99_t" "$serve_qps_j" "$serve_p99_j" >> "$out"
 
-# The batch-fused engine rows are the numbers the README performance
-# table quotes — fail loudly if the bench stopped emitting them.
+# The engine rows (one per precision) are the numbers the README
+# performance table quotes — fail loudly if the bench stopped emitting them.
+grep -q '"nn_forward_61_states/engine_f64"' "$out"
 grep -q '"nn_forward_61_states/engine_f32"' "$out"
 grep -q '"nn_forward_61_states/engine_bf16"' "$out"
 

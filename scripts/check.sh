@@ -46,6 +46,15 @@ DVFS_LOG=error target/release/dvfs monitor --stride 8 --window 64 > "$tmp/monito
 grep -q 'quality\.power\.mape' "$tmp/monitor.txt"
 grep -q 'quality\.time\.mape' "$tmp/monitor.txt"
 
+echo "==> run_all smoke (DVFS_QUICK=1: every paper table and figure)"
+# The paper binaries predict through the same engines as the CLI and the
+# daemon; a subsampled pass must render every table and figure and write
+# all 18 JSON reports.
+DVFS_QUICK=1 DVFS_LOG=error DVFS_RESULTS_DIR="$tmp/results" \
+    cargo run --release --offline -p bench --bin run_all > "$tmp/run_all.txt"
+grep -q '== Table 3: model accuracy per application ==' "$tmp/run_all.txt"
+test "$(find "$tmp/results" -name '*.json' | wc -l)" -eq 18
+
 echo "==> dvfs serve smoke (ephemeral port -> loadgen -> validate telemetry)"
 DVFS_LOG=error target/release/dvfs serve --models "$tmp/models.json" \
     --metrics-out "$tmp/serve_metrics.json" --trace-out "$tmp/serve_trace.json" \

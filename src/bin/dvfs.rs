@@ -716,7 +716,9 @@ fn cmd_batch(opts: &HashMap<String, String>) -> Result<(), CliError> {
             .enumerate()
             .map(|(i, reference)| {
                 let t0 = Instant::now();
-                let profile = predictor.predict_from_reference_cached(&cache, reference, &freqs);
+                let profile = predictor
+                    .predict_batch_cached(&cache, std::slice::from_ref(*reference), &freqs)
+                    .remove(0);
                 let sel = profile.select(objective, threshold);
                 latency.record_duration(t0.elapsed());
                 (

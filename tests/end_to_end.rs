@@ -1,6 +1,8 @@
 //! End-to-end integration: offline campaign -> training -> online
 //! prediction -> frequency selection, across crate boundaries.
 
+use gpu_dvfs::core::models::PredictEngines;
+use gpu_dvfs::nn::Precision;
 use gpu_dvfs::prelude::*;
 
 fn pipeline_and_backend() -> (SimulatorBackend, TrainedPipeline) {
@@ -69,7 +71,10 @@ fn trained_models_round_trip_through_json() {
     let json = pipeline.models.to_json();
     let restored = PowerTimeModels::from_json(&json).expect("valid JSON");
     let spec = backend.spec();
-    let a = pipeline.models.predict_power_w(spec, 0.6, 0.5, 1005.0);
-    let b = restored.predict_power_w(spec, 0.6, 0.5, 1005.0);
-    assert_eq!(a, b);
+    let freqs = backend.grid().used();
+    let sweep = |models: &PowerTimeModels| {
+        PredictEngines::compile(models, Precision::F64)
+            .predict_power_w_batch(spec, 0.6, 0.5, &freqs)
+    };
+    assert_eq!(sweep(&pipeline.models), sweep(&restored));
 }
