@@ -3,7 +3,7 @@
 //! the network forward pass behind them at every engine precision.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dvfs_core::cache::ProfileCache;
+use dvfs_core::cache::ShardedProfileCache;
 use dvfs_core::dataset::Dataset;
 use dvfs_core::models::PowerTimeModels;
 use dvfs_core::predictor::Predictor;
@@ -73,7 +73,7 @@ fn bench_prediction(c: &mut Criterion) {
     group.bench_function("batched", |b| {
         b.iter(|| predictor.predict_from_reference(black_box(&reference), black_box(&freqs)))
     });
-    let cache = ProfileCache::new(16);
+    let cache = ShardedProfileCache::new(16, 1);
     let one = std::slice::from_ref(&reference);
     // Warm the single entry so the steady-state (hit) path is measured.
     let _ = predictor.predict_batch_cached(&cache, one, &freqs);

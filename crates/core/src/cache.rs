@@ -10,12 +10,11 @@
 //! ideal cache value: a hit skips both network forward passes and pays
 //! only the per-request anchor rescale.
 //!
-//! Keys quantize the two activities to a configurable step (default
-//! [`ProfileCache::DEFAULT_QUANTUM`]) and fingerprint the device spec
-//! and frequency grid, so near-identical requests share an entry while
-//! different devices or sweeps never collide. Entries computed on a miss
-//! use the *bucket-center* activities, so the cached value is
-//! independent of which request inside a bucket arrived first —
+//! Keys quantize the two activities to a fixed 1e-3 step and fingerprint
+//! the device spec and frequency grid, so near-identical requests share
+//! an entry while different devices or sweeps never collide. Entries
+//! computed on a miss use the *bucket-center* activities, so the cached
+//! value is independent of which request inside a bucket arrived first —
 //! concurrent and reordered request streams stay deterministic.
 
 use gpu_model::DeviceSpec;
@@ -64,12 +63,12 @@ pub struct NormalizedProfile {
 
 /// Hit/miss/eviction counters, readable at any time.
 ///
-/// Every copy handed out by [`ProfileCache::stats`] is snapshotted while
-/// the cache's single state lock is held, so the counters are mutually
-/// consistent: `lookups == hits + misses` always holds, even while other
-/// threads are mid-lookup. (An earlier sketch kept the counters in
-/// independent atomics, which let a reader observe `hits + misses`
-/// disagreeing with the lookup total under concurrent load.)
+/// Every per-shard copy summed by [`ShardedProfileCache::stats`] is
+/// snapshotted while that shard's lock is held, so the counters are
+/// mutually consistent: `lookups == hits + misses` always holds, even
+/// while other threads are mid-lookup. (An earlier sketch kept the
+/// counters in independent atomics, which let a reader observe `hits +
+/// misses` disagreeing with the lookup total under concurrent load.)
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Total lookups (always `hits + misses`).
@@ -108,6 +107,17 @@ impl CacheStats {
     }
 }
 
+/// Activity quantization step. Activities live in `[0, 1]`, so 1e-3
+/// gives ~a thousand buckets per axis — fine enough that bucket-center
+/// predictions track the exact ones, coarse enough that repeated runs of
+/// the same application collapse onto one entry despite measurement
+/// noise.
+const QUANTUM: f64 = 1e-3;
+
+fn bucket(activity: f64) -> i64 {
+    (activity / QUANTUM).round() as i64
+}
+
 struct Slot {
     value: NormalizedProfile,
     last_used: u64,
@@ -119,36 +129,14 @@ struct CacheState {
     stats: CacheStats,
 }
 
-/// A bounded, thread-safe LRU cache of [`NormalizedProfile`]s.
-pub struct ProfileCache {
+/// One shard: a bounded LRU of [`NormalizedProfile`]s behind one lock.
+struct Shard {
     state: Mutex<CacheState>,
     capacity: usize,
-    quantum: f64,
 }
 
-impl ProfileCache {
-    /// Default activity quantization step. Activities live in `[0, 1]`,
-    /// so 1e-3 gives ~a thousand buckets per axis — fine enough that
-    /// bucket-center predictions track the exact ones, coarse enough
-    /// that repeated runs of the same application collapse onto one
-    /// entry despite measurement noise.
-    pub const DEFAULT_QUANTUM: f64 = 1e-3;
-
-    /// Creates a cache holding at most `capacity` profiles.
-    ///
-    /// # Panics
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        Self::with_quantum(capacity, Self::DEFAULT_QUANTUM)
-    }
-
-    /// Creates a cache with an explicit activity quantization step.
-    ///
-    /// # Panics
-    /// Panics if `capacity` is zero or `quantum` is not positive.
-    pub fn with_quantum(capacity: usize, quantum: f64) -> Self {
-        assert!(capacity > 0, "cache capacity must be positive");
-        assert!(quantum > 0.0, "activity quantum must be positive");
+impl Shard {
+    fn new(capacity: usize) -> Self {
         Self {
             state: Mutex::new(CacheState {
                 entries: HashMap::new(),
@@ -156,56 +144,13 @@ impl ProfileCache {
                 stats: CacheStats::default(),
             }),
             capacity,
-            quantum,
-        }
-    }
-
-    fn bucket(&self, activity: f64) -> i64 {
-        (activity / self.quantum).round() as i64
-    }
-
-    /// Snaps an activity to the center of its quantization bucket — the
-    /// value predictions are computed from on a miss.
-    pub fn quantize(&self, activity: f64) -> f64 {
-        self.bucket(activity) as f64 * self.quantum
-    }
-
-    /// Builds the key for a (device, activities, frequency-grid) request.
-    pub fn key(
-        &self,
-        spec: &DeviceSpec,
-        fp_active: f64,
-        dram_active: f64,
-        frequencies: &[f64],
-    ) -> CacheKey {
-        // FNV-1a over the spec identity and the exact grid bits: a
-        // different chip, TDP, default clock, or sweep must never share
-        // an entry.
-        fn fnv(h: u64, byte: u8) -> u64 {
-            (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
-        }
-        fn mix(h: u64, word: u64) -> u64 {
-            word.to_le_bytes().into_iter().fold(h, fnv)
-        }
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        h = spec.arch.chip_name().bytes().fold(h, fnv);
-        h = mix(h, spec.max_core_mhz.to_bits());
-        h = mix(h, spec.tdp_w.to_bits());
-        h = mix(h, frequencies.len() as u64);
-        for &f in frequencies {
-            h = mix(h, f.to_bits());
-        }
-        CacheKey {
-            fp_bucket: self.bucket(fp_active),
-            dram_bucket: self.bucket(dram_active),
-            context_hash: h,
         }
     }
 
     /// Returns the cached profile for `key`, computing it with `fill` and
     /// inserting (evicting the least-recently-used entry if full) on a
     /// miss.
-    pub fn get_or_insert_with(
+    fn get_or_insert_with(
         &self,
         key: CacheKey,
         fill: impl FnOnce() -> NormalizedProfile,
@@ -256,73 +201,18 @@ impl ProfileCache {
         value
     }
 
-    /// Current hit/miss/eviction counters.
-    pub fn stats(&self) -> CacheStats {
+    fn stats(&self) -> CacheStats {
         self.state.lock().stats
     }
 
-    /// Accounts `n` lookups answered by a layer *in front of* this cache
-    /// (the serve workers keep a per-snapshot serialized-reply cache
-    /// whose hits never reach the shards). Booked as `n` lookups + `n`
-    /// hits in one critical section, so the `lookups == hits + misses`
-    /// invariant and the published hit rate stay truthful about the
-    /// request stream as a whole.
-    pub fn record_front_hits(&self, n: u64) {
-        let mut state = self.state.lock();
-        state.stats.lookups += n;
-        state.stats.hits += n;
-    }
-
-    /// Bridges the cache's counters into the global metrics registry:
-    /// `cache.lookups` / `cache.hits` / `cache.misses` /
-    /// `cache.evictions` counters plus `cache.hit_rate` (zero-total
-    /// guarded by [`CacheStats::hit_rate`]),
-    /// `cache.evictions_per_capacity`, `cache.resident`, and
-    /// `cache.capacity` gauges. Absolute values are published (the cache
-    /// keeps its own counters under its existing lock), so call this
-    /// once per reporting point, e.g. after a batch completes. Safe on a
-    /// completely idle cache: every gauge is finite.
-    pub fn publish_stats(&self) {
-        publish_cache_stats(&self.stats(), self.len(), self.capacity);
-    }
-
-    /// Number of cached profiles.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.state.lock().entries.len()
     }
-
-    /// Whether the cache holds no profiles.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops all entries (counters are kept).
-    pub fn clear(&self) {
-        self.state.lock().entries.clear();
-    }
 }
 
-/// Publishes one cache-stats snapshot under the shared `cache.*` metric
-/// names (used by both the flat and the sharded cache, so dashboards see
-/// one set of names regardless of topology).
-fn publish_cache_stats(stats: &CacheStats, resident: usize, capacity: usize) {
-    let reg = obs::global();
-    reg.counter("cache.lookups").set(stats.lookups);
-    reg.counter("cache.hits").set(stats.hits);
-    reg.counter("cache.misses").set(stats.misses);
-    reg.counter("cache.evictions").set(stats.evictions);
-    reg.gauge("cache.hit_rate").set(stats.hit_rate());
-    reg.gauge("cache.evictions_per_capacity")
-        .set(stats.evictions as f64 / capacity.max(1) as f64);
-    reg.gauge("cache.resident").set(resident as f64);
-    reg.gauge("cache.capacity").set(capacity as f64);
-}
-
-/// The lookup surface the online predictor needs from a profile cache.
-///
-/// Implemented by both the flat [`ProfileCache`] and the
-/// [`ShardedProfileCache`], so `Predictor::predict_batch_cached` works
-/// unchanged against either topology.
+/// The lookup surface the online predictor needs from a profile cache,
+/// so `Predictor::predict_batch_cached` can run against a wrapper (a
+/// benchmark timing each call, say) as well as the cache itself.
 pub trait CacheHandle: Sync {
     /// Builds the key for a (device, activities, frequency-grid) request.
     fn key(
@@ -345,40 +235,18 @@ pub trait CacheHandle: Sync {
     ) -> NormalizedProfile;
 }
 
-impl CacheHandle for ProfileCache {
-    fn key(
-        &self,
-        spec: &DeviceSpec,
-        fp_active: f64,
-        dram_active: f64,
-        frequencies: &[f64],
-    ) -> CacheKey {
-        ProfileCache::key(self, spec, fp_active, dram_active, frequencies)
-    }
-
-    fn quantize(&self, activity: f64) -> f64 {
-        ProfileCache::quantize(self, activity)
-    }
-
-    fn get_or_insert_with<F: FnOnce() -> NormalizedProfile>(
-        &self,
-        key: CacheKey,
-        fill: F,
-    ) -> NormalizedProfile {
-        ProfileCache::get_or_insert_with(self, key, fill)
-    }
-}
-
-/// N independent [`ProfileCache`] shards picked by a stable hash of the
-/// quantized cache key.
+/// A bounded, thread-safe LRU cache of [`NormalizedProfile`]s, split
+/// into N independent shards picked by a stable hash of the quantized
+/// cache key.
 ///
 /// Each shard has its own lock, so concurrent server workers serving
 /// different applications never contend on a global cache mutex; a
 /// lookup touches exactly one shard. Shard placement is a pure function
 /// of the key ([`CacheKey::shard_hash`]), so a request stream produces
 /// the same residency regardless of which worker serves which request.
+/// With one shard this is a plain LRU (`dvfs batch`).
 pub struct ShardedProfileCache {
-    shards: Box<[ProfileCache]>,
+    shards: Box<[Shard]>,
 }
 
 impl ShardedProfileCache {
@@ -388,27 +256,15 @@ impl ShardedProfileCache {
     /// # Panics
     /// Panics if `capacity` or `shards` is zero.
     pub fn new(capacity: usize, shards: usize) -> Self {
-        Self::with_quantum(capacity, shards, ProfileCache::DEFAULT_QUANTUM)
-    }
-
-    /// Creates a sharded cache with an explicit activity quantization
-    /// step (shared by every shard — keys are topology-independent).
-    ///
-    /// # Panics
-    /// Panics if `capacity` or `shards` is zero, or `quantum` is not
-    /// positive.
-    pub fn with_quantum(capacity: usize, shards: usize, quantum: f64) -> Self {
         assert!(shards > 0, "cache shard count must be positive");
         assert!(capacity > 0, "cache capacity must be positive");
         let per_shard = capacity.div_ceil(shards);
         Self {
-            shards: (0..shards)
-                .map(|_| ProfileCache::with_quantum(per_shard, quantum))
-                .collect(),
+            shards: (0..shards).map(|_| Shard::new(per_shard)).collect(),
         }
     }
 
-    fn shard(&self, key: CacheKey) -> &ProfileCache {
+    fn shard(&self, key: CacheKey) -> &Shard {
         &self.shards[(key.shard_hash() % self.shards.len() as u64) as usize]
     }
 
@@ -424,12 +280,12 @@ impl ShardedProfileCache {
 
     /// Number of cached profiles across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.len()).sum()
+        self.shards.iter().map(Shard::len).sum()
     }
 
     /// Whether no shard holds a profile.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.is_empty())
+        self.len() == 0
     }
 
     /// Aggregated counters.
@@ -444,27 +300,41 @@ impl ShardedProfileCache {
             .fold(CacheStats::default(), |acc, s| acc.merge(&s.stats()))
     }
 
-    /// Publishes the aggregated counters under the same `cache.*` names
-    /// as [`ProfileCache::publish_stats`], plus a `cache.shards` gauge.
+    /// Bridges the aggregated counters into the global metrics registry:
+    /// `cache.lookups` / `cache.hits` / `cache.misses` /
+    /// `cache.evictions` counters plus `cache.hit_rate` (zero-total
+    /// guarded by [`CacheStats::hit_rate`]),
+    /// `cache.evictions_per_capacity`, `cache.resident`,
+    /// `cache.capacity` and `cache.shards` gauges. Absolute values are
+    /// published (the shards keep their own counters under their locks),
+    /// so call this once per reporting point, e.g. after a batch
+    /// completes. Safe on a completely idle cache: every gauge is finite.
     pub fn publish_stats(&self) {
-        publish_cache_stats(&self.stats(), self.len(), self.capacity());
-        obs::global()
-            .gauge("cache.shards")
-            .set(self.shards.len() as f64);
+        let stats = self.stats();
+        let capacity = self.capacity();
+        let reg = obs::global();
+        reg.counter("cache.lookups").set(stats.lookups);
+        reg.counter("cache.hits").set(stats.hits);
+        reg.counter("cache.misses").set(stats.misses);
+        reg.counter("cache.evictions").set(stats.evictions);
+        reg.gauge("cache.hit_rate").set(stats.hit_rate());
+        reg.gauge("cache.evictions_per_capacity")
+            .set(stats.evictions as f64 / capacity as f64);
+        reg.gauge("cache.resident").set(self.len() as f64);
+        reg.gauge("cache.capacity").set(capacity as f64);
+        reg.gauge("cache.shards").set(self.shards.len() as f64);
     }
 
-    /// Drops all entries in every shard (counters are kept).
-    pub fn clear(&self) {
-        for s in self.shards.iter() {
-            s.clear();
-        }
-    }
-
-    /// Accounts `n` front-layer hits (see
-    /// [`ProfileCache::record_front_hits`]); booked on shard 0 so the
-    /// single-shard invariant carries over to the aggregate.
+    /// Accounts `n` lookups answered by a layer *in front of* this cache
+    /// (the serve workers keep a per-snapshot serialized-reply cache
+    /// whose hits never reach the shards). Booked as `n` lookups + `n`
+    /// hits in one critical section of shard 0, so the invariant
+    /// `lookups == hits + misses` and the published hit rate stay
+    /// truthful about the request stream as a whole.
     pub fn record_front_hits(&self, n: u64) {
-        self.shards[0].record_front_hits(n);
+        let mut state = self.shards[0].state.lock();
+        state.stats.lookups += n;
+        state.stats.hits += n;
     }
 }
 
@@ -476,13 +346,32 @@ impl CacheHandle for ShardedProfileCache {
         dram_active: f64,
         frequencies: &[f64],
     ) -> CacheKey {
-        // Keys are quantization + fingerprint only, identical across
-        // shards; shard 0 stands in for all of them.
-        self.shards[0].key(spec, fp_active, dram_active, frequencies)
+        // FNV-1a over the spec identity and the exact grid bits: a
+        // different chip, TDP, default clock, or sweep must never share
+        // an entry. Keys do not depend on the shard count.
+        fn fnv(h: u64, byte: u8) -> u64 {
+            (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        }
+        fn mix(h: u64, word: u64) -> u64 {
+            word.to_le_bytes().into_iter().fold(h, fnv)
+        }
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        h = spec.arch.chip_name().bytes().fold(h, fnv);
+        h = mix(h, spec.max_core_mhz.to_bits());
+        h = mix(h, spec.tdp_w.to_bits());
+        h = mix(h, frequencies.len() as u64);
+        for &f in frequencies {
+            h = mix(h, f.to_bits());
+        }
+        CacheKey {
+            fp_bucket: bucket(fp_active),
+            dram_bucket: bucket(dram_active),
+            context_hash: h,
+        }
     }
 
     fn quantize(&self, activity: f64) -> f64 {
-        self.shards[0].quantize(activity)
+        bucket(activity) as f64 * QUANTUM
     }
 
     fn get_or_insert_with<F: FnOnce() -> NormalizedProfile>(
@@ -512,7 +401,7 @@ mod tests {
 
     #[test]
     fn hit_and_miss_counters_track_lookups() {
-        let cache = ProfileCache::new(4);
+        let cache = ShardedProfileCache::new(4, 1);
         let grid = [510.0, 960.0, 1410.0];
         let key = cache.key(&spec(), 0.5, 0.5, &grid);
         let a = cache.get_or_insert_with(key, || profile(1.0));
@@ -530,7 +419,7 @@ mod tests {
         // Regression: `hits / lookups` on an idle cache is 0/0; the
         // accessor must clamp it to 0.0 — a NaN here silently disables
         // every downstream `hit_rate < x` comparison.
-        let idle = ProfileCache::new(4).stats();
+        let idle = ShardedProfileCache::new(4, 1).stats();
         assert_eq!(idle.hit_rate(), 0.0);
         assert!(!idle.hit_rate().is_nan());
         let sharded = ShardedProfileCache::new(8, 4);
@@ -542,7 +431,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recently_used() {
-        let cache = ProfileCache::new(2);
+        let cache = ShardedProfileCache::new(2, 1);
         let grid = [510.0, 1410.0];
         let s = spec();
         let k1 = cache.key(&s, 0.1, 0.1, &grid);
@@ -564,7 +453,7 @@ mod tests {
 
     #[test]
     fn quantization_merges_nearby_activities_only() {
-        let cache = ProfileCache::with_quantum(8, 1e-3);
+        let cache = ShardedProfileCache::new(8, 1);
         let grid = [510.0, 1410.0];
         let s = spec();
         // Same bucket: within half a quantum of the center.
@@ -583,7 +472,7 @@ mod tests {
 
     #[test]
     fn device_and_grid_changes_never_collide() {
-        let cache = ProfileCache::new(8);
+        let cache = ShardedProfileCache::new(8, 1);
         let ga = DeviceSpec::ga100();
         let gv = DeviceSpec::gv100();
         let grid_a = [510.0, 1410.0];
@@ -601,12 +490,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
-        let _ = ProfileCache::new(0);
+        let _ = ShardedProfileCache::new(0, 1);
     }
 
     #[test]
     fn publish_stats_bridges_into_the_global_registry() {
-        let cache = ProfileCache::new(2);
+        let cache = ShardedProfileCache::new(2, 1);
         let grid = [510.0, 1410.0];
         let s = spec();
         // Idle cache: the hit-rate gauge must guard the zero-total case.
@@ -630,6 +519,7 @@ mod tests {
         assert_eq!(reg.gauge("cache.evictions_per_capacity").get(), 0.5);
         assert_eq!(reg.gauge("cache.resident").get(), 2.0);
         assert_eq!(reg.gauge("cache.capacity").get(), 2.0);
+        assert_eq!(reg.gauge("cache.shards").get(), 1.0);
     }
 
     #[test]
@@ -643,14 +533,14 @@ mod tests {
         // every key must round-trip its own value.
         for i in 0..32 {
             let fp = i as f64 / 32.0;
-            let k = CacheHandle::key(&sharded, &s, fp, 1.0 - fp, &grid);
+            let k = sharded.key(&s, fp, 1.0 - fp, &grid);
             let v = sharded.get_or_insert_with(k, || profile(fp));
             assert_eq!(v.power_w[0], fp);
             let again = sharded.get_or_insert_with(k, || profile(-1.0));
             assert_eq!(again.power_w[0], fp, "hit must not recompute");
         }
         let touched = (0..sharded.num_shards())
-            .filter(|&i| !sharded.shards[i].is_empty())
+            .filter(|&i| sharded.shards[i].len() > 0)
             .count();
         assert!(touched > 1, "all 32 keys landed in one shard");
         let stats = sharded.stats();
@@ -658,7 +548,7 @@ mod tests {
         assert_eq!(stats.lookups, 64);
         assert_eq!(sharded.len(), 32);
         // Shard placement is a pure function of the key.
-        let k = CacheHandle::key(&sharded, &s, 0.25, 0.75, &grid);
+        let k = sharded.key(&s, 0.25, 0.75, &grid);
         assert!(std::ptr::eq(sharded.shard(k), sharded.shard(k)));
     }
 
@@ -683,7 +573,7 @@ mod tests {
                         // 64 distinct keys over a 32-entry cache: steady
                         // mix of hits, misses, and evictions.
                         let fp = ((i * 7 + t * 13) % 64) as f64 / 64.0;
-                        let k = CacheHandle::key(&*cache, sref, fp, fp, gref);
+                        let k = cache.key(sref, fp, fp, gref);
                         let _ = cache.get_or_insert_with(k, || profile(fp));
                     }
                 });

@@ -39,7 +39,7 @@ pub mod predictor;
 pub mod serve;
 pub mod snapshot;
 
-pub use cache::{CacheHandle, CacheStats, ProfileCache, ShardedProfileCache};
+pub use cache::{CacheHandle, CacheStats, ShardedProfileCache};
 pub use capping::{plan_under_cap, CapPlan};
 pub use dataset::Dataset;
 pub use models::PowerTimeModels;

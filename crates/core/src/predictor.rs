@@ -291,10 +291,9 @@ impl<'a> Predictor<'a> {
     }
 
     /// Like [`Predictor::predict_from_reference`] for each of
-    /// `references`, in order, but consults `cache` first (either a flat
-    /// [`crate::cache::ProfileCache`] or a
-    /// [`crate::cache::ShardedProfileCache`] — anything implementing
-    /// [`CacheHandle`]). On a hit the two forward passes are skipped
+    /// `references`, in order, but consults `cache` first (a
+    /// [`crate::cache::ShardedProfileCache`], or anything else
+    /// implementing [`CacheHandle`]). On a hit the two forward passes are skipped
     /// entirely and only the per-request time anchor is recomputed. On a
     /// miss the profile is predicted from the *quantized* activities (so
     /// the cached entry is independent of request order and of cache
@@ -400,7 +399,7 @@ pub fn measured_profile<B: GpuBackend + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::ProfileCache;
+    use crate::cache::ShardedProfileCache;
     use crate::dataset::Dataset;
     use gpu_model::{NoiseModel, SignatureBuilder};
     use telemetry::SimulatorBackend;
@@ -576,7 +575,7 @@ mod tests {
         let predictor = Predictor::new(&models, spec.clone());
         let freqs = backend.grid().used();
         let reference = reference_for(&spec, "app", 1.5e13, 1.0e12);
-        let cache = ProfileCache::new(8);
+        let cache = ShardedProfileCache::new(8, 1);
         let one = std::slice::from_ref(&reference);
         let first = predictor
             .predict_batch_cached(&cache, one, &freqs)
@@ -613,7 +612,7 @@ mod tests {
         ];
         // 6 requests over 2 distinct applications.
         let stream: Vec<MetricSample> = (0..6).map(|i| pool[i % pool.len()].clone()).collect();
-        let cache = ProfileCache::new(8);
+        let cache = ShardedProfileCache::new(8, 1);
         let profiles = predictor.predict_batch_cached(&cache, &stream, &freqs);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (4, 2));
@@ -637,7 +636,7 @@ mod tests {
         // tests, so assert on growth, not absolute counts.
         let hist = obs::global().histogram("predict.request_ns");
         let before = hist.count();
-        let cache = ProfileCache::new(4);
+        let cache = ShardedProfileCache::new(4, 1);
         let _ = predictor.predict_from_reference(&reference, &freqs);
         let _ = predictor.predict_batch_cached(&cache, &[reference.clone(), reference], &freqs);
         assert!(

@@ -36,9 +36,10 @@
 //! concurrently with a publish is served by the version that was current
 //! at dequeue (the response carries that version id).
 //!
-//! The profile cache is a [`ShardedProfileCache`]: requests touch only
-//! the shard their quantized key hashes to, and worker-local fragment
-//! hits are booked into the same counters
+//! The profile cache is a [`ShardedProfileCache`] with one shard per
+//! worker, rounded up to a power of two: requests touch only the shard
+//! their quantized key hashes to, and worker-local fragment hits are
+//! booked into the same counters
 //! ([`ShardedProfileCache::record_front_hits`]) so `lookups == hits +
 //! misses` stays true for the request stream as a whole.
 
@@ -81,7 +82,7 @@ const REPLY_TIMEOUT: Duration = Duration::from_secs(10);
 const FRAGMENT_CACHE_MAX: usize = 8192;
 
 /// Server tunables. `Default` is sized for tests and smoke runs; the CLI
-/// scales `workers`/`cache_shards` to the machine.
+/// scales `workers` to the machine.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address (`127.0.0.1:0` for an ephemeral port).
@@ -90,8 +91,6 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Total cached profiles across all shards.
     pub cache_capacity: usize,
-    /// Independent cache shards (keys spread by hash).
-    pub cache_shards: usize,
     /// Max jobs coalesced into one prediction batch.
     pub max_batch: usize,
     /// Max accepted frame payload, bytes.
@@ -127,7 +126,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
             cache_capacity: 4096,
-            cache_shards: 4,
             max_batch: 32,
             max_frame: super::framing::DEFAULT_MAX_FRAME,
             telemetry_addr: None,
@@ -257,7 +255,10 @@ impl Server {
         let worker_count = config.workers.max(1);
         let shared = Arc::new(Shared {
             store,
-            cache: ShardedProfileCache::new(config.cache_capacity, config.cache_shards),
+            cache: ShardedProfileCache::new(
+                config.cache_capacity,
+                worker_count.next_power_of_two(),
+            ),
             dispatch: Dispatcher::new(worker_count),
             stop: AtomicBool::new(false),
             max_frame: config.max_frame,
@@ -480,9 +481,6 @@ enum Action {
     /// An immediate reply (decode or validation failure). Boxed so the
     /// hot `Predict` variant isn't padded out to `Response`'s size.
     Reply(Box<Response>),
-    /// Placeholder left behind once an action is moved out for
-    /// processing (never observed by the scan: indices only advance).
-    Taken,
 }
 
 /// Per-connection handler: drains every frame each socket read buffered,
@@ -493,8 +491,9 @@ struct Connection<'a> {
     reader: FrameReader,
     /// This connection's reply slots (shared with the worker pool).
     table: Arc<ReplyTable>,
-    /// Decoded-but-unprocessed frames from the current read burst.
-    actions: Vec<Action>,
+    /// The run of predicts decoded since the last dispatch (reused
+    /// between bursts).
+    pending: Vec<Request>,
     /// Jobs staged for the next dispatch (reused between bursts).
     jobs: Vec<Job>,
     /// Reply buffers collected from the table (reused between bursts).
@@ -511,7 +510,7 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
         shared,
         reader: FrameReader::new(),
         table: Arc::new(ReplyTable::new()),
-        actions: Vec::new(),
+        pending: Vec::new(),
         jobs: Vec::new(),
         replies: Vec::new(),
         scratch: Vec::new(),
@@ -530,96 +529,63 @@ impl Connection<'_> {
                 Ok(Fill::Read(_)) => {}
                 Err(_) => return,
             }
-            // Decode every frame this read completed — that's the whole
-            // pipelined burst — then process it as one unit.
-            let mut oversized = None;
+            // Handle every frame this read completed — that's the whole
+            // pipelined burst — then dispatch the predicts still pending.
             loop {
-                match self.reader.next_frame(self.shared.max_frame) {
-                    Ok(Some(frame)) => {
-                        let action = classify(frame);
-                        self.actions.push(action);
-                    }
+                let action = match self.reader.next_frame(self.shared.max_frame) {
+                    Ok(Some(frame)) => classify(frame),
                     Ok(None) => break,
                     Err(FrameError::TooLarge { announced, max }) => {
                         // The stream is desynced past the oversized
                         // frame; answer what came before it, then reply
                         // with the reason and drop the connection.
-                        oversized = Some(Response::err(
-                            0,
-                            format!("frame of {announced} bytes exceeds {max}"),
-                        ));
-                        break;
+                        let resp =
+                            Response::err(0, format!("frame of {announced} bytes exceeds {max}"));
+                        self.handle(Action::Reply(Box::new(resp)));
+                        return;
                     }
                     Err(_) => unreachable!("next_frame only fails on size"),
+                };
+                if !self.handle(action) {
+                    return;
                 }
             }
-            if !self.process_burst() {
-                return;
-            }
-            if let Some(resp) = oversized {
-                self.shared.errors.inc();
-                let _ = self.respond(&resp);
+            if !self.flush_predicts() {
                 return;
             }
         }
     }
 
-    /// Processes the decoded burst in order. Returns false when the
-    /// connection must close (shutdown or a dead socket).
-    fn process_burst(&mut self) -> bool {
-        let mut i = 0;
-        while i < self.actions.len() {
-            match &self.actions[i] {
-                Action::Predict(_) => {
-                    let end = i + self.actions[i..]
-                        .iter()
-                        .take_while(|a| matches!(a, Action::Predict(_)))
-                        .count();
-                    if !self.flush_predicts(i, end) {
-                        self.actions.clear();
-                        return false;
-                    }
-                    i = end;
-                }
-                Action::Reply(_) => {
-                    let Action::Reply(resp) =
-                        std::mem::replace(&mut self.actions[i], Action::Taken)
-                    else {
-                        unreachable!()
-                    };
-                    if !resp.ok {
-                        self.shared.errors.inc();
-                    }
-                    if !self.respond(&resp) {
-                        self.actions.clear();
-                        return false;
-                    }
-                    i += 1;
-                }
-                Action::Control(_) => {
-                    let Action::Control(req) =
-                        std::mem::replace(&mut self.actions[i], Action::Taken)
-                    else {
-                        unreachable!()
-                    };
-                    if !self.control(&req) {
-                        self.actions.clear();
-                        return false;
-                    }
-                    i += 1;
-                }
-                Action::Taken => unreachable!("scan never revisits a taken slot"),
+    /// Handles one decoded frame in request order: a predict joins the
+    /// pending run, anything else dispatches that run first and is then
+    /// answered inline. Returns false when the connection must close
+    /// (shutdown or a dead socket).
+    fn handle(&mut self, action: Action) -> bool {
+        match action {
+            Action::Predict(req) => {
+                self.pending.push(req);
+                true
             }
+            Action::Reply(resp) => {
+                if !self.flush_predicts() {
+                    return false;
+                }
+                if !resp.ok {
+                    self.shared.errors.inc();
+                }
+                self.respond(&resp)
+            }
+            Action::Control(req) => self.flush_predicts() && self.control(&req),
         }
-        self.actions.clear();
-        true
     }
 
-    /// Dispatches `actions[start..end]` (all `Predict`) as one batch and
-    /// writes every reply in one vectored write. Returns false when the
-    /// socket died.
-    fn flush_predicts(&mut self, start: usize, end: usize) -> bool {
-        let n = end - start;
+    /// Dispatches the pending predicts as one batch and writes every
+    /// reply in one vectored write. Returns false when the socket died.
+    fn flush_predicts(&mut self) -> bool {
+        let n = self.pending.len();
+        if n == 0 {
+            return true;
+        }
         let generation = self.table.begin(n);
         let t0 = Instant::now();
         let t0_ns = obs::trace::now_ns();
@@ -628,10 +594,7 @@ impl Connection<'_> {
             .next_req_id
             .fetch_add(n as u64, Ordering::Relaxed)
             + 1;
-        for (index, action) in self.actions[start..end].iter_mut().enumerate() {
-            let Action::Predict(req) = std::mem::replace(action, Action::Taken) else {
-                unreachable!("flush_predicts covers a Predict run")
-            };
+        for (index, req) in self.pending.drain(..).enumerate() {
             let req_id = first_id + index as u64;
             if obs::trace::enabled() {
                 // Flow start before closing the recv slice, so its
@@ -1011,7 +974,8 @@ fn worker_loop(
     let mut scratch: Vec<u8> = Vec::with_capacity(8 * 1024);
     let mut jbuf: Vec<u8> = Vec::with_capacity(256);
     let mut miss_refs: Vec<MetricSample> = Vec::new();
-    let mut miss_idx: Vec<usize> = Vec::new();
+    // Each miss's batch index and fragment key, kept from pass 1.
+    let mut misses: Vec<(usize, (CacheKey, u64))> = Vec::new();
     'rebind: loop {
         // Bind a predictor to the current snapshot; the Arc keeps it
         // alive (and bitwise stable) even if a publish lands mid-batch.
@@ -1055,7 +1019,7 @@ fn worker_loop(
             // Pass 1: answer fragment-cache hits immediately; stage the
             // misses for one coalesced predict_batch_cached call.
             miss_refs.clear();
-            miss_idx.clear();
+            misses.clear();
             let mut front_hits = 0u64;
             for (i, job) in batch.iter().enumerate() {
                 let key = fragment_key(&shared.cache, &snap.spec, &job.req, &freqs);
@@ -1064,7 +1028,7 @@ fn worker_loop(
                     respond_job(&ctx, job, fragment, &key, true, &mut scratch, &mut jbuf);
                 } else {
                     miss_refs.push(reference_from(&job.req, snap.spec.max_core_mhz));
-                    miss_idx.push(i);
+                    misses.push((i, key));
                 }
             }
             if front_hits > 0 {
@@ -1072,9 +1036,8 @@ fn worker_loop(
             }
             if !miss_refs.is_empty() {
                 let profiles = predictor.predict_batch_cached(&shared.cache, &miss_refs, &freqs);
-                for (&i, profile) in miss_idx.iter().zip(profiles) {
+                for (&(i, key), profile) in misses.iter().zip(profiles) {
                     let job = &batch[i];
-                    let key = fragment_key(&shared.cache, &snap.spec, &job.req, &freqs);
                     let mut tail = Vec::new();
                     fast::write_profile_tail(&mut tail, &profile);
                     let digest = super::journal::profile_digest(&profile);

@@ -2,7 +2,7 @@
 //! parity between served and in-process predictions, and hot model
 //! swaps under live traffic.
 
-use dvfs_core::cache::ProfileCache;
+use dvfs_core::cache::ShardedProfileCache;
 use dvfs_core::dataset::Dataset;
 use dvfs_core::models::PowerTimeModels;
 use dvfs_core::predictor::Predictor;
@@ -119,7 +119,8 @@ fn served_predict_is_bitwise_identical_to_in_process() {
     let predictor = Predictor::new(shared_models(), spec.clone());
     let freqs = DvfsGrid::for_spec(&spec).used();
     let reference = reference_like_server(&spec, "parity", 0.62, 0.31, 12.5);
-    let local = predictor.predict_batch_cached(&ProfileCache::new(8), &[reference], &freqs);
+    let local =
+        predictor.predict_batch_cached(&ShardedProfileCache::new(8, 1), &[reference], &freqs);
     assert_eq!(local.len(), 1);
     assert_eq!(served.frequencies, local[0].frequencies);
     for (a, b) in served.power_w.iter().zip(&local[0].power_w) {

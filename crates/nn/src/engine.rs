@@ -47,27 +47,13 @@ pub const DEFAULT_SHARDS: usize = 8;
 
 /// Resolves the worker-thread count for a fit.
 ///
-/// `requested > 0` wins; `0` means auto: the `DVFS_THREADS` environment
-/// variable if set to a positive integer, otherwise the machine's
-/// available parallelism. The result is clamped to `[1, shards]` — more
-/// threads than shards cannot help, and the bitwise guarantee makes any
-/// value safe.
+/// `requested > 0` wins; `0` means auto ([`obs::worker_threads`]: the
+/// `DVFS_THREADS` environment variable if set to a positive integer,
+/// otherwise the machine's available parallelism). The result is
+/// clamped to `[1, shards]` — more threads than shards cannot help, and
+/// the bitwise guarantee makes any value safe.
 pub fn resolve_threads(requested: usize, shards: usize) -> usize {
-    let shards = shards.max(1);
-    let threads = if requested > 0 {
-        requested
-    } else {
-        match std::env::var("DVFS_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-        {
-            Some(n) if n > 0 => n,
-            _ => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        }
-    };
-    threads.clamp(1, shards)
+    obs::worker_threads(requested).clamp(1, shards.max(1))
 }
 
 /// Row range `(start, len)` of shard `shard` in a batch of `rows` rows

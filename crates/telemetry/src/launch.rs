@@ -47,19 +47,6 @@ impl Default for LaunchConfig {
     }
 }
 
-/// Resolves `requested` worker threads: an explicit count wins, else the
-/// `DVFS_THREADS` environment variable, else all available cores.
-fn worker_threads(requested: usize) -> usize {
-    if requested > 0 {
-        return requested;
-    }
-    std::env::var("DVFS_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
 /// A campaign bound to a backend.
 pub struct CollectionCampaign<'a, B: GpuBackend + ?Sized> {
     backend: &'a B,
@@ -147,7 +134,7 @@ impl<'a, B: GpuBackend + ?Sized> CollectionCampaign<'a, B> {
     /// are then reassembled by workload index, preserving the canonical
     /// sample order exactly.
     fn collect_concurrent(&self, workloads: &[PhasedWorkload], freqs: &[f64]) -> Vec<MetricSample> {
-        let threads = worker_threads(self.config.threads)
+        let threads = obs::worker_threads(self.config.threads)
             .min(workloads.len())
             .max(1);
         // Each workload's block lands on the flight-recorder timeline as

@@ -24,6 +24,7 @@
 #   BENCH_OUT=path scripts/bench_baseline.sh   # override output path
 set -euo pipefail
 cd "$(dirname "$0")/.."
+source scripts/lib.sh
 
 smoke="${BENCH_SMOKE:-0}"
 if [[ "$smoke" == "1" ]]; then
@@ -69,16 +70,7 @@ DVFS_LOG=error target/release/dvfs train --stride 8 --out "$servedir/models.json
 DVFS_LOG=error target/release/dvfs serve --models "$servedir/models.json" \
     > "$servedir/serve.log" &
 serve_pid=$!
-addr=""
-for _ in $(seq 100); do
-    addr="$(sed -n 's/^listening on //p' "$servedir/serve.log" | head -n 1)"
-    [[ -n "$addr" ]] && break
-    sleep 0.1
-done
-if [[ -z "$addr" ]]; then
-    echo "error: dvfs serve never printed its address" >&2
-    exit 1
-fi
+wait_for_serve "$servedir/serve.log"
 report="$(target/release/dvfs loadgen --addr "$addr" \
     --requests "$serve_reqs" --connections 8 --pipeline 4 --shutdown --json)"
 wait "$serve_pid"
@@ -104,18 +96,7 @@ DVFS_LOG=error DVFS_TS_INTERVAL=0.2 target/release/dvfs serve \
     --models "$servedir/models.json" --telemetry-port 0 \
     > "$servedir/serve_telemetry.log" &
 serve_pid=$!
-addr=""
-taddr=""
-for _ in $(seq 100); do
-    addr="$(sed -n 's/^listening on //p' "$servedir/serve_telemetry.log" | head -n 1)"
-    taddr="$(sed -n 's/^telemetry on //p' "$servedir/serve_telemetry.log" | head -n 1)"
-    [[ -n "$addr" && -n "$taddr" ]] && break
-    sleep 0.1
-done
-if [[ -z "$addr" || -z "$taddr" ]]; then
-    echo "error: telemetry-enabled dvfs serve never printed its addresses" >&2
-    exit 1
-fi
+wait_for_serve "$servedir/serve_telemetry.log" telemetry
 (
     while target/release/dvfs scrape --addr "$taddr" >/dev/null 2>&1; do
         sleep 0.5
@@ -154,16 +135,7 @@ DVFS_LOG=error target/release/dvfs serve --models "$servedir/models.json" \
     --journal-dir "$servedir/journal" \
     > "$servedir/serve_journal.log" &
 serve_pid=$!
-addr=""
-for _ in $(seq 100); do
-    addr="$(sed -n 's/^listening on //p' "$servedir/serve_journal.log" | head -n 1)"
-    [[ -n "$addr" ]] && break
-    sleep 0.1
-done
-if [[ -z "$addr" ]]; then
-    echo "error: journal-enabled dvfs serve never printed its address" >&2
-    exit 1
-fi
+wait_for_serve "$servedir/serve_journal.log"
 report_j="$(target/release/dvfs loadgen --addr "$addr" \
     --requests "$serve_reqs" --connections 8 --pipeline 4 --shutdown --json)"
 wait "$serve_pid"

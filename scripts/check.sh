@@ -3,6 +3,7 @@
 # on the first failure.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+source scripts/lib.sh
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
@@ -60,13 +61,7 @@ DVFS_LOG=error target/release/dvfs serve --models "$tmp/models.json" \
     --metrics-out "$tmp/serve_metrics.json" --trace-out "$tmp/serve_trace.json" \
     > "$tmp/serve.log" &
 serve_pid=$!
-addr=""
-for _ in $(seq 100); do
-    addr="$(sed -n 's/^listening on //p' "$tmp/serve.log" | head -n 1)"
-    [[ -n "$addr" ]] && break
-    sleep 0.1
-done
-test -n "$addr"
+wait_for_serve "$tmp/serve.log"
 DVFS_LOG=error target/release/dvfs loadgen --addr "$addr" \
     --requests 400 --connections 4 --shutdown >/dev/null
 wait "$serve_pid"
@@ -84,13 +79,7 @@ DVFS_LOG=error target/release/dvfs serve --models "$tmp/models.json" \
     --trace-out "$tmp/serve_pipe_trace.json" \
     > "$tmp/serve_pipe.log" &
 serve_pid=$!
-addr=""
-for _ in $(seq 100); do
-    addr="$(sed -n 's/^listening on //p' "$tmp/serve_pipe.log" | head -n 1)"
-    [[ -n "$addr" ]] && break
-    sleep 0.1
-done
-test -n "$addr"
+wait_for_serve "$tmp/serve_pipe.log"
 DVFS_LOG=error target/release/dvfs loadgen --addr "$addr" \
     --requests 400 --connections 4 --pipeline 4 --shutdown >/dev/null
 wait "$serve_pid"
@@ -107,16 +96,7 @@ DVFS_LOG=warn DVFS_TS_INTERVAL=0.2 target/release/dvfs serve --models "$tmp/mode
     --metrics-out "$tmp/obs_metrics.json" --trace-out "$tmp/obs_trace.json" \
     > "$tmp/obs_serve.log" &
 obs_pid=$!
-addr=""
-taddr=""
-for _ in $(seq 100); do
-    addr="$(sed -n 's/^listening on //p' "$tmp/obs_serve.log" | head -n 1)"
-    taddr="$(sed -n 's/^telemetry on //p' "$tmp/obs_serve.log" | head -n 1)"
-    [[ -n "$addr" && -n "$taddr" ]] && break
-    sleep 0.1
-done
-test -n "$addr"
-test -n "$taddr"
+wait_for_serve "$tmp/obs_serve.log" telemetry
 DVFS_LOG=error target/release/dvfs loadgen --addr "$addr" \
     --mode open --rate 200 --requests 600 --connections 2 >/dev/null &
 load_pid=$!
@@ -166,16 +146,7 @@ DVFS_LOG=error target/release/dvfs serve --models "$tmp/models.json" \
     --precision bf16 --telemetry-port 0 \
     --metrics-out "$tmp/bf16_metrics.json" > "$tmp/bf16_serve.log" &
 bf16_pid=$!
-addr=""
-taddr=""
-for _ in $(seq 100); do
-    addr="$(sed -n 's/^listening on //p' "$tmp/bf16_serve.log" | head -n 1)"
-    taddr="$(sed -n 's/^telemetry on //p' "$tmp/bf16_serve.log" | head -n 1)"
-    [[ -n "$addr" && -n "$taddr" ]] && break
-    sleep 0.1
-done
-test -n "$addr"
-test -n "$taddr"
+wait_for_serve "$tmp/bf16_serve.log" telemetry
 DVFS_LOG=error target/release/dvfs loadgen --addr "$addr" \
     --requests 200 --connections 2 >/dev/null
 target/release/dvfs scrape --addr "$taddr" > "$tmp/bf16_exposition.txt"
@@ -200,13 +171,7 @@ DVFS_LOG=error target/release/dvfs serve --models "$tmp/models.json" \
     --journal-dir "$tmp/journal" --metrics-out "$tmp/journal_metrics.json" \
     > "$tmp/journal_serve.log" &
 journal_pid=$!
-addr=""
-for _ in $(seq 100); do
-    addr="$(sed -n 's/^listening on //p' "$tmp/journal_serve.log" | head -n 1)"
-    [[ -n "$addr" ]] && break
-    sleep 0.1
-done
-test -n "$addr"
+wait_for_serve "$tmp/journal_serve.log"
 DVFS_LOG=error target/release/dvfs loadgen --addr "$addr" \
     --requests 400 --connections 4 --pipeline 4 --shutdown >/dev/null
 wait "$journal_pid"

@@ -1,51 +1,21 @@
 //! `dvfs` — command-line front end to the GPU-DVFS pipeline.
 //!
-//! ```text
-//! dvfs train    [--arch ga100|gv100] [--stride N] [--threads T] [--out models.json]
-//! dvfs campaign [--arch ga100|gv100] [--stride N] [--threads T] --out samples.csv
-//! dvfs predict  --models models.json --app NAME [--arch ga100|gv100]
-//! dvfs select   --models models.json --app NAME [--objective edp|ed2p|energy|time]
-//!               [--threshold PCT] [--arch ga100|gv100]
-//! dvfs cap      --models models.json --watts W [--arch ga100|gv100]
-//! dvfs batch    --models models.json [--requests N] [--capacity C]
-//!               [--input samples.csv] [--objective edp|ed2p|energy|time]
-//!               [--threshold PCT] [--arch ga100|gv100]
-//! dvfs monitor  [--arch ga100|gv100] [--stride N] [--window W]
-//!               [--warn-mape PCT] [--drift PCT]
-//! dvfs serve    --models models.json [--addr HOST:PORT] [--workers N]
-//!               [--capacity C] [--shards S] [--max-batch B] [--arch ga100|gv100]
-//!               [--precision f64|f32|bf16] [--telemetry-port P]
-//!               [--slo-p99-us US] [--slo-fast-s S] [--slo-slow-s S] [--slo-burn X]
-//!               [--journal-dir DIR] [--journal-segment-kb KB] [--journal-budget-kb KB]
-//! dvfs loadgen  --addr HOST:PORT [--requests N] [--connections C]
-//!               [--mode closed|open] [--rate R] [--keys K] [--zipf S]
-//!               [--select-every N] [--seed S] [--pipeline D] [--json]
-//!               [--shutdown]
-//! dvfs top      --addr HOST:PORT [--interval S] [--once] [--json]
-//! dvfs scrape   --addr HOST:PORT [--path /metrics]
-//! dvfs journal  --dir DIR [--export] [--tail N] [--workload NAME]
-//!               [--cmd predict|select] [--version V] [--limit N]
-//! dvfs replay   --dir DIR --models models.json [--arch ga100|gv100]
-//!               [--limit N] [--json]
-//! dvfs apps
-//! ```
-//!
-//! Every command additionally accepts `--metrics[=table|json]` (dump the
-//! process's self-instrumentation — spans, counters, latency histograms —
-//! on exit), `--metrics-out <path>` (write the JSON export to a file),
-//! `--trace-out <path>` (record a flight-recorder trace of the run and
-//! export it as Chrome trace-event JSON, loadable in ui.perfetto.dev),
-//! and `--threads T` (worker threads for the parallel training engine and
-//! collection campaign; equivalent to setting `DVFS_THREADS`, `0` = all
-//! cores — results are bitwise identical for every setting). Progress
-//! lines honor `DVFS_LOG=off|error|warn|info|debug`.
+//! `dvfs help` prints the commands and their flags. [`USAGE`] and the
+//! [`COMMANDS`] table are the only flag lists; a unit test keeps them in
+//! step, and a flag the command does not read is a usage error.
 //!
 //! The tool drives the simulated devices; pointing it at real hardware only
 //! requires a `GpuBackend` implementation backed by NVML/DCGM.
 
+use gpu_dvfs::core::serve::protocol::parse_objective;
 use gpu_dvfs::prelude::*;
 use std::collections::HashMap;
+use std::fmt::Display;
 use std::process::ExitCode;
+use std::str::FromStr;
+
+/// Parsed `--name value` flags.
+type Flags = HashMap<String, String>;
 
 /// Exit code for usage / validation errors (bad flag, unknown command,
 /// out-of-range value): the invocation itself was wrong.
@@ -112,27 +82,7 @@ fn main() -> ExitCode {
     if opts.contains_key("trace-out") {
         obs::trace::set_enabled(true);
     }
-    let result = match cmd.as_str() {
-        "train" => cmd_train(&opts),
-        "campaign" => cmd_campaign(&opts),
-        "predict" => cmd_predict(&opts),
-        "select" => cmd_select(&opts),
-        "cap" => cmd_cap(&opts),
-        "batch" => cmd_batch(&opts),
-        "monitor" => cmd_monitor(&opts),
-        "serve" => cmd_serve(&opts),
-        "loadgen" => cmd_loadgen(&opts),
-        "top" => cmd_top(&opts),
-        "scrape" => cmd_scrape(&opts),
-        "journal" => cmd_journal(&opts),
-        "replay" => cmd_replay(&opts),
-        "apps" => cmd_apps(),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(CliError::Usage(format!("unknown command `{other}`"))),
-    };
+    let result = run_command(cmd, &opts);
     // Export the instrumentation on BOTH paths: a failing run is exactly
     // when the snapshot and trace matter most. (`and_then` here used to
     // drop the telemetry whenever the command errored.) This includes the
@@ -200,8 +150,83 @@ mod interrupt {
     }
 }
 
+/// One subcommand: its name, its entry point, and the flags it reads
+/// besides [`GLOBAL_FLAGS`] (space-separated).
+struct Command(
+    &'static str,
+    fn(&Flags) -> Result<(), CliError>,
+    &'static str,
+);
+
+/// Flags every command takes.
+const GLOBAL_FLAGS: &str = "threads metrics metrics-out trace-out";
+
+const COMMANDS: &[Command] = &[
+    Command("train", cmd_train, "arch stride out"),
+    Command("campaign", cmd_campaign, "arch stride out"),
+    Command("predict", cmd_predict, "models app arch"),
+    Command("select", cmd_select, "models app objective threshold arch"),
+    Command("cap", cmd_cap, "models watts arch"),
+    Command(
+        "batch",
+        cmd_batch,
+        "models requests capacity input objective threshold arch",
+    ),
+    Command("monitor", cmd_monitor, "arch stride window warn-mape drift"),
+    Command(
+        "serve",
+        cmd_serve,
+        "models addr workers capacity max-batch arch precision telemetry-port slo-p99-us \
+         slo-fast-s slo-slow-s slo-burn journal-dir journal-segment-kb journal-budget-kb",
+    ),
+    Command(
+        "loadgen",
+        cmd_loadgen,
+        "addr requests connections mode rate keys zipf select-every seed pipeline json shutdown",
+    ),
+    Command("top", cmd_top, "addr interval once json"),
+    Command("scrape", cmd_scrape, "addr path"),
+    Command(
+        "journal",
+        cmd_journal,
+        "dir export tail workload cmd version limit",
+    ),
+    Command("replay", cmd_replay, "dir models arch limit json"),
+    Command("apps", cmd_apps, ""),
+    Command("help", cmd_help, ""),
+];
+
+/// Runs the command named `name` after rejecting any flag it does not
+/// take.
+fn run_command(name: &str, opts: &Flags) -> Result<(), CliError> {
+    let lookup = match name {
+        "--help" | "-h" => "help",
+        other => other,
+    };
+    let Some(&Command(name, run, flags)) = COMMANDS.iter().find(|c| c.0 == lookup) else {
+        return Err(CliError::Usage(format!("unknown command `{name}`")));
+    };
+    let takes = |flag: &str| {
+        GLOBAL_FLAGS
+            .split_whitespace()
+            .chain(flags.split_whitespace())
+            .any(|f| f == flag)
+    };
+    if let Some(bad) = opts.keys().filter(|f| !takes(f)).min() {
+        return Err(CliError::Usage(format!(
+            "`dvfs {name}` does not take --{bad}"
+        )));
+    }
+    run(opts)
+}
+
+fn cmd_help(_: &Flags) -> Result<(), CliError> {
+    println!("{USAGE}");
+    Ok(())
+}
+
 /// The validated `--metrics` format, if the flag was given.
-fn metrics_format(opts: &HashMap<String, String>) -> Result<Option<&str>, String> {
+fn metrics_format(opts: &Flags) -> Result<Option<&str>, String> {
     match opts.get("metrics").map(String::as_str) {
         None => Ok(None),
         Some(fmt @ ("table" | "json")) => Ok(Some(fmt)),
@@ -213,7 +238,7 @@ fn metrics_format(opts: &HashMap<String, String>) -> Result<Option<&str>, String
 
 /// Exports the self-instrumentation snapshot per `--metrics` /
 /// `--metrics-out`. Runs after the command on success *and* failure.
-fn emit_metrics(opts: &HashMap<String, String>) -> Result<(), CliError> {
+fn emit_metrics(opts: &Flags) -> Result<(), CliError> {
     let fmt = metrics_format(opts)?;
     let out = opts.get("metrics-out");
     if fmt.is_none() && out.is_none() {
@@ -235,7 +260,7 @@ fn emit_metrics(opts: &HashMap<String, String>) -> Result<(), CliError> {
 
 /// Drains the flight recorder into a Chrome trace-event JSON file per
 /// `--trace-out`. Like the metrics export, runs on both exit paths.
-fn emit_trace(opts: &HashMap<String, String>) -> Result<(), CliError> {
+fn emit_trace(opts: &Flags) -> Result<(), CliError> {
     let Some(path) = opts.get("trace-out") else {
         return Ok(());
     };
@@ -273,7 +298,7 @@ USAGE:
                 rolling model-quality monitors and report MAPE drift
                 (--drift injects an artificial prediction error)
   dvfs serve    --models models.json [--addr HOST:PORT] [--workers N]
-                [--capacity C] [--shards S] [--max-batch B]
+                [--capacity C] [--max-batch B]
                 [--arch ga100|gv100] [--precision f64|f32|bf16]
                 [--telemetry-port P] [--slo-p99-us US] [--slo-fast-s S]
                 [--slo-slow-s S] [--slo-burn X] [--journal-dir DIR]
@@ -336,7 +361,7 @@ cores; same as DVFS_THREADS — results are identical for every value),
 snapshot), and --trace-out FILE (flight-recorder timeline as Chrome
 trace-event JSON for ui.perfetto.dev).";
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+fn parse_flags(args: &[String]) -> Result<Flags, String> {
     let mut out = HashMap::new();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
@@ -360,7 +385,43 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
     Ok(out)
 }
 
-fn backend_for(opts: &HashMap<String, String>) -> Result<SimulatorBackend, String> {
+/// Parses `--name` as a `T`; `None` when the flag is absent.
+fn flag<T: FromStr>(opts: &Flags, name: &str) -> Result<Option<T>, String>
+where
+    T::Err: Display,
+{
+    let parse = |s: &String| s.parse().map_err(|e| format!("--{name}: {e}"));
+    opts.get(name).map(parse).transpose()
+}
+
+/// Parses a flag the command cannot run without; `hint` names its value
+/// in the error.
+fn required<T: FromStr>(opts: &Flags, name: &str, hint: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    flag(opts, name)?.ok_or_else(|| format!("--{name} {hint} is required"))
+}
+
+/// Parses an optional integer flag with a default and a lower bound.
+fn usize_flag(opts: &Flags, name: &str, default: usize, min: usize) -> Result<usize, String> {
+    match flag(opts, name)? {
+        None => Ok(default),
+        Some(v) if v < min => Err(format!("--{name} must be >= {min}")),
+        Some(v) => Ok(v),
+    }
+}
+
+/// Parses an optional positive-float flag with a default.
+fn f64_flag(opts: &Flags, name: &str, default: f64) -> Result<f64, String> {
+    match flag::<f64>(opts, name)? {
+        None => Ok(default),
+        Some(v) if v.is_finite() && v > 0.0 => Ok(v),
+        Some(_) => Err(format!("--{name} must be positive")),
+    }
+}
+
+fn backend_for(opts: &Flags) -> Result<SimulatorBackend, String> {
     match opts.get("arch").map(String::as_str).unwrap_or("ga100") {
         "ga100" => Ok(SimulatorBackend::ga100()),
         "gv100" => Ok(SimulatorBackend::gv100()),
@@ -370,23 +431,12 @@ fn backend_for(opts: &HashMap<String, String>) -> Result<SimulatorBackend, Strin
     }
 }
 
-/// Parses `--threads N`, `0` = auto (all cores). `None` when absent.
-fn threads_for(opts: &HashMap<String, String>) -> Result<Option<usize>, String> {
-    match opts.get("threads") {
-        None => Ok(None),
-        Some(s) => s
-            .parse::<usize>()
-            .map(Some)
-            .map_err(|e| format!("--threads: {e}")),
-    }
-}
-
 /// Publishes `--threads` as the `DVFS_THREADS` environment variable —
 /// the knob every parallel stage (training engine, collection campaign)
 /// resolves its worker count from. A `0` value clears the variable,
 /// restoring auto-detection.
-fn apply_threads(opts: &HashMap<String, String>) -> Result<(), String> {
-    match threads_for(opts)? {
+fn apply_threads(opts: &Flags) -> Result<(), String> {
+    match flag::<usize>(opts, "threads")? {
         None => {}
         Some(0) => std::env::remove_var("DVFS_THREADS"),
         Some(n) => std::env::set_var("DVFS_THREADS", n.to_string()),
@@ -394,41 +444,23 @@ fn apply_threads(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn stride_for(opts: &HashMap<String, String>) -> Result<usize, String> {
-    match opts.get("stride") {
-        None => Ok(1),
-        Some(s) => s
-            .parse::<usize>()
-            .map_err(|e| format!("--stride: {e}"))
-            .and_then(|v| {
-                if v == 0 {
-                    Err("--stride must be >= 1".into())
-                } else {
-                    Ok(v)
-                }
-            }),
-    }
-}
-
-fn app_for(opts: &HashMap<String, String>) -> Result<PhasedWorkload, String> {
-    let name = opts.get("app").ok_or("--app NAME is required")?;
+fn app_for(opts: &Flags) -> Result<PhasedWorkload, String> {
+    let name: String = required(opts, "app", "NAME")?;
     gpu_dvfs::kernels::apps::evaluation_apps()
         .into_iter()
-        .find(|a| a.name.eq_ignore_ascii_case(name))
+        .find(|a| a.name.eq_ignore_ascii_case(&name))
         .ok_or_else(|| format!("unknown app `{name}` — run `dvfs apps` to list them"))
 }
 
-fn load_models(opts: &HashMap<String, String>) -> Result<PowerTimeModels, CliError> {
-    let path = opts
-        .get("models")
-        .ok_or_else(|| CliError::Usage("--models models.json is required".into()))?;
-    let json = std::fs::read_to_string(path).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
+fn load_models(opts: &Flags) -> Result<PowerTimeModels, CliError> {
+    let path: String = required(opts, "models", "models.json")?;
+    let json = std::fs::read_to_string(&path).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
     PowerTimeModels::from_json(&json).map_err(|e| CliError::Io(format!("{path}: {e}")))
 }
 
-fn cmd_train(opts: &HashMap<String, String>) -> Result<(), CliError> {
+fn cmd_train(opts: &Flags) -> Result<(), CliError> {
     let backend = backend_for(opts)?;
-    let stride = stride_for(opts)?;
+    let stride = usize_flag(opts, "stride", 1, 1)?;
     obs::log!(
         Info,
         "training on {} ({} used DVFS states, stride {stride})...",
@@ -492,12 +524,10 @@ fn report_history(label: &str, history: &gpu_dvfs::nn::train::TrainingHistory) {
     );
 }
 
-fn cmd_campaign(opts: &HashMap<String, String>) -> Result<(), CliError> {
+fn cmd_campaign(opts: &Flags) -> Result<(), CliError> {
     let backend = backend_for(opts)?;
-    let stride = stride_for(opts)?;
-    let out = opts
-        .get("out")
-        .ok_or_else(|| CliError::Usage("--out samples.csv is required".into()))?;
+    let stride = usize_flag(opts, "stride", 1, 1)?;
+    let out: String = required(opts, "out", "samples.csv")?;
     let workloads: Vec<PhasedWorkload> = gpu_dvfs::kernels::suite::training_suite()
         .iter()
         .map(|k| k.workload(backend.spec()))
@@ -506,7 +536,7 @@ fn cmd_campaign(opts: &HashMap<String, String>) -> Result<(), CliError> {
     let cfg = gpu_dvfs::telemetry::LaunchConfig {
         frequencies: freqs,
         runs: 3,
-        output: Some(out.into()),
+        output: Some(out.as_str().into()),
         threads: 0,
     };
     let samples = gpu_dvfs::telemetry::CollectionCampaign::new(&backend, cfg)
@@ -516,7 +546,7 @@ fn cmd_campaign(opts: &HashMap<String, String>) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_predict(opts: &HashMap<String, String>) -> Result<(), CliError> {
+fn cmd_predict(opts: &Flags) -> Result<(), CliError> {
     let backend = backend_for(opts)?;
     let models = load_models(opts)?;
     let app = app_for(opts)?;
@@ -535,24 +565,17 @@ fn cmd_predict(opts: &HashMap<String, String>) -> Result<(), CliError> {
     Ok(())
 }
 
-fn objective_for(opts: &HashMap<String, String>) -> Result<Objective, String> {
-    match opts.get("objective").map(String::as_str).unwrap_or("ed2p") {
-        "edp" => Ok(Objective::Edp),
-        "ed2p" => Ok(Objective::Ed2p),
-        "energy" => Ok(Objective::EnergyOnly),
-        "time" => Ok(Objective::TimeOnly),
-        other => Err(format!("unknown --objective `{other}`")),
-    }
+fn objective_for(opts: &Flags) -> Result<Objective, String> {
+    let name = opts.get("objective").map_or("ed2p", String::as_str);
+    parse_objective(name).map_err(|_| format!("unknown --objective `{name}`"))
 }
 
-fn threshold_for(opts: &HashMap<String, String>) -> Result<Option<f64>, String> {
-    opts.get("threshold")
-        .map(|t| t.parse::<f64>().map(|v| v / 100.0))
-        .transpose()
-        .map_err(|e| format!("--threshold: {e}"))
+/// `--threshold PCT` as a fraction.
+fn threshold_for(opts: &Flags) -> Result<Option<f64>, String> {
+    Ok(flag::<f64>(opts, "threshold")?.map(|pct| pct / 100.0))
 }
 
-fn cmd_select(opts: &HashMap<String, String>) -> Result<(), CliError> {
+fn cmd_select(opts: &Flags) -> Result<(), CliError> {
     let backend = backend_for(opts)?;
     let models = load_models(opts)?;
     let app = app_for(opts)?;
@@ -586,14 +609,10 @@ fn cmd_select(opts: &HashMap<String, String>) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_cap(opts: &HashMap<String, String>) -> Result<(), CliError> {
+fn cmd_cap(opts: &Flags) -> Result<(), CliError> {
     let backend = backend_for(opts)?;
     let models = load_models(opts)?;
-    let cap: f64 = opts
-        .get("watts")
-        .ok_or_else(|| CliError::Usage("--watts W is required".into()))?
-        .parse()
-        .map_err(|e| format!("--watts: {e}"))?;
+    let cap: f64 = required(opts, "watts", "W")?;
     let predictor = Predictor::new(&models, backend.spec().clone());
     let profiles: Vec<PredictedProfile> = gpu_dvfs::kernels::apps::evaluation_apps()
         .iter()
@@ -626,7 +645,7 @@ fn cmd_cap(opts: &HashMap<String, String>) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_batch(opts: &HashMap<String, String>) -> Result<(), CliError> {
+fn cmd_batch(opts: &Flags) -> Result<(), CliError> {
     use gpu_dvfs::gpu::MetricSample;
     use gpu_dvfs::telemetry::Profiler;
     use rayon::prelude::*;
@@ -636,32 +655,8 @@ fn cmd_batch(opts: &HashMap<String, String>) -> Result<(), CliError> {
     let models = load_models(opts)?;
     let objective = objective_for(opts)?;
     let threshold = threshold_for(opts)?;
-    let requests: usize = match opts.get("requests") {
-        None => 64,
-        Some(s) => s
-            .parse()
-            .map_err(|e| format!("--requests: {e}"))
-            .and_then(|v| {
-                if v == 0 {
-                    Err("--requests must be >= 1".to_string())
-                } else {
-                    Ok(v)
-                }
-            })?,
-    };
-    let capacity: usize = match opts.get("capacity") {
-        None => 128,
-        Some(s) => s
-            .parse()
-            .map_err(|e| format!("--capacity: {e}"))
-            .and_then(|v| {
-                if v == 0 {
-                    Err("--capacity must be >= 1".to_string())
-                } else {
-                    Ok(v)
-                }
-            })?,
-    };
+    let requests = usize_flag(opts, "requests", 64, 1)?;
+    let capacity = usize_flag(opts, "capacity", 128, 1)?;
 
     obs::span!("batch");
     let spec = backend.spec().clone();
@@ -703,7 +698,7 @@ fn cmd_batch(opts: &HashMap<String, String>) -> Result<(), CliError> {
     let stream: Vec<&MetricSample> = (0..requests).map(|i| &pool[i % pool.len()]).collect();
     let freqs = backend.grid().used();
     let predictor = Predictor::new(&models, spec.clone());
-    let cache = ProfileCache::new(capacity);
+    let cache = ShardedProfileCache::new(capacity, 1);
     // Per-request latency (prediction + selection) lands in the shared
     // registry, so both the report below and `--metrics` read one source.
     let latency = obs::global().histogram("batch.request_ns");
@@ -782,34 +777,13 @@ fn cmd_batch(opts: &HashMap<String, String>) -> Result<(), CliError> {
 /// alert path: power is scaled uniformly by (1 + d) and time by the
 /// frequency-dependent tilt (1 + d·(1 − f/f_max)) — a uniform time error
 /// would cancel in the normalized-time comparison the monitor uses.
-fn cmd_monitor(opts: &HashMap<String, String>) -> Result<(), CliError> {
+fn cmd_monitor(opts: &Flags) -> Result<(), CliError> {
     let backend = backend_for(opts)?;
-    let stride = stride_for(opts)?;
+    let stride = usize_flag(opts, "stride", 1, 1)?;
     let defaults = obs::quality::QualityConfig::default();
-    let window: usize = match opts.get("window") {
-        None => defaults.window,
-        Some(s) => s
-            .parse()
-            .map_err(|e| format!("--window: {e}"))
-            .and_then(|v| {
-                if v == 0 {
-                    Err("--window must be >= 1".to_string())
-                } else {
-                    Ok(v)
-                }
-            })?,
-    };
-    let warn_mape: f64 = match opts.get("warn-mape") {
-        None => defaults.warn_mape,
-        Some(s) => s.parse().map_err(|e| format!("--warn-mape: {e}"))?,
-    };
-    let drift: f64 = match opts.get("drift") {
-        None => 0.0,
-        Some(s) => s
-            .parse::<f64>()
-            .map(|pct| pct / 100.0)
-            .map_err(|e| format!("--drift: {e}"))?,
-    };
+    let window = usize_flag(opts, "window", defaults.window, 1)?;
+    let warn_mape = flag(opts, "warn-mape")?.unwrap_or(defaults.warn_mape);
+    let drift = flag::<f64>(opts, "drift")?.map_or(0.0, |pct| pct / 100.0);
     // Configure both monitors up front so the first observation already
     // sees the requested window and alert band.
     let config = obs::quality::QualityConfig { window, warn_mape };
@@ -864,50 +838,11 @@ fn cmd_monitor(opts: &HashMap<String, String>) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Parses an optional positive-integer flag with a default.
-fn usize_flag(
-    opts: &HashMap<String, String>,
-    name: &str,
-    default: usize,
-    min: usize,
-) -> Result<usize, String> {
-    match opts.get(name) {
-        None => Ok(default),
-        Some(s) => s
-            .parse::<usize>()
-            .map_err(|e| format!("--{name}: {e}"))
-            .and_then(|v| {
-                if v < min {
-                    Err(format!("--{name} must be >= {min}"))
-                } else {
-                    Ok(v)
-                }
-            }),
-    }
-}
-
-/// Parses an optional positive-float flag with a default.
-fn f64_flag(opts: &HashMap<String, String>, name: &str, default: f64) -> Result<f64, String> {
-    match opts.get(name) {
-        None => Ok(default),
-        Some(s) => s
-            .parse::<f64>()
-            .map_err(|e| format!("--{name}: {e}"))
-            .and_then(|v| {
-                if v.is_finite() && v > 0.0 {
-                    Ok(v)
-                } else {
-                    Err(format!("--{name} must be positive"))
-                }
-            }),
-    }
-}
-
 /// Builds the serve SLO set from the `--slo-*` flags: the same three
 /// stock objectives as [`gpu_dvfs::core::serve::default_slos`], with
 /// the latency threshold and the shared windows/burn threshold
 /// overridden.
-fn slos_for(opts: &HashMap<String, String>) -> Result<Vec<obs::SloSpec>, String> {
+fn slos_for(opts: &Flags) -> Result<Vec<obs::SloSpec>, String> {
     let p99_us = f64_flag(opts, "slo-p99-us", 500.0)?;
     let fast = std::time::Duration::from_secs_f64(f64_flag(opts, "slo-fast-s", 300.0)?);
     let slow = std::time::Duration::from_secs_f64(f64_flag(opts, "slo-slow-s", 3600.0)?);
@@ -929,7 +864,7 @@ fn slos_for(opts: &HashMap<String, String>) -> Result<Vec<obs::SloSpec>, String>
 /// discover an ephemeral port), and runs until a `shutdown` frame or
 /// SIGINT/SIGTERM — both paths drain the request queue and fall through
 /// to the ordinary `--metrics-out`/`--trace-out` exports in `main`.
-fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), CliError> {
+fn cmd_serve(opts: &Flags) -> Result<(), CliError> {
     // Whole-daemon span: covers bind through drained shutdown, so the
     // exported metrics carry at least one span timing (like `batch`).
     obs::span!("serve");
@@ -952,17 +887,10 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), CliError> {
             .unwrap_or_else(|| "127.0.0.1:0".to_string()),
         workers,
         cache_capacity: usize_flag(opts, "capacity", 4096, 1)?,
-        cache_shards: usize_flag(opts, "shards", workers.next_power_of_two(), 1)?,
         max_batch: usize_flag(opts, "max-batch", 32, 1)?,
         max_frame: gpu_dvfs::core::serve::DEFAULT_MAX_FRAME,
-        telemetry_addr: opts
-            .get("telemetry-port")
-            .map(|p| {
-                p.parse::<u16>()
-                    .map(|port| format!("127.0.0.1:{port}"))
-                    .map_err(|e| format!("--telemetry-port: {e}"))
-            })
-            .transpose()?,
+        telemetry_addr: flag::<u16>(opts, "telemetry-port")?
+            .map(|port| format!("127.0.0.1:{port}")),
         slos: slos_for(opts)?,
         precision,
         journal: opts
@@ -1026,19 +954,14 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), CliError> {
 /// `dvfs loadgen` — drives a running `dvfs serve` instance and reports
 /// throughput + latency percentiles from the shared `loadgen.rtt_ns`
 /// histogram.
-fn cmd_loadgen(opts: &HashMap<String, String>) -> Result<(), CliError> {
-    let addr = opts
-        .get("addr")
-        .ok_or_else(|| CliError::Usage("--addr HOST:PORT is required".into()))?
-        .clone();
+fn cmd_loadgen(opts: &Flags) -> Result<(), CliError> {
+    let addr: String = required(opts, "addr", "HOST:PORT")?;
     let pacing = match opts.get("mode").map(String::as_str).unwrap_or("closed") {
         "closed" => Pacing::Closed,
         "open" => {
-            let rate_hz: f64 = opts
-                .get("rate")
-                .ok_or_else(|| CliError::Usage("--mode open requires --rate REQS_PER_SEC".into()))?
-                .parse()
-                .map_err(|e| format!("--rate: {e}"))?;
+            let rate_hz: f64 = flag(opts, "rate")?.ok_or_else(|| {
+                CliError::Usage("--mode open requires --rate REQS_PER_SEC".into())
+            })?;
             if !(rate_hz.is_finite() && rate_hz > 0.0) {
                 return Err(CliError::Usage("--rate must be positive".into()));
             }
@@ -1050,17 +973,11 @@ fn cmd_loadgen(opts: &HashMap<String, String>) -> Result<(), CliError> {
             )))
         }
     };
-    let zipf_s: f64 = match opts.get("zipf") {
-        None => 1.0,
-        Some(s) => s.parse().map_err(|e| format!("--zipf: {e}"))?,
-    };
+    let zipf_s = flag(opts, "zipf")?.unwrap_or(1.0);
     if !(0.0..=10.0).contains(&zipf_s) {
         return Err(CliError::Usage("--zipf must lie in [0, 10]".into()));
     }
-    let requests: u64 = match opts.get("requests") {
-        None => 10_000,
-        Some(s) => s.parse().map_err(|e| format!("--requests: {e}"))?,
-    };
+    let requests = flag(opts, "requests")?.unwrap_or(10_000);
     let config = LoadgenConfig {
         addr,
         connections: usize_flag(opts, "connections", 4, 1)?,
@@ -1069,14 +986,8 @@ fn cmd_loadgen(opts: &HashMap<String, String>) -> Result<(), CliError> {
         keys: usize_flag(opts, "keys", 64, 1)?,
         zipf_s,
         pipeline: usize_flag(opts, "pipeline", 1, 1)?,
-        select_every: match opts.get("select-every") {
-            None => 8,
-            Some(s) => s.parse().map_err(|e| format!("--select-every: {e}"))?,
-        },
-        seed: match opts.get("seed") {
-            None => 42,
-            Some(s) => s.parse().map_err(|e| format!("--seed: {e}"))?,
-        },
+        select_every: flag(opts, "select-every")?.unwrap_or(8),
+        seed: flag(opts, "seed")?.unwrap_or(42),
         shutdown_after: opts.contains_key("shutdown"),
     };
     let report = gpu_dvfs::core::serve::loadgen::run(&config)
@@ -1101,12 +1012,10 @@ fn cmd_loadgen(opts: &HashMap<String, String>) -> Result<(), CliError> {
 
 /// `dvfs scrape` — one-shot HTTP GET against a server's telemetry port;
 /// prints the body (the Prometheus exposition for `/metrics`) verbatim.
-fn cmd_scrape(opts: &HashMap<String, String>) -> Result<(), CliError> {
-    let addr = opts
-        .get("addr")
-        .ok_or_else(|| CliError::Usage("--addr HOST:PORT is required".into()))?;
+fn cmd_scrape(opts: &Flags) -> Result<(), CliError> {
+    let addr: String = required(opts, "addr", "HOST:PORT")?;
     let path = opts.get("path").map(String::as_str).unwrap_or("/metrics");
-    let (status, body) = gpu_dvfs::core::serve::http_get(addr, path)
+    let (status, body) = gpu_dvfs::core::serve::http_get(&addr, path)
         .map_err(|e| CliError::Io(format!("scrape {addr}{path}: {e}")))?;
     if status != 200 {
         return Err(CliError::Io(format!(
@@ -1120,19 +1029,17 @@ fn cmd_scrape(opts: &HashMap<String, String>) -> Result<(), CliError> {
 /// `dvfs top` — terminal dashboard over a running server's `stats`
 /// frame. Polls every `--interval` seconds with a full-screen redraw;
 /// `--once` prints a single sample, `--json` emits the raw frame.
-fn cmd_top(opts: &HashMap<String, String>) -> Result<(), CliError> {
+fn cmd_top(opts: &Flags) -> Result<(), CliError> {
     use gpu_dvfs::core::serve::{Client, Request};
 
-    let addr = opts
-        .get("addr")
-        .ok_or_else(|| CliError::Usage("--addr HOST:PORT is required".into()))?;
+    let addr: String = required(opts, "addr", "HOST:PORT")?;
     let once = opts.contains_key("once");
     let json = opts.contains_key("json");
     let interval = std::time::Duration::from_secs_f64(f64_flag(opts, "interval", 2.0)?);
 
     interrupt::install();
     let mut client =
-        Client::connect(addr).map_err(|e| CliError::Io(format!("top: connect {addr}: {e}")))?;
+        Client::connect(&addr).map_err(|e| CliError::Io(format!("top: connect {addr}: {e}")))?;
     loop {
         let resp = client
             .call(&Request::stats())
@@ -1153,7 +1060,7 @@ fn cmd_top(opts: &HashMap<String, String>) -> Result<(), CliError> {
                 // Full-screen redraw: clear + home, like watch(1).
                 print!("\x1b[2J\x1b[H");
             }
-            print!("{}", render_top(addr, &resp));
+            print!("{}", render_top(&addr, &resp));
             use std::io::Write as _;
             let _ = std::io::stdout().flush();
         }
@@ -1258,13 +1165,11 @@ fn render_top(addr: &str, resp: &gpu_dvfs::core::serve::Response) -> String {
 /// record) and aggregates the decoded decisions; `--export` (and
 /// `--tail N`) emit one JSON line per decision for scripting, after the
 /// `--workload`/`--cmd`/`--version` filters.
-fn cmd_journal(opts: &HashMap<String, String>) -> Result<(), CliError> {
+fn cmd_journal(opts: &Flags) -> Result<(), CliError> {
     use gpu_dvfs::core::serve::DecisionRecord;
 
-    let dir = opts
-        .get("dir")
-        .ok_or_else(|| CliError::Usage("--dir DIR is required".into()))?;
-    let path = std::path::Path::new(dir);
+    let dir: String = required(opts, "dir", "DIR")?;
+    let path = std::path::Path::new(&dir);
     let cmd_filter = match opts.get("cmd").map(String::as_str) {
         None => None,
         Some("select") => Some(true),
@@ -1275,18 +1180,9 @@ fn cmd_journal(opts: &HashMap<String, String>) -> Result<(), CliError> {
             )))
         }
     };
-    let version_filter: Option<u64> = opts
-        .get("version")
-        .map(|s| s.parse().map_err(|e| format!("--version: {e}")))
-        .transpose()?;
-    let limit: Option<usize> = opts
-        .get("limit")
-        .map(|s| s.parse().map_err(|e| format!("--limit: {e}")))
-        .transpose()?;
-    let tail: Option<usize> = opts
-        .get("tail")
-        .map(|s| s.parse().map_err(|e| format!("--tail: {e}")))
-        .transpose()?;
+    let version_filter: Option<u64> = flag(opts, "version")?;
+    let limit: Option<usize> = flag(opts, "limit")?;
+    let tail: Option<usize> = flag(opts, "tail")?;
     let workload_filter = opts.get("workload");
     let export = opts.contains_key("export") || tail.is_some();
 
@@ -1386,17 +1282,12 @@ fn cmd_journal(opts: &HashMap<String, String>) -> Result<(), CliError> {
 /// decision must reproduce bitwise; any divergence exits 3 after
 /// printing the first few mismatches and the recorded-vs-replayed MAPE
 /// (the drift signal when the weights differ on purpose).
-fn cmd_replay(opts: &HashMap<String, String>) -> Result<(), CliError> {
-    let dir = opts
-        .get("dir")
-        .ok_or_else(|| CliError::Usage("--dir DIR is required".into()))?;
+fn cmd_replay(opts: &Flags) -> Result<(), CliError> {
+    let dir: String = required(opts, "dir", "DIR")?;
     let backend = backend_for(opts)?;
     let models = load_models(opts)?;
-    let limit: Option<usize> = opts
-        .get("limit")
-        .map(|s| s.parse().map_err(|e| format!("--limit: {e}")))
-        .transpose()?;
-    let mut records = obs::journal::read_records(std::path::Path::new(dir))
+    let limit: Option<usize> = flag(opts, "limit")?;
+    let mut records = obs::journal::read_records(std::path::Path::new(&dir))
         .map_err(|e| CliError::Io(format!("{dir}: {e}")))?;
     if let Some(n) = limit {
         records.truncate(n);
@@ -1464,7 +1355,7 @@ fn cmd_replay(opts: &HashMap<String, String>) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_apps() -> Result<(), CliError> {
+fn cmd_apps(_: &Flags) -> Result<(), CliError> {
     println!("built-in application models (paper Table 2, evaluation set):");
     let spec = DeviceSpec::ga100();
     for app in gpu_dvfs::kernels::apps::evaluation_apps() {
@@ -1547,24 +1438,59 @@ mod tests {
 
     #[test]
     fn stride_validation() {
+        let stride = |m: &Flags| usize_flag(m, "stride", 1, 1);
         let mut m = HashMap::new();
-        assert_eq!(stride_for(&m).unwrap(), 1);
+        assert_eq!(stride(&m).unwrap(), 1);
         m.insert("stride".to_string(), "0".to_string());
-        assert!(stride_for(&m).is_err());
+        assert_eq!(stride(&m).unwrap_err(), "--stride must be >= 1");
         m.insert("stride".to_string(), "abc".to_string());
-        assert!(stride_for(&m).is_err());
+        assert!(stride(&m).unwrap_err().starts_with("--stride: "));
     }
 
     #[test]
     fn threads_validation() {
         let mut m = HashMap::new();
-        assert_eq!(threads_for(&m).unwrap(), None);
+        assert_eq!(flag::<usize>(&m, "threads").unwrap(), None);
         m.insert("threads".to_string(), "4".to_string());
-        assert_eq!(threads_for(&m).unwrap(), Some(4));
+        assert_eq!(flag::<usize>(&m, "threads").unwrap(), Some(4));
         m.insert("threads".to_string(), "0".to_string());
-        assert_eq!(threads_for(&m).unwrap(), Some(0));
+        assert_eq!(flag::<usize>(&m, "threads").unwrap(), Some(0));
         m.insert("threads".to_string(), "abc".to_string());
-        assert!(threads_for(&m).is_err());
+        assert!(flag::<usize>(&m, "threads").is_err());
+        assert_eq!(
+            required::<String>(&m, "models", "models.json").unwrap_err(),
+            "--models models.json is required"
+        );
+    }
+
+    /// `USAGE` and `COMMANDS` are the only flag lists: every flag a
+    /// command reads must appear in that command's usage entry, and the
+    /// global flags in the footer.
+    #[test]
+    fn every_table_flag_appears_in_usage() {
+        let mentions = |text: &str, flag: &str| {
+            let pat = format!("--{flag}");
+            text.match_indices(&pat).any(|(i, _)| {
+                !text[i + pat.len()..].starts_with(|c: char| c.is_ascii_alphanumeric() || c == '-')
+            })
+        };
+        for flag in GLOBAL_FLAGS.split_whitespace() {
+            assert!(mentions(USAGE, flag), "USAGE never mentions --{flag}");
+        }
+        for &Command(name, _, flags) in COMMANDS.iter().filter(|c| c.0 != "help") {
+            let head = format!("  dvfs {name} ");
+            let start = USAGE
+                .find(&head)
+                .unwrap_or_else(|| panic!("USAGE has no `dvfs {name}` entry"));
+            let entry = &USAGE[start + head.len()..];
+            let entry = &entry[..entry.find("\n  dvfs ").unwrap_or(entry.len())];
+            for flag in flags.split_whitespace() {
+                assert!(
+                    mentions(entry, flag),
+                    "USAGE for `dvfs {name}` omits --{flag}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub use tensor;
 
 /// The most common imports for downstream users.
 pub mod prelude {
-    pub use dvfs_core::cache::{CacheHandle, CacheStats, ProfileCache, ShardedProfileCache};
+    pub use dvfs_core::cache::{CacheHandle, CacheStats, ShardedProfileCache};
     pub use dvfs_core::dataset::Dataset;
     pub use dvfs_core::models::PowerTimeModels;
     pub use dvfs_core::objective::{select_optimal, Objective};

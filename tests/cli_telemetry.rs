@@ -153,6 +153,24 @@ fn exit_codes_distinguish_usage_from_io() {
     assert_eq!(out.status.code(), Some(EXIT_USAGE));
 }
 
+#[test]
+fn flags_a_command_does_not_take_are_usage_errors() {
+    // A typo must not run with the default it meant to override, and
+    // `serve` derives its cache shards from `--workers`, so `--shards`
+    // must not look accepted.
+    for args in [
+        ["batch", "--capacty", "8"],
+        ["serve", "--shards", "8"],
+        ["apps", "--bogus", "1"],
+    ] {
+        let out = dvfs().args(args).output().expect("spawn dvfs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(EXIT_USAGE), "{args:?}: {stderr}");
+        let expected = format!("`dvfs {}` does not take {}", args[0], args[1]);
+        assert!(stderr.contains(&expected), "{args:?}: {stderr}");
+    }
+}
+
 /// Trains a deliberately tiny model pair in-process and writes it where
 /// `dvfs serve --models` can load it — debug-mode `dvfs train` would
 /// dominate the test's runtime.
