@@ -1,12 +1,14 @@
 //! Criterion benches for the online prediction phase: the batched sweep
-//! and the cache-aware path over the full 61-state GA100 DVFS grid, and
-//! the network forward pass behind them at every engine precision.
+//! and the cache-aware path over the full 61-state GA100 DVFS grid, the
+//! reply rendering a served fragment-cache miss pays, and the network
+//! forward pass behind them at every engine precision.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dvfs_core::cache::ShardedProfileCache;
 use dvfs_core::dataset::Dataset;
 use dvfs_core::models::PowerTimeModels;
 use dvfs_core::predictor::Predictor;
+use dvfs_core::serve::protocol::fast;
 use gpu_model::{DeviceSpec, DvfsGrid, MetricSample, NoiseModel, SignatureBuilder};
 use nn::activation::Activation;
 use nn::network::NetworkBuilder;
@@ -79,6 +81,20 @@ fn bench_prediction(c: &mut Criterion) {
     let _ = predictor.predict_batch_cached(&cache, one, &freqs);
     group.bench_function("cached_hit", |b| {
         b.iter(|| predictor.predict_batch_cached(&cache, black_box(one), black_box(&freqs)))
+    });
+    group.finish();
+
+    // What `dvfs serve` renders on every fragment-cache miss: the four
+    // 61-entry float arrays of one profile, into a reused buffer.
+    let profile = predictor.predict_from_reference(&reference, &freqs);
+    let mut tail = Vec::new();
+    let mut group = c.benchmark_group("serve_render");
+    group.bench_function("profile_tail_61", |b| {
+        b.iter(|| {
+            tail.clear();
+            fast::write_profile_tail(&mut tail, black_box(&profile));
+            tail.len()
+        })
     });
     group.finish();
 }

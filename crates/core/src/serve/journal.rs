@@ -380,10 +380,12 @@ impl EnergyLedger {
         }
     }
 
-    /// Books one `select` decision's predicted saving.
+    /// Books one `select` decision's predicted saving. A non-finite
+    /// saving is not added: one `+inf` would pin the total at `+inf` and
+    /// saturate the millijoule counter for the rest of the process.
     pub fn record(&self, joules_saved: f64) {
         self.decisions.inc();
-        if joules_saved > 0.0 {
+        if joules_saved > 0.0 && joules_saved.is_finite() {
             self.saved_mj.add((joules_saved * 1e3) as u64);
             let mut cur = self.joules_bits.load(Ordering::Relaxed);
             loop {
@@ -729,8 +731,11 @@ mod tests {
         ledger.record(1.5);
         ledger.record(0.25);
         ledger.record(0.0);
+        // An overflowed saving must not pin the total at +inf.
+        ledger.record(f64::INFINITY);
+        ledger.record(f64::NAN);
         assert!((ledger.total_joules() - 1.75).abs() < 1e-12);
-        assert_eq!(ledger.decisions() - before, 3);
+        assert_eq!(ledger.decisions() - before, 5);
     }
 
     #[test]

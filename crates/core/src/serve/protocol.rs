@@ -27,6 +27,8 @@ use crate::objective::Selection;
 use crate::predictor::PredictedProfile;
 use serde::{Deserialize, Serialize};
 
+mod shortest;
+
 /// One request frame.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Request {
@@ -286,8 +288,14 @@ impl Response {
 /// not the model math — dominated the serving profile. This module
 /// renders and parses the hot shapes directly against byte buffers,
 /// **byte-for-byte identical** to the serde output (pinned by tests
-/// below): same field order (declaration order), same float rendering
-/// (shortest-roundtrip `{}`, non-finite as `null`), same string escapes.
+/// below): same field order (declaration order), same float text (the
+/// shortest round-trip `{}` rendering, non-finite as `null`), same
+/// string escapes. Floats are written by the in-tree Ryu-based writer in
+/// `protocol::shortest`, not `core::fmt`; its tests pin it to
+/// `format!("{v}")` on ties, subnormals, binade edges and the 2^53
+/// integer boundary, and
+/// `fast_response_serialization_is_byte_identical_to_serde` pins whole
+/// responses to the compat `serde_json`, which still formats with `{}`.
 ///
 /// Both directions are strict: the parser returns `None` on *any*
 /// deviation from the canonical shape (missing/duplicate/unknown key,
@@ -302,13 +310,13 @@ pub mod fast {
     use crate::predictor::PredictedProfile;
 
     /// Writes one f64 exactly as the compat `serde_json` does: `null`
-    /// for non-finite values, shortest-roundtrip `{}` otherwise.
+    /// for non-finite values, the shortest round-trip `{}` text
+    /// otherwise.
     pub fn write_f64(out: &mut Vec<u8>, v: f64) {
-        if !v.is_finite() {
-            out.extend_from_slice(b"null");
+        if v.is_finite() {
+            super::shortest::write(out, v);
         } else {
-            use std::io::Write;
-            write!(out, "{v}").expect("write to Vec");
+            out.extend_from_slice(b"null");
         }
     }
 
@@ -707,11 +715,13 @@ mod tests {
     /// bitwise-parity guarantee between served and in-process profiles.
     #[test]
     fn fast_response_serialization_is_byte_identical_to_serde() {
+        // 5e-324 is the smallest subnormal; 2^50 + 0.25 is an exact tie
+        // between two 17-digit renderings, which `{}` rounds up.
         let profile = PredictedProfile::new(
             "weird \"name\"\twith\\escapes\nand™unicode".into(),
-            vec![705.0, 960.5, 1410.0],
-            vec![213.4567890123, 0.1 + 0.2, 400.0000000001],
-            vec![1.618_033_988_749_895, 1.25, 1.0],
+            vec![705.0, 960.5, 1200.0, 1410.0],
+            vec![213.4567890123, 0.1 + 0.2, 5e-324, 400.0000000001],
+            vec![1.618_033_988_749_895, 1.25, (1u64 << 50) as f64 + 0.25, 1.0],
         );
         let selection = profile.select(crate::objective::Objective::Edp, Some(0.05));
         let mut predict = Response::ok(12);

@@ -918,9 +918,10 @@ pub(crate) fn reference_from(req: &Request, max_core_mhz: f64) -> MetricSample {
 /// shared across workloads that quantize alike.
 struct Fragment {
     profile: PredictedProfile,
-    tail: Vec<u8>,
+    tail: Box<[u8]>,
     /// FNV-1a digest of the predicted curves, computed once on insert
-    /// so journaled fragment hits don't re-hash the profile.
+    /// so journaled fragment hits don't re-hash the profile. Only the
+    /// journal record reads it, so a worker without a journal leaves it 0.
     digest: u64,
 }
 
@@ -948,6 +949,7 @@ struct ResponderCtx<'a> {
     version: u64,
     ledger: &'a super::journal::EnergyLedger,
     journal: Option<&'a obs::journal::JournalProducer>,
+    errors: &'a obs::Counter,
 }
 
 fn worker_loop(
@@ -973,6 +975,9 @@ fn worker_loop(
     let mut batch: Vec<Job> = Vec::with_capacity(max_batch);
     let mut scratch: Vec<u8> = Vec::with_capacity(8 * 1024);
     let mut jbuf: Vec<u8> = Vec::with_capacity(256);
+    // Each miss renders its tail here; the fragment keeps an exact-size
+    // copy.
+    let mut tail: Vec<u8> = Vec::with_capacity(4096);
     let mut miss_refs: Vec<MetricSample> = Vec::new();
     // Each miss's batch index and fragment key, kept from pass 1.
     let mut misses: Vec<(usize, (CacheKey, u64))> = Vec::new();
@@ -1000,6 +1005,7 @@ fn worker_loop(
             version: snap.version,
             ledger: &shared.ledger,
             journal: journal.as_ref(),
+            errors: &shared.errors,
         };
         loop {
             shared
@@ -1020,35 +1026,41 @@ fn worker_loop(
             // misses for one coalesced predict_batch_cached call.
             miss_refs.clear();
             misses.clear();
-            let mut front_hits = 0u64;
             for (i, job) in batch.iter().enumerate() {
                 let key = fragment_key(&shared.cache, &snap.spec, &job.req, &freqs);
                 if let Some(fragment) = fragments.get(&key) {
-                    front_hits += 1;
+                    // Booked before the reply is filled, so a `stats`
+                    // frame sent after this reply arrives counts the hit.
+                    shared.cache.record_front_hits(1);
                     respond_job(&ctx, job, fragment, &key, true, &mut scratch, &mut jbuf);
                 } else {
                     miss_refs.push(reference_from(&job.req, snap.spec.max_core_mhz));
                     misses.push((i, key));
                 }
             }
-            if front_hits > 0 {
-                shared.cache.record_front_hits(front_hits);
-            }
             if !miss_refs.is_empty() {
                 let profiles = predictor.predict_batch_cached(&shared.cache, &miss_refs, &freqs);
                 for (&(i, key), profile) in misses.iter().zip(profiles) {
                     let job = &batch[i];
-                    let mut tail = Vec::new();
+                    if !curves_are_finite(&profile) {
+                        write_overflow(&ctx, job, &mut scratch);
+                        deliver(&ctx, job, &mut scratch);
+                        continue;
+                    }
+                    tail.clear();
                     fast::write_profile_tail(&mut tail, &profile);
-                    let digest = super::journal::profile_digest(&profile);
+                    let digest = match ctx.journal {
+                        Some(_) => super::journal::profile_digest(&profile),
+                        None => 0,
+                    };
                     // Epoch reset at capacity: cheaper than LRU chains
                     // for a cache this small, and misses just recompute.
                     if fragments.len() >= FRAGMENT_CACHE_MAX {
                         fragments.clear();
                     }
-                    let fragment = fragments.entry(key).or_insert(Fragment {
+                    let fragment = fragments.entry(key).or_insert_with(|| Fragment {
                         profile,
-                        tail,
+                        tail: tail.as_slice().into(),
                         digest,
                     });
                     respond_job(&ctx, job, fragment, &key, false, &mut scratch, &mut jbuf);
@@ -1122,53 +1134,61 @@ fn respond_job(
     };
     let profile = &fragment.profile;
     let max_idx = profile.max_freq_index();
-    if let Some(s) = &selection {
-        ctx.ledger
-            .record(profile.energy_j[max_idx] - profile.energy_j[s.index]);
-    }
-    if let Some(producer) = ctx.journal {
-        let (chosen, decided_idx) = match &selection {
-            Some(s) => (
-                Some(super::journal::ChosenClock {
-                    index: s.index as u32,
-                    frequency_mhz: s.frequency_mhz,
-                }),
-                s.index,
-            ),
-            None => (None, max_idx),
-        };
-        super::journal::DecisionView {
-            version,
-            req_id: job.req_id,
-            select: selection.is_some(),
-            hit,
-            workload: job.req.workload.as_deref().unwrap_or(""),
-            fp_active: job.req.fp_active.unwrap_or(0.0),
-            dram_active: job.req.dram_active.unwrap_or(0.0),
-            exec_time: job.req.exec_time.unwrap_or(0.0),
-            objective: job.req.objective.as_deref(),
-            threshold: job.req.threshold,
-            cache_key: key.0.shard_hash(),
-            profile_digest: fragment.digest,
-            chosen,
-            predicted_time_s: profile.time_s[decided_idx],
-            predicted_energy_j: profile.energy_j[decided_idx],
-            baseline_energy_j: profile.energy_j[max_idx],
+    // Finite curves can still put E·T or E·T² past f64::MAX, or 1/T
+    // past it for a near-zero exec_time.
+    let overflow = selection
+        .as_ref()
+        .is_some_and(|s| !(s.score.is_finite() && s.perf_degradation.is_finite()));
+    if overflow {
+        write_overflow(ctx, job, scratch);
+    } else {
+        if let Some(s) = &selection {
+            ctx.ledger
+                .record(profile.energy_j[max_idx] - profile.energy_j[s.index]);
         }
-        .encode(jbuf);
-        producer.append_buf(jbuf);
+        if let Some(producer) = ctx.journal {
+            let (chosen, decided_idx) = match &selection {
+                Some(s) => (
+                    Some(super::journal::ChosenClock {
+                        index: s.index as u32,
+                        frequency_mhz: s.frequency_mhz,
+                    }),
+                    s.index,
+                ),
+                None => (None, max_idx),
+            };
+            super::journal::DecisionView {
+                version,
+                req_id: job.req_id,
+                select: selection.is_some(),
+                hit,
+                workload: job.req.workload.as_deref().unwrap_or(""),
+                fp_active: job.req.fp_active.unwrap_or(0.0),
+                dram_active: job.req.dram_active.unwrap_or(0.0),
+                exec_time: job.req.exec_time.unwrap_or(0.0),
+                objective: job.req.objective.as_deref(),
+                threshold: job.req.threshold,
+                cache_key: key.0.shard_hash(),
+                profile_digest: fragment.digest,
+                chosen,
+                predicted_time_s: profile.time_s[decided_idx],
+                predicted_energy_j: profile.energy_j[decided_idx],
+                baseline_energy_j: profile.energy_j[max_idx],
+            }
+            .encode(jbuf);
+            producer.append_buf(jbuf);
+        }
+        scratch.clear();
+        scratch.extend_from_slice(ctx.prefix);
+        fast::write_json_str(scratch, job.req.workload.as_deref().unwrap_or(""));
+        scratch.extend_from_slice(&fragment.tail);
+        scratch.extend_from_slice(fast::RESPONSE_SELECTION_HEAD);
+        match &selection {
+            Some(s) => fast::write_selection(scratch, s),
+            None => scratch.extend_from_slice(b"null"),
+        }
+        scratch.extend_from_slice(fast::RESPONSE_TAIL);
     }
-    scratch.clear();
-    scratch.extend_from_slice(ctx.prefix);
-    fast::write_json_str(scratch, job.req.workload.as_deref().unwrap_or(""));
-    scratch.extend_from_slice(&fragment.tail);
-    scratch.extend_from_slice(fast::RESPONSE_SELECTION_HEAD);
-    match &selection {
-        Some(s) => fast::write_selection(scratch, s),
-        None => scratch.extend_from_slice(b"null"),
-    }
-    scratch.extend_from_slice(fast::RESPONSE_TAIL);
-    let workload = job.req.workload.as_deref().unwrap_or("?");
     // Fragment hits answer without entering the predictor, so mirror the
     // predictor's own per-request surface here (latency histogram +
     // `predict.request` span with `hit=true`): predict accounting stays
@@ -1177,6 +1197,7 @@ fn respond_job(
     if hit {
         stats.predict_latency.record_duration(predict_t0.elapsed());
         if obs::trace::enabled() {
+            let workload = job.req.workload.as_deref().unwrap_or("?");
             obs::trace::complete(
                 stats.trace_predict,
                 predict_t0_ns,
@@ -1190,9 +1211,46 @@ fn respond_job(
             );
         }
     }
+    deliver(ctx, job, scratch);
+}
+
+/// Whether every entry of the predicted curves is finite. An exec_time
+/// near f64::MAX anchors them past it.
+fn curves_are_finite(profile: &PredictedProfile) -> bool {
+    [
+        &profile.frequencies,
+        &profile.power_w,
+        &profile.time_s,
+        &profile.energy_j,
+    ]
+    .iter()
+    .all(|curve| curve.iter().all(|v| v.is_finite()))
+}
+
+/// Renders the error frame for a prediction that does not fit in f64.
+/// JSON has no inf or NaN: an `ok` reply would carry `null`s that no
+/// client can read back as numbers. Counted in `serve.errors`; the
+/// caller neither caches, journals nor books it.
+fn write_overflow(ctx: &ResponderCtx<'_>, job: &Job, scratch: &mut Vec<u8>) {
+    ctx.errors.inc();
+    let exec = job.req.exec_time.unwrap_or(0.0);
+    let resp = Response::err(
+        ctx.version,
+        format!("`exec_time` {exec:?} is out of range: the prediction overflows f64"),
+    );
+    scratch.clear();
+    let wrote = fast::write_response(scratch, &resp);
+    debug_assert!(wrote, "error shape is always fast-serializable");
+}
+
+/// Records the finished request and hands `scratch` to the job's reply
+/// slot.
+fn deliver(ctx: &ResponderCtx<'_>, job: &Job, scratch: &mut Vec<u8>) {
+    let stats = ctx.stats;
     stats.requests.inc();
     stats.latency.record_duration(job.t0.elapsed());
     if obs::trace::enabled() {
+        let workload = job.req.workload.as_deref().unwrap_or("?");
         // Flow end inside the request span (emitted just before the
         // span closes) — the arrow head lands on the worker slice.
         obs::trace::flow_end(stats.trace_flow, job.req_id);
@@ -1204,7 +1262,7 @@ fn respond_job(
                     stats.trace_workload,
                     obs::trace::ArgValue::Str(obs::trace::intern(workload)),
                 ),
-                (stats.trace_version, obs::trace::ArgValue::U64(version)),
+                (stats.trace_version, obs::trace::ArgValue::U64(ctx.version)),
             ],
         );
     }

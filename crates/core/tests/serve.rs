@@ -152,6 +152,97 @@ fn served_predict_is_bitwise_identical_to_in_process() {
     stop(server, &addr);
 }
 
+/// JSON has no inf or NaN, so a prediction that leaves f64 cannot be
+/// an `ok` reply: its `null`s would not parse back into a `Response`.
+/// With the test models, exec_time 1e308 overflows the anchored curves,
+/// 5e305 and 1e200 keep them finite but overflow the EDP and ED²P
+/// scores, and 5e-324 overflows 1/T in the degradation. Each gets an
+/// error frame counted in `serve.errors`, none reaches the energy ledger,
+/// and the server keeps answering normal requests bitwise.
+#[test]
+fn overflowing_predictions_get_error_frames_and_leave_the_ledger_finite() {
+    let (server, _store) = start_server();
+    let addr = server.local_addr().to_string();
+    let mut client = Client::connect(&addr).unwrap();
+    let errors = obs::global().counter("serve.errors");
+    let errors_before = errors.get();
+
+    let overflowing = [
+        Request::select("huge", 0.62, 0.31, 5e305, "edp", Some(0.05)),
+        Request::select("huge", 0.62, 0.31, 1e308, "edp", Some(0.05)),
+        Request::predict("huge", 0.62, 0.31, 1e308),
+        Request::select("edge", 0.62, 0.31, 1e200, "ed2p", None),
+        Request::select("edge", 0.62, 0.31, 5e-324, "edp", Some(0.05)),
+    ];
+    for req in &overflowing {
+        let resp = client.call(req).expect("an error frame parses");
+        let exec = req.exec_time.unwrap();
+        assert!(!resp.ok, "{} at exec_time {exec} was served as ok", req.cmd);
+        assert!(resp.profile.is_none() && resp.selection.is_none());
+        let error = resp.error.expect("error frames say why");
+        assert!(error.contains("out of range"), "{error}");
+    }
+    // Where only the selection overflows, predict still answers.
+    for exec in [1e200, 5e-324] {
+        let resp = client
+            .call(&Request::predict("edge", 0.62, 0.31, exec))
+            .expect("finite curves parse");
+        assert!(resp.ok, "predict at exec_time {exec}: {:?}", resp.error);
+    }
+    let rejected = overflowing.len() as u64;
+    assert!(errors.get() - errors_before >= rejected);
+
+    let resp = client.call(&Request::stats()).unwrap();
+    let energy = resp
+        .server
+        .expect("stats frame has a server section")
+        .energy;
+    assert!(
+        energy.predicted_joules_saved.is_finite(),
+        "ledger poisoned: {}",
+        energy.predicted_joules_saved
+    );
+
+    // A normal select afterwards still matches the in-process oracle.
+    let resp = client
+        .call(&Request::select(
+            "sane",
+            0.62,
+            0.31,
+            12.5,
+            "edp",
+            Some(0.05),
+        ))
+        .unwrap();
+    assert!(resp.ok, "select after overflow failed: {:?}", resp.error);
+    let spec = DeviceSpec::ga100();
+    let predictor = Predictor::new(shared_models(), spec.clone());
+    let freqs = DvfsGrid::for_spec(&spec).used();
+    let reference = reference_like_server(&spec, "sane", 0.62, 0.31, 12.5);
+    let local =
+        predictor.predict_batch_cached(&ShardedProfileCache::new(8, 1), &[reference], &freqs);
+    let served = resp.profile.expect("select returns a profile");
+    for (a, b) in [
+        (&served.power_w, &local[0].power_w),
+        (&served.time_s, &local[0].time_s),
+        (&served.energy_j, &local[0].energy_j),
+    ] {
+        let a: Vec<u64> = a.iter().map(|v| v.to_bits()).collect();
+        let b: Vec<u64> = b.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(a, b, "served curve differs from the oracle");
+    }
+    let selection = resp.selection.expect("select returns a selection");
+    let local_sel = local[0].select(dvfs_core::objective::Objective::Edp, Some(0.05));
+    assert_eq!(selection.index, local_sel.index);
+    assert_eq!(selection.score.to_bits(), local_sel.score.to_bits());
+    assert_eq!(
+        selection.perf_degradation.to_bits(),
+        local_sel.perf_degradation.to_bits()
+    );
+
+    stop(server, &addr);
+}
+
 #[test]
 fn garbage_json_gets_an_error_reply_and_the_connection_survives() {
     let (server, _store) = start_server();
