@@ -7,7 +7,9 @@
 //! allocating path (preserved verbatim in `nn::reference`), while
 //! `epoch_workspace` times `Trainer::fit` on identical data, topology,
 //! and seeds. Both paths are bitwise-identical in output, so the group
-//! isolates the pure cost of buffer churn.
+//! isolates the pure cost of buffer churn. `shard_step_8x64` times the
+//! step's kernels alone: one forward and backward pass on one 8-row
+//! shard.
 //!
 //! Set `BENCH_SMOKE=1` to shrink the heavy model-training workloads so
 //! `scripts/check.sh` can exercise every bench body in seconds.
@@ -20,6 +22,7 @@ use nn::activation::Activation;
 use nn::network::{Network, NetworkBuilder};
 use nn::reference;
 use nn::train::{TrainConfig, Trainer};
+use nn::{Loss, Workspace};
 use std::hint::black_box;
 use tensor::Matrix;
 
@@ -160,6 +163,19 @@ fn bench_epoch_cost(c: &mut Criterion) {
         b.iter(|| {
             let mut n = net.clone();
             reference::fit(&mut n, &cfg, black_box(&x), black_box(&y)).unwrap()
+        })
+    });
+    // One shard of one step, the unit `Trainer::fit` runs eight times per
+    // 64-row batch (`TrainConfig::shards`): forward plus raw gradient
+    // sums on 8 rows of the paper topology, without the reduction and
+    // the optimizer update.
+    let shard: Vec<usize> = (0..8).collect();
+    let (xs, ys) = (x.select_rows(&shard), y.select_rows(&shard));
+    let mut ws = Workspace::for_network(&net, xs.rows());
+    group.bench_function("shard_step_8x64", |b| {
+        b.iter(|| {
+            net.forward_ws(black_box(&xs), &mut ws);
+            net.shard_grads_ws(black_box(&ys), Loss::Mse, &mut ws)
         })
     });
     group.finish();

@@ -197,7 +197,13 @@ impl Dataset {
 
     /// Builds the model input row for given features and clock.
     pub fn feature_row(fp_active: f64, dram_active: f64, f_norm: f64) -> Vec<f64> {
-        vec![fp_active, dram_active, f_norm]
+        Self::features(fp_active, dram_active, f_norm).to_vec()
+    }
+
+    /// [`Dataset::feature_row`] on the stack, for the prediction paths
+    /// that copy it into a reused buffer.
+    pub(crate) fn features(fp_active: f64, dram_active: f64, f_norm: f64) -> [f64; NUM_FEATURES] {
+        [fp_active, dram_active, f_norm]
     }
 }
 

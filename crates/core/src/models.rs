@@ -184,8 +184,9 @@ impl PredictEngines {
     }
 
     /// Assembles the F x 3 feature matrix for one application (fixed
-    /// activities, one row per frequency; thread-local, reused across
-    /// calls) and runs one batched engine pass over it.
+    /// activities, one row per frequency, written in place into a
+    /// thread-local matrix reused across calls) and runs one batched
+    /// engine pass over it. The returned vector is the only allocation.
     fn batch_forward(
         engine: &InferenceEngine,
         spec: &DeviceSpec,
@@ -201,7 +202,7 @@ impl PredictEngines {
             let mut x = cell.borrow_mut();
             x.resize_to(frequencies.len(), NUM_FEATURES);
             for (r, &mhz) in frequencies.iter().enumerate() {
-                x.row_mut(r).copy_from_slice(&Dataset::feature_row(
+                x.row_mut(r).copy_from_slice(&Dataset::features(
                     fp_active,
                     dram_active,
                     mhz / spec.max_core_mhz,
@@ -248,7 +249,7 @@ impl PredictEngines {
     /// no `Matrix` assembly, no per-call workspace resizing — and
     /// bitwise-identical to the corresponding row of a batched call in
     /// every precision mode (per-row accumulation chains are independent
-    /// of the batch blocking).
+    /// of the batch blocking). Allocation-free once the thread is warm.
     pub fn predict_time_ratio(
         &self,
         spec: &DeviceSpec,
@@ -256,10 +257,15 @@ impl PredictEngines {
         dram_active: f64,
         mhz: f64,
     ) -> f64 {
-        let features = Dataset::feature_row(fp_active, dram_active, mhz / spec.max_core_mhz);
-        let mut out = Vec::with_capacity(1);
-        self.time.predict_one_into(&features, &mut out);
-        out[0].max(0.0)
+        thread_local! {
+            static OUT: std::cell::RefCell<Vec<f64>> = const { std::cell::RefCell::new(Vec::new()) };
+        }
+        let features = Dataset::features(fp_active, dram_active, mhz / spec.max_core_mhz);
+        OUT.with(|cell| {
+            let mut out = cell.borrow_mut();
+            self.time.predict_one_into(&features, &mut out);
+            out[0].max(0.0)
+        })
     }
 }
 

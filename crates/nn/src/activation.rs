@@ -54,6 +54,7 @@ impl Activation {
     /// # Panics
     /// Panics for [`Activation::Softmax`], which is not elementwise; use
     /// [`Activation::apply_row`].
+    #[inline]
     pub fn apply(&self, x: f64) -> f64 {
         match *self {
             Activation::Linear => x,
@@ -95,6 +96,7 @@ impl Activation {
     /// # Panics
     /// Panics for [`Activation::Softmax`]; its Jacobian is handled by
     /// [`Activation::backward_row`].
+    #[inline]
     pub fn derivative(&self, x: f64) -> f64 {
         match *self {
             Activation::Linear => 1.0,
@@ -143,6 +145,42 @@ impl Activation {
         }
     }
 
+    /// `(apply(x), derivative(x))`, bit for bit: what the training
+    /// forward pass keeps so backprop never re-evaluates `f'`.
+    ///
+    /// ELU and SELU share one `exp` between the two: their negative
+    /// branches are `c·(e − 1)` and `c·e` for the same `e = exp(x)`, the
+    /// exact expressions `apply` and `derivative` evaluate. Every other
+    /// activation calls both.
+    ///
+    /// # Panics
+    /// Panics for [`Activation::Softmax`].
+    #[inline]
+    pub(crate) fn value_and_derivative(&self, x: f64) -> (f64, f64) {
+        match *self {
+            Activation::Elu { alpha } => {
+                if x > 0.0 {
+                    (x, 1.0)
+                } else {
+                    let e = x.exp();
+                    (alpha * (e - 1.0), alpha * e)
+                }
+            }
+            Activation::Selu => {
+                if x > 0.0 {
+                    (SELU_SCALE * x, SELU_SCALE)
+                } else {
+                    let e = x.exp();
+                    (
+                        SELU_SCALE * SELU_ALPHA * (e - 1.0),
+                        SELU_SCALE * SELU_ALPHA * e,
+                    )
+                }
+            }
+            _ => (self.apply(x), self.derivative(x)),
+        }
+    }
+
     /// Applies the activation to one row of pre-activations in place.
     pub fn apply_row(&self, row: &mut [f64]) {
         if let Activation::Softmax = self {
@@ -156,9 +194,11 @@ impl Activation {
                 *v /= sum;
             }
         } else {
-            for v in row.iter_mut() {
-                *v = self.apply(*v);
-            }
+            with_variant!(*self, act => {
+                for v in row.iter_mut() {
+                    *v = act.apply(*v);
+                }
+            });
         }
     }
 
@@ -176,11 +216,11 @@ impl Activation {
                     out[i] = a[i] * (upstream[i] - dot);
                 }
             }
-            _ => {
+            _ => with_variant!(*self, act => {
                 for i in 0..out.len() {
-                    out[i] = upstream[i] * self.derivative(z[i]);
+                    out[i] = upstream[i] * act.derivative(z[i]);
                 }
-            }
+            }),
         }
     }
 
@@ -201,11 +241,65 @@ impl Activation {
     }
 }
 
+/// Evaluates `$body` with `$v` bound to `$act` rebuilt as a literal
+/// variant, one `match` arm per activation. Closures over `$v` then
+/// monomorphize per arm with the `match` inside [`Activation::apply`]
+/// and [`Activation::value_and_derivative`] folded away, so an element
+/// loop pays no per-element dispatch — the f64 counterpart of the
+/// per-variant instantiation in `infer::PackedLayer::run`.
+macro_rules! with_variant {
+    ($act:expr, $v:ident => $body:expr) => {
+        match $act {
+            Activation::Linear => {
+                let $v = Activation::Linear;
+                $body
+            }
+            Activation::Relu => {
+                let $v = Activation::Relu;
+                $body
+            }
+            Activation::LeakyRelu { alpha } => {
+                let $v = Activation::LeakyRelu { alpha };
+                $body
+            }
+            Activation::Elu { alpha } => {
+                let $v = Activation::Elu { alpha };
+                $body
+            }
+            Activation::Selu => {
+                let $v = Activation::Selu;
+                $body
+            }
+            Activation::Sigmoid => {
+                let $v = Activation::Sigmoid;
+                $body
+            }
+            Activation::Tanh => {
+                let $v = Activation::Tanh;
+                $body
+            }
+            Activation::Softplus => {
+                let $v = Activation::Softplus;
+                $body
+            }
+            Activation::Softsign => {
+                let $v = Activation::Softsign;
+                $body
+            }
+            Activation::Softmax => {
+                let $v = Activation::Softmax;
+                $body
+            }
+        }
+    };
+}
+pub(crate) use with_variant;
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    const ELEMENTWISE: [Activation; 9] = [
+    pub(crate) const ELEMENTWISE: [Activation; 9] = [
         Activation::Linear,
         Activation::Relu,
         Activation::LeakyRelu { alpha: 0.01 },
@@ -244,6 +338,52 @@ mod tests {
                 assert!(
                     (numeric - analytic).abs() < 1e-4,
                     "{} at {x}: numeric {numeric} vs analytic {analytic}",
+                    act.name()
+                );
+            }
+        }
+    }
+
+    /// Inputs at the edges of every branch: signed zeros, subnormals,
+    /// tiny and moderate values, where `exp` overflows (710) or its
+    /// result is subnormal (-710), infinities and NaN.
+    pub(crate) const EDGE_INPUTS: [f64; 16] = [
+        0.0,
+        -0.0,
+        5e-324,
+        -5e-324,
+        1e-300,
+        -1e-300,
+        0.5,
+        -0.5,
+        700.0,
+        -700.0,
+        710.0,
+        -710.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        -f64::NAN,
+    ];
+
+    /// The edge inputs plus a grid through the range where hidden
+    /// pre-activations live, so a reassociated product shows up.
+    #[test]
+    fn value_and_derivative_equal_apply_and_derivative_bitwise() {
+        let grid = (-80..=80).map(|i| f64::from(i) * 0.0625 + 0.01);
+        for act in ELEMENTWISE {
+            for x in EDGE_INPUTS.into_iter().chain(grid.clone()) {
+                let (v, d) = act.value_and_derivative(x);
+                assert_eq!(
+                    v.to_bits(),
+                    act.apply(x).to_bits(),
+                    "{} value at {x}",
+                    act.name()
+                );
+                assert_eq!(
+                    d.to_bits(),
+                    act.derivative(x).to_bits(),
+                    "{} derivative at {x}",
                     act.name()
                 );
             }

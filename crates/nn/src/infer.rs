@@ -326,8 +326,7 @@ impl InferenceEngine {
     pub fn predict_one_into(&self, features: &[f64], out: &mut Vec<f64>) {
         assert_eq!(features.len(), self.in_dim, "engine input width");
         if self.precision == Precision::F64 || self.packed.is_empty() {
-            out.clear();
-            out.extend(self.net.predict_one(features));
+            self.net.predict_one_into(features, out);
             return;
         }
         SCRATCH.with(|cell| {

@@ -1,7 +1,7 @@
 //! Fully-connected (dense) layer: parameters plus the forward and
 //! backward kernels the workspace engine drives.
 
-use crate::activation::Activation;
+use crate::activation::{with_variant, Activation};
 use serde::{Deserialize, Serialize};
 use tensor::{matmul, ops, Matrix};
 
@@ -89,44 +89,41 @@ impl Dense {
         out
     }
 
-    /// Workspace forward pass: writes the pre-activation into `pre` and the
-    /// activation into `out`, resizing both (allocation-free within
-    /// capacity). Bias add and activation are fused into a single pass over
-    /// the matmul result.
+    /// Workspace forward pass: writes the activation `f(z)` into `out`
+    /// and what backprop needs of `z` into `pre`, resizing both
+    /// (allocation-free within capacity). For an elementwise activation
+    /// `pre` receives the derivative `f'(z)`, computed together with
+    /// `f(z)` by [`Activation::value_and_derivative`] so backprop never
+    /// evaluates `f'` again; for softmax it receives `z`.
     ///
     /// # Panics
     /// Panics if `input.cols() != in_dim`.
     pub(crate) fn forward_into(&self, input: &Matrix, pre: &mut Matrix, out: &mut Matrix) {
         pre.resize_to(input.rows(), self.out_dim());
-        matmul::matmul_into(input, &self.weights, pre).expect("layer/input width mismatch");
         out.resize_to(input.rows(), self.out_dim());
         let b = self.bias.as_slice();
         if let Activation::Softmax = self.activation {
             // Softmax is row-wise, not elementwise: finish the affine pass
             // first, then apply the row transform to a copy.
-            for r in 0..pre.rows() {
-                for (z, &bv) in pre.row_mut(r).iter_mut().zip(b) {
-                    *z += bv;
-                }
-            }
+            matmul::matmul_bias_map_into(input, &self.weights, b, pre, |z| z)
+                .expect("layer/input width mismatch");
             out.copy_from(pre);
             for r in 0..out.rows() {
                 self.activation.apply_row(out.row_mut(r));
             }
-        } else {
-            for r in 0..pre.rows() {
-                let prow = pre.row_mut(r);
-                let orow = out.row_mut(r);
-                for ((z, o), &bv) in prow.iter_mut().zip(orow.iter_mut()).zip(b) {
-                    *z += bv;
-                    *o = self.activation.apply(*z);
-                }
-            }
+            return;
         }
+        matmul::matmul_bias_map_into(input, &self.weights, b, out, |z| z)
+            .expect("layer/input width mismatch");
+        with_variant!(self.activation, act => {
+            for (o, d) in out.as_mut_slice().iter_mut().zip(pre.as_mut_slice()) {
+                (*o, *d) = act.value_and_derivative(*o);
+            }
+        });
     }
 
     /// Inference forward pass into a single reused buffer (no
-    /// pre-activation kept): `out = act(input W + b)`, resizing `out`.
+    /// derivative kept): `out = act(input W + b)`, resizing `out`.
     ///
     /// For elementwise activations the whole layer runs through the fused
     /// `matmul_bias_map_into` kernel — bias add and activation happen as
@@ -152,15 +149,16 @@ impl Dense {
                 self.activation.apply_row(row);
             }
         } else {
-            let act = self.activation;
-            matmul::matmul_bias_map_into(input, &self.weights, b, out, move |z| act.apply(z))
-                .expect("layer/input width mismatch");
+            with_variant!(self.activation, act => {
+                matmul::matmul_bias_map_into(input, &self.weights, b, out, move |z| act.apply(z))
+            })
+            .expect("layer/input width mismatch");
         }
     }
 
     /// Single-sample inference without any `Matrix` round-trip:
     /// `out = act(x W + b)` for a feature vector `x`, resizing `out` to
-    /// `out_dim`. Used by `Network::predict_one`.
+    /// `out_dim`. Used by `Network::predict_one_into`.
     ///
     /// # Panics
     /// Panics if `input.len() != in_dim`.
@@ -176,9 +174,10 @@ impl Dense {
         } else {
             // Fused strip kernel: the affine result never round-trips
             // through memory. Bitwise-identical to the unfused sequence.
-            let act = self.activation;
-            matmul::vecmat_bias_map_into(input, &self.weights, b, out, move |z| act.apply(z))
-                .expect("layer/input width mismatch");
+            with_variant!(self.activation, act => {
+                matmul::vecmat_bias_map_into(input, &self.weights, b, out, move |z| act.apply(z))
+            })
+            .expect("layer/input width mismatch");
         }
     }
 
@@ -187,7 +186,8 @@ impl Dense {
     /// the data-parallel engine: every row of a shard contributes its raw
     /// `x^T delta` / column-sum terms, the shards' sums are combined with
     /// a fixed pairwise tree, and the engine scales by `1/batch` once at
-    /// the root.
+    /// the root. `pre` is what [`Dense::forward_into`] left there: `f'(z)`,
+    /// or `z` for softmax.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn backward_sums_into(
         &self,
@@ -200,15 +200,22 @@ impl Dense {
         grad_b: &mut Matrix,
         down: Option<&mut Matrix>,
     ) {
-        // delta = dL/dz, via the activation's backward rule per row.
+        // delta = dL/dz: upstream ⊙ f'(z), or the softmax row Jacobian.
         delta.resize_to(upstream.rows(), upstream.cols());
-        for r in 0..upstream.rows() {
-            self.activation.backward_row(
-                pre.row(r),
-                output.row(r),
-                upstream.row(r),
-                delta.row_mut(r),
-            );
+        if let Activation::Softmax = self.activation {
+            for r in 0..upstream.rows() {
+                self.activation.backward_row(
+                    pre.row(r),
+                    output.row(r),
+                    upstream.row(r),
+                    delta.row_mut(r),
+                );
+            }
+        } else {
+            let pairs = upstream.as_slice().iter().zip(pre.as_slice());
+            for (d, (&u, &g)) in delta.as_mut_slice().iter_mut().zip(pairs) {
+                *d = u * g;
+            }
         }
 
         // Raw dL/dW sum = x^T delta ; raw dL/db sum = column sums of delta.
@@ -288,6 +295,34 @@ mod tests {
         l.forward_into(&x, &mut pre, &mut a);
         let b = l.infer(&x);
         assert_eq!(a, b);
+    }
+
+    /// The training forward pass keeps `f(z)` in `out` and `f'(z)` in
+    /// `pre`, bit for bit what `apply` and `derivative` return at the
+    /// affine result `z` (computed here by the naive kernel), for every
+    /// elementwise activation at inputs on the edges of every branch.
+    #[test]
+    fn forward_keeps_value_and_derivative_bitwise() {
+        use crate::activation::tests::{EDGE_INPUTS, ELEMENTWISE};
+        let x = Matrix::col_vector(&EDGE_INPUTS);
+        let w = Matrix::from_vec(1, 3, vec![1.0, -1.0, 0.5]).unwrap();
+        let b = Matrix::from_vec(1, 3, vec![0.0, 0.25, -0.0]).unwrap();
+        let z = ops::add_row_broadcast(&matmul::matmul_naive(&x, &w).unwrap(), &b).unwrap();
+        for act in ELEMENTWISE {
+            let l = Dense::new(w.clone(), b.clone(), act);
+            let (mut pre, mut out) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+            l.forward_into(&x, &mut pre, &mut out);
+            for (i, &zi) in z.as_slice().iter().enumerate() {
+                let what = format!("{} at z = {zi}", act.name());
+                assert_eq!(
+                    out.as_slice()[i].to_bits(),
+                    act.apply(zi).to_bits(),
+                    "{what}"
+                );
+                let d = act.derivative(zi);
+                assert_eq!(pre.as_slice()[i].to_bits(), d.to_bits(), "{what}");
+            }
+        }
     }
 
     /// Finite-difference check of all gradients through a SELU layer.

@@ -95,13 +95,23 @@ impl Network {
     }
 
     /// Convenience: predict a single feature vector, returning the outputs.
+    pub fn predict_one(&self, features: &[f64]) -> Vec<f64> {
+        let mut out = Vec::new();
+        self.predict_one_into(features, &mut out);
+        out
+    }
+
+    /// Predicts a single feature vector into `out` (cleared first).
     ///
     /// Skips the row-vector `Matrix` round-trip entirely: the sample flows
-    /// through a pair of thread-local `Vec<f64>` buffers via `vecmat`, so
-    /// the only allocation in steady state is the returned vector.
-    pub fn predict_one(&self, features: &[f64]) -> Vec<f64> {
+    /// through a pair of thread-local `Vec<f64>` buffers via `vecmat`, and
+    /// the result is copied out of them, so a warm call with a warm `out`
+    /// allocates nothing.
+    pub(crate) fn predict_one_into(&self, features: &[f64], out: &mut Vec<f64>) {
+        out.clear();
         if self.layers.is_empty() {
-            return features.to_vec();
+            out.extend_from_slice(features);
+            return;
         }
         thread_local! {
             static BUFS: RefCell<(Vec<f64>, Vec<f64>)> = const { RefCell::new((Vec::new(), Vec::new())) };
@@ -114,13 +124,13 @@ impl Network {
                 l.apply_vec(a, b);
                 std::mem::swap(a, b);
             }
-            a.clone()
+            out.extend_from_slice(a);
         })
     }
 
     /// Training forward pass into a caller-provided workspace. The input is
-    /// copied into the workspace and every layer's pre-activation and
-    /// activation are retained for [`Network::shard_grads_ws`].
+    /// copied into the workspace and every layer's activation and
+    /// activation derivative are retained for [`Network::shard_grads_ws`].
     /// Allocation-free once the workspace has warmed up.
     pub fn forward_ws(&self, x: &Matrix, ws: &mut Workspace) {
         ws.ensure(self, x.rows());

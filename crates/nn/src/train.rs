@@ -619,8 +619,12 @@ mod tests {
         /// the data-parallel engine at 2, 4 and 8 threads must all
         /// produce the identical network.
         fn assert_fit_parity(cfg: TrainConfig, net_seed: u64, data_seed: u64, rows: usize) {
+            assert_fit_parity_on(paper_tiny(net_seed), cfg, data_seed, rows);
+        }
+
+        /// [`assert_fit_parity`] from an explicit starting network.
+        fn assert_fit_parity_on(base: Network, cfg: TrainConfig, data_seed: u64, rows: usize) {
             let (x, y) = dataset(rows, data_seed);
-            let base = paper_tiny(net_seed);
             let mut net_ref = base.clone();
             let h_ref = reference::fit(&mut net_ref, &cfg, &x, &y).unwrap();
 
@@ -694,6 +698,23 @@ mod tests {
                 },
                 1,
                 2,
+                200,
+            );
+        }
+
+        /// The paper's 3×64 SELU topology, where every hidden product is
+        /// 64 wide (the 16-wide nets above never reach that width). 200
+        /// rows give 160 training rows: two full 64-row batches of 8-row
+        /// shards and a 32-row tail batch of 4-row shards.
+        #[test]
+        fn fit_matches_reference_on_paper_topology() {
+            assert_fit_parity_on(
+                super::paper_net(5),
+                TrainConfig {
+                    epochs: 3,
+                    ..TrainConfig::default()
+                },
+                6,
                 200,
             );
         }

@@ -2,10 +2,10 @@
 //! engine.
 //!
 //! A [`Workspace`] owns every intermediate matrix a forward/backward pass
-//! needs — per-layer pre-activations, activations, deltas, parameter
-//! gradients, downstream gradients, plus the batch input and the loss
-//! gradient. Buffers are sized from the network topology once and resized
-//! (never reallocated, once capacity is reached) via
+//! needs — per-layer activations and activation derivatives, deltas,
+//! parameter gradients, downstream gradients, plus the batch input and
+//! the loss gradient. Buffers are sized from the network topology once
+//! and resized (never reallocated, once capacity is reached) via
 //! [`Matrix::resize_to`] as batch dimensions change, so steady-state
 //! training steps perform **zero heap allocations** — see
 //! `tests/zero_alloc.rs` for the counting-allocator proof.
@@ -23,11 +23,15 @@ use tensor::Matrix;
 /// counts are fixed by the layer shape.
 #[derive(Debug, Clone)]
 pub(crate) struct LayerWs {
-    /// Pre-activation `z = x W + b`, `(batch x out_dim)`.
+    /// What backprop needs of the pre-activation `z = x W + b`,
+    /// `(batch x out_dim)`: the derivative `act'(z)` for an elementwise
+    /// activation, written by the training forward pass together with
+    /// `out`; `z` itself for softmax. Inference leaves it untouched.
     pub(crate) pre: Matrix,
     /// Activation `a = act(z)`, `(batch x out_dim)`.
     pub(crate) out: Matrix,
-    /// `dL/dz`, `(batch x out_dim)`.
+    /// `dL/dz = dL/da ⊙ act'(z)` (softmax: the row Jacobian applied),
+    /// `(batch x out_dim)`.
     pub(crate) delta: Matrix,
     /// `dL/dx` propagated to the previous layer, `(batch x in_dim)`.
     pub(crate) down: Matrix,
@@ -53,6 +57,10 @@ pub struct Workspace {
     /// (same topology, same batch) instead of re-deriving every layer
     /// shape and re-resizing every buffer per call.
     rows: usize,
+    /// One [`LayerWs`] per layer. After [`Network::forward_ws`] each holds
+    /// the layer's activation and activation derivative;
+    /// [`Network::shard_grads_ws`] consumes them into deltas and raw
+    /// gradient sums.
     pub(crate) layers: Vec<LayerWs>,
     /// Copy of the current batch input, `(batch x in_dim)`.
     pub(crate) input: Matrix,

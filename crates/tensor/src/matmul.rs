@@ -1,21 +1,24 @@
-//! Matrix multiplication kernels: naive, register-strip serial, and
+//! Matrix multiplication kernels: naive, register-tiled serial, and
 //! parallel.
 //!
-//! The serial kernel accumulates a 16-wide strip of each output row in
-//! registers across the whole shared dimension, so the output is written
-//! once instead of read-modified-written per term; the parallel kernel
-//! splits output rows across the rayon thread pool. Both produce
-//! bitwise-identical results to the naive kernel (same accumulation order
-//! per element), which the property tests rely on.
+//! The serial kernels accumulate a tile of four output rows by eight
+//! output columns in registers across the whole shared dimension, so the
+//! output is written once instead of read-modified-written per term, and
+//! every operand value loaded feeds several independent chains; the
+//! parallel kernel splits output rows across the rayon thread pool. Both
+//! produce bitwise-identical results to the naive kernel (same
+//! accumulation order per element), which the property tests rely on.
 //!
 //! Every product also has a `_into` variant that writes into a
 //! caller-provided output buffer instead of allocating — the steady-state
-//! training and inference hot paths use only those. Two transpose-free
-//! kernels, [`matmul_at_b_into`] (`Aᵀ·B`) and [`matmul_a_bt_into`]
-//! (`A·Bᵀ`), read their operands in stored row-major layout so backprop
-//! never materializes a transposed matrix. All kernels accumulate each
-//! output element over the shared dimension in ascending order, so every
-//! entry point is bitwise-identical to the naive oracle.
+//! training and inference hot paths use only those. [`matmul_at_b_into`]
+//! (`Aᵀ·B`, weight gradients) reads both operands in their stored
+//! row-major layout. [`matmul_a_bt_into`] (`A·Bᵀ`, delta propagation)
+//! copies blocks of up to 64 rows of `A` transposed into a thread-local
+//! buffer, so its tiles vectorize across output rows instead of along a
+//! dot product. All kernels accumulate each output element over the
+//! shared dimension in ascending order, so every entry point is
+//! bitwise-identical to the naive oracle.
 
 use crate::error::{ShapeError, TensorResult};
 use crate::matrix::Matrix;
@@ -108,10 +111,10 @@ pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) -> TensorResult<()>
             .for_each(|(chunk_idx, out_chunk)| {
                 let i0 = chunk_idx * band;
                 let rows_here = out_chunk.len() / n;
-                block_rows_into(a, b, out_chunk, i0, rows_here, k, n);
+                block_rows_into(a, b, out_chunk, i0, rows_here, n);
             });
     } else {
-        block_rows_into(a, b, out.as_mut_slice(), 0, m, k, n);
+        block_rows_into(a, b, out.as_mut_slice(), 0, m, n);
     }
     Ok(())
 }
@@ -145,10 +148,10 @@ pub fn matmul_at_b_into(a: &Matrix, b: &Matrix, out: &mut Matrix) -> TensorResul
             .for_each(|(chunk_idx, out_chunk)| {
                 let i0 = chunk_idx * band;
                 let rows_here = out_chunk.len() / n;
-                at_b_rows_into(a, b, out_chunk, i0, rows_here, r, n);
+                at_b_rows_into(a, b, out_chunk, i0, rows_here, n);
             });
     } else {
-        at_b_rows_into(a, b, out.as_mut_slice(), 0, m, r, n);
+        at_b_rows_into(a, b, out.as_mut_slice(), 0, m, n);
     }
     Ok(())
 }
@@ -266,10 +269,10 @@ where
             .for_each(|(chunk_idx, out_chunk)| {
                 let i0 = chunk_idx * band;
                 let rows_here = out_chunk.len() / n;
-                block_rows_bias_map_into(a, b, bias, out_chunk, i0, rows_here, k, n, f);
+                block_rows_bias_map_into(a, b, bias, out_chunk, i0, rows_here, n, f);
             });
     } else {
-        block_rows_bias_map_into(a, b, bias, out.as_mut_slice(), 0, m, k, n, f);
+        block_rows_bias_map_into(a, b, bias, out.as_mut_slice(), 0, m, n, f);
     }
     Ok(())
 }
@@ -368,10 +371,10 @@ fn check(a: &Matrix, b: &Matrix) -> TensorResult<()> {
 }
 
 fn matmul_blocked_unchecked(a: &Matrix, b: &Matrix) -> Matrix {
-    let (m, k) = a.shape();
+    let m = a.rows();
     let n = b.cols();
     let mut out = Matrix::zeros(m, n);
-    block_rows_into(a, b, out.as_mut_slice(), 0, m, k, n);
+    block_rows_into(a, b, out.as_mut_slice(), 0, m, n);
     out
 }
 
@@ -390,69 +393,166 @@ fn matmul_parallel_unchecked(a: &Matrix, b: &Matrix) -> Matrix {
         .for_each(|(chunk_idx, out_chunk)| {
             let i0 = chunk_idx * band;
             let rows_here = out_chunk.len() / n;
-            block_rows_into(a, b, out_chunk, i0, rows_here, k, n);
+            block_rows_into(a, b, out_chunk, i0, rows_here, n);
         });
     out
 }
 
-/// Width of the register-accumulated output strip used by the serial
-/// kernels: sixteen doubles span four AVX registers (eight SSE2), wide
-/// enough to hide FP-add latency with independent accumulation chains
-/// while still fitting the register file (32 spills, measured). Keeping
-/// the strip in registers across the whole shared dimension removes the
-/// per-element load/store of the output that otherwise bottlenecks the
-/// store port.
+/// Width of the register strip of the single-row kernel
+/// [`vecmat_bias_map_into`]: sixteen doubles span four AVX registers
+/// (eight SSE2), wide enough to hide FP-add latency with independent
+/// accumulation chains while still fitting the register file (32 spills,
+/// measured). Keeping the strip in registers across the whole shared
+/// dimension removes the per-element load/store of the output that
+/// otherwise bottlenecks the store port.
 const STRIP: usize = 16;
 
+/// Rows of the register tile of the matrix kernels: `MR × NR` = 32
+/// accumulation chains in eight AVX registers. Each strip of the right
+/// operand loaded from memory feeds four rows, the row tiling of
+/// `f32x8::gemm_bias_act_into` with a separate multiply and add in place
+/// of `mul_add`. A 4 × 16 tile measured ten times slower: LLVM no longer
+/// keeps it in registers.
+const MR: usize = 4;
+
+/// Columns of the register tile; see [`MR`].
+const NR: usize = 8;
+
+/// Rows of `a` per packed block in [`a_bt_rows_into`]: bounds the
+/// thread-local packing buffer at `PACK_ROWS × k` doubles.
+const PACK_ROWS: usize = 64;
+
+/// One register tile of `MR × S` chains: `acc[r][s] = Σ_p v_p[r] · w_p[s]`
+/// over the `(v_p, w_p)` steps in order, every chain starting from `0.0`.
+///
+/// Every tiled kernel adds its products here. The tile decides which
+/// chains run side by side, never the order of a chain's additions, so
+/// every caller is bit-for-bit equal to the naive kernel.
+#[inline(always)]
+fn tile<'w, const S: usize>(steps: impl Iterator<Item = ([f64; MR], &'w [f64])>) -> [[f64; S]; MR] {
+    let mut acc = [[0.0f64; S]; MR];
+    // No zero-skip: inputs are assumed dense (activations and weights
+    // almost never contain exact zeros), so the branch would only add a
+    // mispredict per product.
+    for (v, w) in steps {
+        let w: &[f64; S] = w[..S].try_into().expect("strip within the row");
+        for (accr, &vr) in acc.iter_mut().zip(&v) {
+            for (a, &wv) in accr.iter_mut().zip(w) {
+                *a += vr * wv;
+            }
+        }
+    }
+    acc
+}
+
+/// Steps through four equal-length rows in lockstep: entry `p` of each.
+#[inline(always)]
+fn zip4<'a>(rows: [&'a [f64]; MR]) -> impl Iterator<Item = [f64; MR]> + 'a {
+    let [r0, r1, r2, r3] = rows;
+    r0.iter()
+        .zip(r1)
+        .zip(r2)
+        .zip(r3)
+        .map(|(((&v0, &v1), &v2), &v3)| [v0, v1, v2, v3])
+}
+
+/// The four rows of `m` starting at `i`, the last one repeated past row
+/// `last`: a tail tile keeps the full shape and drops the repeats.
+#[inline(always)]
+fn rows4(m: &Matrix, i: usize, last: usize) -> [&[f64]; MR] {
+    std::array::from_fn(|t| m.row((i + t).min(last)))
+}
+
+/// Writes the `rows_here` rows of `out_chunk` from four-row tiles over
+/// the columns of `b`. `lhs(i)` steps through the left operand of chunk
+/// rows `i..i + MR` (rows past the chunk repeat its last row; their sums
+/// are computed and dropped, so every tile has the same shape), and
+/// `spill(j, sum)` maps each finished element of column `j` as it leaves
+/// the registers.
+#[inline(always)]
+fn rows_into<L, I, F>(
+    b: &Matrix,
+    out_chunk: &mut [f64],
+    rows_here: usize,
+    n: usize,
+    lhs: L,
+    spill: F,
+) where
+    L: Fn(usize) -> I,
+    I: Iterator<Item = [f64; MR]>,
+    F: Fn(usize, f64) -> f64,
+{
+    let mut i = 0;
+    while i < rows_here {
+        let live = MR.min(rows_here - i);
+        let orows = &mut out_chunk[i * n..(i + live) * n];
+        let mut j = 0;
+        while j + NR <= n {
+            let acc = tile::<NR>(lhs(i).zip(b.rows_iter().map(|w| &w[j..])));
+            for (orow, accr) in orows.chunks_exact_mut(n).zip(&acc) {
+                for (s, (o, &v)) in orow[j..j + NR].iter_mut().zip(accr).enumerate() {
+                    *o = spill(j + s, v);
+                }
+            }
+            j += NR;
+        }
+        for jj in j..n {
+            let acc = tile::<1>(lhs(i).zip(b.rows_iter().map(|w| &w[jj..])));
+            for (orow, accr) in orows.chunks_exact_mut(n).zip(&acc) {
+                orow[jj] = spill(jj, accr[0]);
+            }
+        }
+        i += MR;
+    }
+}
+
+/// Hands every live element of a finished tile to `store(t, s, sum)`,
+/// masking rows `live_r..` and columns `live_s..` of a tail tile, for
+/// [`a_bt_rows_into`]'s transposed scatter. The loops keep constant
+/// bounds so the accumulators can stay in registers. Measured on the
+/// 8×64·64×64 delta product: ~3 µs through this helper, ~7 µs with the
+/// same loop written inline in the caller or with a data-dependent
+/// bound.
+#[inline(always)]
+fn spill_tile<const S: usize>(
+    acc: &[[f64; S]; MR],
+    live_r: usize,
+    live_s: usize,
+    mut store: impl FnMut(usize, usize, f64),
+) {
+    for (t, accr) in acc.iter().enumerate() {
+        for (s, &v) in accr.iter().enumerate() {
+            if t < live_r && s < live_s {
+                store(t, s, v);
+            }
+        }
+    }
+}
+
 /// Computes rows `[i0, i0 + rows_here)` of `a @ b` into `out_chunk`
-/// (row-major, `rows_here * n` elements; fully overwritten).
+/// (row-major, `rows_here * n` elements; fully overwritten), four rows
+/// per register tile.
 ///
 /// Each output element starts from `0.0` and accumulates over `p` in
-/// ascending order — the register strip only changes *where* the running
-/// sum lives, not the order of additions, so results are bit-for-bit
-/// equal to the naive kernel.
+/// ascending order ([`tile`]), so results are bit-for-bit equal to the
+/// naive kernel.
 fn block_rows_into(
     a: &Matrix,
     b: &Matrix,
     out_chunk: &mut [f64],
     i0: usize,
     rows_here: usize,
-    k: usize,
     n: usize,
 ) {
-    for local_i in 0..rows_here {
-        let arow = a.row(i0 + local_i);
-        debug_assert_eq!(arow.len(), k);
-        let orow = &mut out_chunk[local_i * n..(local_i + 1) * n];
-        let mut j = 0;
-        while j + STRIP <= n {
-            let mut acc = [0.0f64; STRIP];
-            // No zero-skip: inputs are assumed dense (activations and
-            // weights almost never contain exact zeros), so the branch
-            // would only add a mispredict per element.
-            for (p, &aip) in arow.iter().enumerate() {
-                let brow = &b.row(p)[j..j + STRIP];
-                for (acw, &bv) in acc.iter_mut().zip(brow) {
-                    *acw += aip * bv;
-                }
-            }
-            orow[j..j + STRIP].copy_from_slice(&acc);
-            j += STRIP;
-        }
-        for (jj, o) in orow.iter_mut().enumerate().skip(j) {
-            let mut s = 0.0f64;
-            for (p, &aip) in arow.iter().enumerate() {
-                s += aip * b.row(p)[jj];
-            }
-            *o = s;
-        }
-    }
+    let last = (i0 + rows_here).saturating_sub(1);
+    let lhs = |i: usize| zip4(rows4(a, i0 + i, last));
+    rows_into(b, out_chunk, rows_here, n, lhs, |_, s| s);
 }
 
 /// Fused sibling of [`block_rows_into`]: computes rows
 /// `[i0, i0 + rows_here)` of `f(a @ b + bias)` into `out_chunk`. The
-/// strip accumulators are identical; `bias[j]` is added and `f` applied
-/// as each element spills, so the chunk is written exactly once.
+/// tiles are identical; `bias[j]` is added and `f` applied as each
+/// element spills, so the chunk is written exactly once.
 #[allow(clippy::too_many_arguments)]
 fn block_rows_bias_map_into<F>(
     a: &Matrix,
@@ -461,79 +561,41 @@ fn block_rows_bias_map_into<F>(
     out_chunk: &mut [f64],
     i0: usize,
     rows_here: usize,
-    k: usize,
     n: usize,
     f: F,
 ) where
     F: Fn(f64) -> f64,
 {
-    for local_i in 0..rows_here {
-        let arow = a.row(i0 + local_i);
-        debug_assert_eq!(arow.len(), k);
-        let orow = &mut out_chunk[local_i * n..(local_i + 1) * n];
-        let mut j = 0;
-        while j + STRIP <= n {
-            let mut acc = [0.0f64; STRIP];
-            for (p, &aip) in arow.iter().enumerate() {
-                let brow = &b.row(p)[j..j + STRIP];
-                for (acw, &bv) in acc.iter_mut().zip(brow) {
-                    *acw += aip * bv;
-                }
-            }
-            for (i, &s) in acc.iter().enumerate() {
-                orow[j + i] = f(s + bias[j + i]);
-            }
-            j += STRIP;
-        }
-        for (jj, o) in orow.iter_mut().enumerate().skip(j) {
-            let mut s = 0.0f64;
-            for (p, &aip) in arow.iter().enumerate() {
-                s += aip * b.row(p)[jj];
-            }
-            *o = f(s + bias[jj]);
-        }
-    }
+    let last = (i0 + rows_here).saturating_sub(1);
+    let lhs = |i: usize| zip4(rows4(a, i0 + i, last));
+    rows_into(b, out_chunk, rows_here, n, lhs, |j, s| f(s + bias[j]));
 }
 
 /// Computes rows `[i0, i0 + rows_here)` of `aᵀ @ b` into `out_chunk`
 /// (row-major, `rows_here * n` elements; fully overwritten). `a` is
 /// `(r, m)`, `b` is `(r, n)`; output row `i` of the chunk is column
 /// `i0 + i` of `a` dotted against `b`, accumulated over `p` in ascending
-/// order (register strip as in [`block_rows_into`], same bit-exactness
-/// argument).
+/// order. A tile reads four adjacent entries of each row of `a`.
 fn at_b_rows_into(
     a: &Matrix,
     b: &Matrix,
     out_chunk: &mut [f64],
     i0: usize,
     rows_here: usize,
-    r: usize,
     n: usize,
 ) {
-    for local_i in 0..rows_here {
-        let col = i0 + local_i;
-        let orow = &mut out_chunk[local_i * n..(local_i + 1) * n];
-        let mut j = 0;
-        while j + STRIP <= n {
-            let mut acc = [0.0f64; STRIP];
-            for p in 0..r {
-                let api = a.row(p)[col];
-                let brow = &b.row(p)[j..j + STRIP];
-                for (acw, &bv) in acc.iter_mut().zip(brow) {
-                    *acw += api * bv;
-                }
-            }
-            orow[j..j + STRIP].copy_from_slice(&acc);
-            j += STRIP;
-        }
-        for (jj, o) in orow.iter_mut().enumerate().skip(j) {
-            let mut s = 0.0f64;
-            for p in 0..r {
-                s += a.row(p)[col] * b.row(p)[jj];
-            }
-            *o = s;
-        }
-    }
+    let last = (i0 + rows_here).saturating_sub(1);
+    let lhs = |i: usize| {
+        let cols: [usize; MR] = std::array::from_fn(|t| (i0 + i + t).min(last));
+        a.rows_iter().map(move |arow| cols.map(|c| arow[c]))
+    };
+    rows_into(b, out_chunk, rows_here, n, lhs, |_, s| s);
+}
+
+thread_local! {
+    /// Transposed, zero-padded copy of a block of `a`'s rows for
+    /// [`a_bt_rows_into`]; grows to `k × PACK_ROWS` once per thread.
+    static PACKED: std::cell::RefCell<Vec<f64>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
 /// Computes rows `[i0, i0 + rows_here)` of `a @ bᵀ` into `out_chunk`
@@ -541,12 +603,12 @@ fn at_b_rows_into(
 /// `(m, k)`, `b` is `(n, k)`; each output element is a row-row dot
 /// product accumulated over `k` in ascending order.
 ///
-/// A 2×4 block of output elements (two `a` rows × four `b` rows) is
-/// computed concurrently: the eight independent accumulation chains hide
-/// the FP-add latency of a single serial dot product, and each loaded
-/// operand value feeds several chains. Each element's own chain still
-/// sums over `k` in ascending order, so the result is bit-for-bit
-/// unchanged.
+/// A dot product vectorizes only by reassociating it, so the kernel
+/// instead packs up to [`PACK_ROWS`] rows of `a` transposed (`k` rows of
+/// `NR`-padded width) and runs [`tile`] over them: four rows of
+/// `b` (four output columns) against `NR` packed rows of `a`
+/// (output rows), stored transposed as the tile spills. Padding lanes
+/// hold zeros and are never stored.
 fn a_bt_rows_into(
     a: &Matrix,
     b: &Matrix,
@@ -555,88 +617,37 @@ fn a_bt_rows_into(
     rows_here: usize,
     n: usize,
 ) {
-    let mut local_i = 0;
-    while local_i + 2 <= rows_here {
-        let arow0 = a.row(i0 + local_i);
-        let arow1 = a.row(i0 + local_i + 1);
-        let k = arow0.len();
-        let (orow0, rest) = out_chunk[local_i * n..(local_i + 2) * n].split_at_mut(n);
-        let orow1 = rest;
-        let mut j = 0;
-        while j + 8 <= n {
-            let b0 = &b.row(j)[..k];
-            let b1 = &b.row(j + 1)[..k];
-            let b2 = &b.row(j + 2)[..k];
-            let b3 = &b.row(j + 3)[..k];
-            let b4 = &b.row(j + 4)[..k];
-            let b5 = &b.row(j + 5)[..k];
-            let b6 = &b.row(j + 6)[..k];
-            let b7 = &b.row(j + 7)[..k];
-            let mut s = [0.0f64; 16];
-            for idx in 0..k {
-                let a0 = arow0[idx];
-                let a1 = arow1[idx];
-                s[0] += a0 * b0[idx];
-                s[1] += a0 * b1[idx];
-                s[2] += a0 * b2[idx];
-                s[3] += a0 * b3[idx];
-                s[4] += a0 * b4[idx];
-                s[5] += a0 * b5[idx];
-                s[6] += a0 * b6[idx];
-                s[7] += a0 * b7[idx];
-                s[8] += a1 * b0[idx];
-                s[9] += a1 * b1[idx];
-                s[10] += a1 * b2[idx];
-                s[11] += a1 * b3[idx];
-                s[12] += a1 * b4[idx];
-                s[13] += a1 * b5[idx];
-                s[14] += a1 * b6[idx];
-                s[15] += a1 * b7[idx];
+    let k = a.cols();
+    PACKED.with(|cell| {
+        let mut packed = cell.borrow_mut();
+        let mut ib = 0;
+        while ib < rows_here {
+            let mb = PACK_ROWS.min(rows_here - ib);
+            let width = mb.div_ceil(NR) * NR;
+            if packed.len() < k * width {
+                packed.resize(k * width, 0.0);
             }
-            orow0[j..j + 8].copy_from_slice(&s[..8]);
-            orow1[j..j + 8].copy_from_slice(&s[8..]);
-            j += 8;
-        }
-        for jj in j..n {
-            let brow = &b.row(jj)[..k];
-            let (mut s0, mut s1) = (0.0f64, 0.0f64);
-            for idx in 0..k {
-                s0 += arow0[idx] * brow[idx];
-                s1 += arow1[idx] * brow[idx];
+            let block = &mut packed[..k * width];
+            block.fill(0.0);
+            for s in 0..mb {
+                for (p, &v) in a.row(i0 + ib + s).iter().enumerate() {
+                    block[p * width + s] = v;
+                }
             }
-            orow0[jj] = s0;
-            orow1[jj] = s1;
-        }
-        local_i += 2;
-    }
-    // Odd trailing row: plain 4-column interleave.
-    if local_i < rows_here {
-        let arow = a.row(i0 + local_i);
-        let k = arow.len();
-        let orow = &mut out_chunk[local_i * n..(local_i + 1) * n];
-        let mut j = 0;
-        while j + 4 <= n {
-            let b0 = &b.row(j)[..k];
-            let b1 = &b.row(j + 1)[..k];
-            let b2 = &b.row(j + 2)[..k];
-            let b3 = &b.row(j + 3)[..k];
-            let (mut s0, mut s1, mut s2, mut s3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-            for (idx, &av) in arow.iter().enumerate() {
-                s0 += av * b0[idx];
-                s1 += av * b1[idx];
-                s2 += av * b2[idx];
-                s3 += av * b3[idx];
+            let block = &packed[..k * width];
+            for s0 in (0..mb).step_by(NR) {
+                let live = NR.min(mb - s0);
+                for j in (0..n).step_by(MR) {
+                    let lhs = zip4(rows4(b, j, n - 1));
+                    let acc = tile::<NR>(lhs.zip(block.chunks_exact(width).map(|w| &w[s0..])));
+                    spill_tile(&acc, n - j, live, |t, s, v| {
+                        out_chunk[(ib + s0 + s) * n + j + t] = v;
+                    });
+                }
             }
-            orow[j] = s0;
-            orow[j + 1] = s1;
-            orow[j + 2] = s2;
-            orow[j + 3] = s3;
-            j += 4;
+            ib += mb;
         }
-        for (jj, o) in orow.iter_mut().enumerate().skip(j) {
-            *o = arow.iter().zip(b.row(jj)).map(|(&p, &q)| p * q).sum();
-        }
-    }
+    });
 }
 
 #[cfg(test)]
@@ -825,6 +836,118 @@ mod tests {
         assert!(vecmat_bias_map_into(&[0.0; 3], &a, &[0.0; 3], &mut [0.0; 3], |z| z).is_err());
         assert!(vecmat_bias_map_into(&[0.0; 2], &a, &[0.0; 2], &mut [0.0; 3], |z| z).is_err());
         assert!(vecmat_bias_map_into(&[0.0; 2], &a, &[0.0; 3], &mut [0.0; 2], |z| z).is_err());
+    }
+
+    /// `(m, k, n)` for an `m × n` output summed over `k`: the 8-row
+    /// training shards (forward `x·W`, `xᵀ·δ` and `δ·Wᵀ`), the 61-state
+    /// served sweep, the 1537-row validation pass and a 7686-row product
+    /// that takes the parallel branch, then odd sizes around the 4-row
+    /// tile, the 8- and 16-wide strips and the 64-row packing block.
+    const ORACLE_SHAPES: &[(usize, usize, usize)] = &[
+        (8, 64, 64),
+        (8, 3, 64),
+        (64, 8, 64),
+        (3, 8, 64),
+        (64, 8, 1),
+        (8, 64, 1),
+        (8, 1, 64),
+        (61, 3, 64),
+        (61, 64, 64),
+        (61, 64, 1),
+        (1537, 64, 64),
+        (7686, 64, 64),
+        (1, 1, 1),
+        (2, 5, 7),
+        (3, 9, 8),
+        (4, 7, 9),
+        (5, 16, 15),
+        (6, 2, 16),
+        (7, 2, 17),
+        (9, 33, 31),
+        (12, 1, 33),
+        (13, 65, 23),
+        (65, 17, 66),
+        (130, 3, 129),
+    ];
+
+    fn assert_bits(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}[{i}]: {g} vs oracle {w}");
+        }
+    }
+
+    /// Every `_into` kernel against the naive triple loop, bit for bit:
+    /// the transpose-free kernels through explicit transposes of their
+    /// operands, the fused kernels through the oracle plus a separate
+    /// bias and SELU pass.
+    #[test]
+    fn into_kernels_equal_naive_oracle_bitwise_at_model_shapes() {
+        let selu = |z: f64| {
+            if z > 0.0 {
+                1.05070098 * z
+            } else {
+                1.05070098 * 1.67326324 * (z.exp() - 1.0)
+            }
+        };
+        let mut rng = StdRng::seed_from_u64(23);
+        for &(m_, k_, n_) in ORACLE_SHAPES {
+            let what = |kernel: &str| format!("{kernel} ({m_},{k_},{n_})");
+            let a = init::uniform(m_, k_, -2.0, 2.0, &mut rng);
+            let b = init::uniform(k_, n_, -2.0, 2.0, &mut rng);
+            let bias: Vec<f64> = (0..n_).map(|j| 0.03 * j as f64 - 0.5).collect();
+            let oracle = matmul_naive(&a, &b).unwrap();
+            let mut mapped = oracle.clone();
+            for r in 0..m_ {
+                for (o, &bv) in mapped.row_mut(r).iter_mut().zip(&bias) {
+                    *o = selu(*o + bv);
+                }
+            }
+
+            let mut out = Matrix::full(m_, n_, f64::NAN);
+            matmul_into(&a, &b, &mut out).unwrap();
+            assert_bits(out.as_slice(), oracle.as_slice(), &what("matmul_into"));
+            assert_bits(
+                matmul(&a, &b).unwrap().as_slice(),
+                oracle.as_slice(),
+                &what("matmul"),
+            );
+
+            // `a` is the explicit transpose of the stored `(k, m)` operand.
+            let at = a.transpose();
+            out.as_mut_slice().fill(f64::NAN);
+            matmul_at_b_into(&at, &b, &mut out).unwrap();
+            assert_bits(out.as_slice(), oracle.as_slice(), &what("matmul_at_b_into"));
+
+            // `b` is the explicit transpose of the stored `(n, k)` operand.
+            let bt = b.transpose();
+            out.as_mut_slice().fill(f64::NAN);
+            matmul_a_bt_into(&a, &bt, &mut out).unwrap();
+            assert_bits(out.as_slice(), oracle.as_slice(), &what("matmul_a_bt_into"));
+
+            out.as_mut_slice().fill(f64::NAN);
+            matmul_bias_map_into(&a, &b, &bias, &mut out, selu).unwrap();
+            assert_bits(
+                out.as_slice(),
+                mapped.as_slice(),
+                &what("matmul_bias_map_into"),
+            );
+
+            // The single-row kernels on the first row.
+            let x = a.row(0);
+            let mut row = vec![f64::NAN; n_];
+            vecmat_into(x, &b, &mut row).unwrap();
+            assert_bits(&row, oracle.row(0), &what("vecmat_into"));
+            vecmat_bias_map_into(x, &b, &bias, &mut row, selu).unwrap();
+            assert_bits(&row, mapped.row(0), &what("vecmat_bias_map_into"));
+
+            // `a · col` as the oracle product with a one-column right side.
+            let col = b.col(0);
+            let mut mv = vec![f64::NAN; m_];
+            matvec_into(&a, &col, &mut mv).unwrap();
+            let want = matmul_naive(&a, &Matrix::col_vector(&col)).unwrap();
+            assert_bits(&mv, want.as_slice(), &what("matvec_into"));
+        }
     }
 
     mod props {

@@ -179,12 +179,13 @@ BEGIN { print "{"; sep = "" }
 printf ',\n  "serve_qps": %s,\n  "serve_p99_us": %s,\n  "serve_qps_telemetry": %s,\n  "serve_p99_telemetry_us": %s,\n  "serve_qps_journal": %s,\n  "serve_p99_journal_us": %s\n}\n' \
     "$serve_qps" "$serve_p99" "$serve_qps_t" "$serve_p99_t" "$serve_qps_j" "$serve_p99_j" >> "$out"
 
-# The engine rows (one per precision) and the reply-rendering row are the
-# numbers the README performance table and serving notes quote — fail
-# loudly if the bench stopped emitting them.
+# The engine rows (one per precision), the training-step row and the
+# reply-rendering row are the numbers the README performance notes and
+# DESIGN quote — fail loudly if the bench stopped emitting them.
 grep -q '"nn_forward_61_states/engine_f64"' "$out"
 grep -q '"nn_forward_61_states/engine_f32"' "$out"
 grep -q '"nn_forward_61_states/engine_bf16"' "$out"
+grep -q '"nn_training/shard_step_8x64"' "$out"
 grep -q '"serve_render/profile_tail_61"' "$out"
 
 echo "==> wrote $out"
