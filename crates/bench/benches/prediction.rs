@@ -1,10 +1,11 @@
 //! Criterion benches for the online prediction phase: the batched sweep
-//! and the cache-aware path over the full 61-state GA100 DVFS grid, the
-//! reply rendering a served fragment-cache miss pays, and the network
-//! forward pass behind them at every engine precision.
+//! and the cache-aware path over the full 61-state GA100 DVFS grid, a
+//! miss into a full profile-cache shard, the reply rendering a served
+//! fragment-cache miss pays, and the network forward pass behind them
+//! at every engine precision.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dvfs_core::cache::ShardedProfileCache;
+use dvfs_core::cache::{CacheHandle, NormalizedProfile, ShardedProfileCache};
 use dvfs_core::dataset::Dataset;
 use dvfs_core::models::PowerTimeModels;
 use dvfs_core::predictor::Predictor;
@@ -83,6 +84,39 @@ fn bench_prediction(c: &mut Criterion) {
         b.iter(|| predictor.predict_batch_cached(&cache, black_box(one), black_box(&freqs)))
     });
     group.finish();
+
+    // A miss into a full 2048-entry shard (the daemon's shard size on two
+    // cores: 4096 entries over two shards): one lookup, one LRU eviction,
+    // one insert of a 61-state profile. The fill hands back a prepared
+    // profile, so the row times the cache, not the sweep.
+    let normalized = NormalizedProfile {
+        power_w: vec![250.0; freqs.len()],
+        time_ratio: vec![1.0; freqs.len()],
+        ratio_at_max: 1.0,
+    };
+    let shard = ShardedProfileCache::new(2048, 1);
+    let mut next = 0u64;
+    let mut fresh_key = || {
+        next += 1;
+        // A new 1e-3 activity bucket each call, over a 1000 × 1000 grid.
+        let (fp, dram) = (
+            (next % 1000) as f64 * 1e-3,
+            (next / 1000 % 1000) as f64 * 1e-3,
+        );
+        shard.key(&spec, fp, dram, &freqs)
+    };
+    for _ in 0..2048 {
+        shard.get_or_insert_with(fresh_key(), || normalized.clone());
+    }
+    let mut group = c.benchmark_group("profile_cache");
+    group.bench_function("insert_evict_2048", |b| {
+        b.iter(|| {
+            let key = fresh_key();
+            shard.get_or_insert_with(black_box(key), || normalized.clone())
+        })
+    });
+    group.finish();
+    assert_eq!(shard.len(), 2048, "the shard stayed full");
 
     // What `dvfs serve` renders on every fragment-cache miss: the four
     // 61-entry float arrays of one profile, into a reused buffer.

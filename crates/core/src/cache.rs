@@ -19,7 +19,7 @@
 
 use gpu_model::DeviceSpec;
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Cache key: quantized activities plus a device/grid fingerprint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -125,8 +125,22 @@ struct Slot {
 
 struct CacheState {
     entries: HashMap<CacheKey, Slot>,
+    /// Every resident key under its `last_used` tick, oldest first. Ticks
+    /// are unique, so the first entry is exactly the entry a scan for the
+    /// smallest `last_used` would pick, found in O(log n) instead of
+    /// O(capacity).
+    order: BTreeMap<u64, CacheKey>,
     tick: u64,
     stats: CacheStats,
+}
+
+impl CacheState {
+    /// Re-files `key` in the order index from its old tick to `tick`
+    /// (the caller has already stored `tick` in the slot).
+    fn touch(&mut self, key: CacheKey, old: u64, tick: u64) {
+        self.order.remove(&old);
+        self.order.insert(tick, key);
+    }
 }
 
 /// One shard: a bounded LRU of [`NormalizedProfile`]s behind one lock.
@@ -140,6 +154,7 @@ impl Shard {
         Self {
             state: Mutex::new(CacheState {
                 entries: HashMap::new(),
+                order: BTreeMap::new(),
                 tick: 0,
                 stats: CacheStats::default(),
             }),
@@ -156,7 +171,8 @@ impl Shard {
         fill: impl FnOnce() -> NormalizedProfile,
     ) -> NormalizedProfile {
         {
-            let mut state = self.state.lock();
+            let mut guard = self.state.lock();
+            let state = &mut *guard;
             state.tick += 1;
             let tick = state.tick;
             // `lookups` moves in the same critical section as the
@@ -164,8 +180,9 @@ impl Shard {
             // observe `lookups != hits + misses`.
             state.stats.lookups += 1;
             if let Some(slot) = state.entries.get_mut(&key) {
-                slot.last_used = tick;
                 let value = slot.value.clone();
+                let old = std::mem::replace(&mut slot.last_used, tick);
+                state.touch(key, old, tick);
                 state.stats.hits += 1;
                 return value;
             }
@@ -174,30 +191,32 @@ impl Shard {
         // Compute outside the lock so concurrent misses on different keys
         // don't serialize the (relatively expensive) forward passes.
         let value = fill();
-        let mut state = self.state.lock();
+        let mut guard = self.state.lock();
+        let state = &mut *guard;
         state.tick += 1;
         let tick = state.tick;
-        if state.entries.len() >= self.capacity && !state.entries.contains_key(&key) {
-            // Evict the least-recently-used entry. `last_used` ticks are
-            // unique, so the victim is deterministic.
-            if let Some(victim) = state
-                .entries
-                .iter()
-                .min_by_key(|(_, slot)| slot.last_used)
-                .map(|(k, _)| *k)
-            {
+        if let Some(slot) = state.entries.get_mut(&key) {
+            // Another lookup filled the key meanwhile: keep its entry (the
+            // same profile) and refresh its recency.
+            let old = std::mem::replace(&mut slot.last_used, tick);
+            state.touch(key, old, tick);
+            return value;
+        }
+        if state.entries.len() >= self.capacity {
+            // Evict the least-recently-used entry: the oldest tick.
+            if let Some((_, victim)) = state.order.pop_first() {
                 state.entries.remove(&victim);
                 state.stats.evictions += 1;
             }
         }
-        state
-            .entries
-            .entry(key)
-            .or_insert(Slot {
+        state.entries.insert(
+            key,
+            Slot {
                 value: value.clone(),
                 last_used: tick,
-            })
-            .last_used = tick;
+            },
+        );
+        state.order.insert(tick, key);
         value
     }
 
@@ -608,5 +627,139 @@ mod tests {
         let end = cache.stats();
         assert_eq!(end.lookups, 4 * 2_000);
         assert_eq!(end.lookups, end.hits + end.misses);
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+        use std::cell::RefCell;
+
+        /// The LRU as it was before the order index: the victim is found
+        /// by scanning every slot for the smallest `last_used`. Interior
+        /// mutability lets a fill re-enter it, like a lookup that races
+        /// another thread's insert of the same key.
+        struct ScanLru {
+            state: RefCell<ScanState>,
+            capacity: usize,
+        }
+
+        /// Each key's `(value, last_used)`, the tick and the counters.
+        #[derive(Default)]
+        struct ScanState {
+            entries: HashMap<CacheKey, (f64, u64)>,
+            tick: u64,
+            stats: CacheStats,
+        }
+
+        impl ScanLru {
+            fn get_or_insert_with(&self, key: CacheKey, fill: impl FnOnce() -> f64) -> f64 {
+                {
+                    let s = &mut *self.state.borrow_mut();
+                    s.tick += 1;
+                    s.stats.lookups += 1;
+                    if let Some((value, last_used)) = s.entries.get_mut(&key) {
+                        *last_used = s.tick;
+                        s.stats.hits += 1;
+                        return *value;
+                    }
+                    s.stats.misses += 1;
+                }
+                let value = fill();
+                let s = &mut *self.state.borrow_mut();
+                s.tick += 1;
+                if s.entries.len() >= self.capacity && !s.entries.contains_key(&key) {
+                    let victim = *s.entries.iter().min_by_key(|(_, e)| e.1).unwrap().0;
+                    s.entries.remove(&victim);
+                    s.stats.evictions += 1;
+                }
+                s.entries.entry(key).or_insert((value, s.tick)).1 = s.tick;
+                value
+            }
+
+            /// Resident keys with their `last_used` ticks, oldest first.
+            fn residency(&self) -> Vec<(CacheKey, u64)> {
+                let s = self.state.borrow();
+                let mut v: Vec<_> = s.entries.iter().map(|(k, e)| (*k, e.1)).collect();
+                v.sort_by_key(|&(_, t)| t);
+                v
+            }
+        }
+
+        fn shard_residency(shard: &Shard) -> Vec<(CacheKey, u64)> {
+            let state = shard.state.lock();
+            assert_eq!(
+                state.order.len(),
+                state.entries.len(),
+                "order index and entry map disagree in length"
+            );
+            let mut v: Vec<_> = state
+                .entries
+                .iter()
+                .map(|(k, s)| (*k, s.last_used))
+                .collect();
+            v.sort_by_key(|&(_, t)| t);
+            let indexed: Vec<_> = state.order.iter().map(|(&t, &k)| (k, t)).collect();
+            assert_eq!(v, indexed, "order index does not mirror the slots' ticks");
+            v
+        }
+
+        fn key(i: u64) -> CacheKey {
+            CacheKey {
+                fp_bucket: i as i64,
+                dram_bucket: -(i as i64),
+                context_hash: 7,
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(200))]
+            /// The order-indexed shard evicts, counts and keeps exactly
+            /// what the scanning LRU does, step by step. A step is a
+            /// lookup (hit or miss), or a miss whose fill first looks up
+            /// `inner`: with `inner == key` the outer insert then finds
+            /// its key present (the re-insert path), otherwise the inner
+            /// miss may evict entries under the outer one.
+            #[test]
+            fn order_index_evicts_like_a_scan(
+                capacity in 1usize..7,
+                steps in proptest::collection::vec((0u8..3, 0u64..12, 0u64..12), 1..120),
+            ) {
+                let shard = Shard::new(capacity);
+                let model = ScanLru {
+                    state: RefCell::default(),
+                    capacity,
+                };
+                for (n, &(kind, k, inner)) in steps.iter().enumerate() {
+                    let tag = n as f64;
+                    let inner_tag = tag + 0.5;
+                    let (got, want) = if kind < 2 {
+                        (
+                            shard.get_or_insert_with(key(k), || profile(tag)),
+                            model.get_or_insert_with(key(k), || tag),
+                        )
+                    } else {
+                        (
+                            shard.get_or_insert_with(key(k), || {
+                                shard.get_or_insert_with(key(inner), || profile(inner_tag));
+                                profile(tag)
+                            }),
+                            model.get_or_insert_with(key(k), || {
+                                model.get_or_insert_with(key(inner), || inner_tag);
+                                tag
+                            }),
+                        )
+                    };
+                    prop_assert_eq!(got.power_w[0], want, "value at step {}", n);
+                    prop_assert_eq!(shard.stats(), model.state.borrow().stats, "stats at step {}", n);
+                    // Equal residency after every step means equal victims.
+                    prop_assert_eq!(
+                        shard_residency(&shard),
+                        model.residency(),
+                        "residency at step {}",
+                        n
+                    );
+                }
+            }
+        }
     }
 }

@@ -218,8 +218,12 @@ impl<'a> Predictor<'a> {
 
     /// Runs both models once each over the whole sweep: one `F x 3`
     /// feature matrix and one batched engine pass per model, plus the
-    /// single-row time ratio at the default clock that anchors absolute
-    /// times.
+    /// time ratio at the default clock that anchors absolute times.
+    ///
+    /// A grid that ends at the default clock (every
+    /// [`gpu_model::DvfsGrid::used`] grid does) already holds that ratio
+    /// in its last row: a batch row is bitwise equal to the one-row pass
+    /// in every precision mode, so only other grids run the extra row.
     fn normalized_profile(
         &self,
         fp_active: f64,
@@ -228,15 +232,17 @@ impl<'a> Predictor<'a> {
     ) -> NormalizedProfile {
         let spec = &self.spec;
         let engines = &self.engines;
+        let power_w = engines.predict_power_w_batch(spec, fp_active, dram_active, frequencies);
+        let time_ratio =
+            engines.predict_time_ratio_batch(spec, fp_active, dram_active, frequencies);
+        let ratio_at_max = match time_ratio.last() {
+            Some(&ratio) if frequencies.last() == Some(&spec.max_core_mhz) => ratio,
+            _ => engines.predict_time_ratio(spec, fp_active, dram_active, spec.max_core_mhz),
+        };
         NormalizedProfile {
-            power_w: engines.predict_power_w_batch(spec, fp_active, dram_active, frequencies),
-            time_ratio: engines.predict_time_ratio_batch(spec, fp_active, dram_active, frequencies),
-            ratio_at_max: engines.predict_time_ratio(
-                spec,
-                fp_active,
-                dram_active,
-                spec.max_core_mhz,
-            ),
+            power_w,
+            time_ratio,
+            ratio_at_max,
         }
     }
 
@@ -563,6 +569,36 @@ mod tests {
                 let dt = (got.time_s[i] - exact.time_s[i]).abs() / exact.time_s[i].max(1e-9);
                 assert!(dp < rtol, "{precision:?} power drifted {dp:.2e} at row {i}");
                 assert!(dt < rtol, "{precision:?} time drifted {dt:.2e} at row {i}");
+            }
+        }
+    }
+
+    /// The anchor ratio is the one-row prediction at the default clock,
+    /// bit for bit, whether it is read off the sweep's last row (a grid
+    /// ending at the default clock) or predicted separately (any other
+    /// grid), in every precision mode.
+    #[test]
+    fn anchor_ratio_equals_the_one_row_prediction_on_every_grid() {
+        let backend = SimulatorBackend::ga100();
+        let spec = backend.spec().clone();
+        let models = trained_models(&spec);
+        let used = backend.grid().used();
+        assert_eq!(used.last(), Some(&spec.max_core_mhz));
+        let short = &used[..used.len() - 1];
+        for precision in [Precision::F64, Precision::F32, Precision::Bf16] {
+            let engines = PredictEngines::compile(&models, precision);
+            let predictor = Predictor::with_engines(&models, &engines, spec.clone());
+            for (fp, dram) in [(0.62, 0.31), (0.05, 0.9), (0.99, 0.01)] {
+                let want = engines.predict_time_ratio(&spec, fp, dram, spec.max_core_mhz);
+                for grid in [&used[..], short] {
+                    let got = predictor.normalized_profile(fp, dram, grid).ratio_at_max;
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{precision}: {} states",
+                        grid.len()
+                    );
+                }
             }
         }
     }

@@ -26,8 +26,9 @@
 //!   frames parse and responses render without the boxed JSON value
 //!   tree, byte-identical to the serde path (pinned by tests); each
 //!   worker additionally caches the serialized, workload-independent
-//!   profile fragment per (quantized activities, exec time) so a hot
-//!   key's response is a few memcpys.
+//!   profile fragment per (quantized activities, exec time), admitted
+//!   on the key's second sighting, so a hot key's response is a few
+//!   memcpys and a key seen once stores nothing.
 //!
 //! Each worker binds a [`Predictor`] to the current [`ModelSnapshot`]
 //! and rebinds (dropping its per-snapshot fragment cache) when
@@ -80,6 +81,10 @@ const REPLY_TIMEOUT: Duration = Duration::from_secs(10);
 /// reset wholesale (a cheap epoch clear beats per-entry LRU bookkeeping
 /// at this size; the cache also clears on every snapshot rebind).
 const FRAGMENT_CACHE_MAX: usize = 8192;
+
+/// Slots in each worker's [`Sightings`] table: twice the fragment cache,
+/// 128 KiB of fingerprints.
+const SIGHTING_SLOTS: usize = 2 * FRAGMENT_CACHE_MAX;
 
 /// Server tunables. `Default` is sized for tests and smoke runs; the CLI
 /// scales `workers` to the machine.
@@ -925,6 +930,78 @@ struct Fragment {
     digest: u64,
 }
 
+impl Fragment {
+    fn view(&self) -> FragmentView<'_> {
+        FragmentView {
+            profile: &self.profile,
+            tail: &self.tail,
+            digest: self.digest,
+        }
+    }
+}
+
+/// What [`respond_job`] reads of a fragment, borrowed: from a cached
+/// [`Fragment`], or from a miss that was not admitted (its predicted
+/// profile and the worker's reused tail buffer), so that reply copies
+/// nothing.
+#[derive(Clone, Copy)]
+struct FragmentView<'a> {
+    profile: &'a PredictedProfile,
+    tail: &'a [u8],
+    digest: u64,
+}
+
+/// The fragment cache's admission filter: a direct-mapped table of
+/// fragment-key fingerprints, one per worker binding.
+///
+/// A miss stores its fragment only on the key's second sighting, when
+/// the key's fingerprint already holds its slot. A key that never
+/// repeats (an unseen application, a fresh profiling run) then costs one
+/// slot write instead of a ~6 KB fragment that nothing reads again. Two
+/// keys that share a slot evict each other's fingerprint, which only
+/// delays their admission; replies never depend on the table.
+struct Sightings {
+    slots: Box<[u64]>,
+}
+
+impl Sightings {
+    /// A table of `slots` empty slots (a power of two).
+    fn new(slots: usize) -> Self {
+        assert!(
+            slots.is_power_of_two(),
+            "sighting slots must be a power of two"
+        );
+        Self {
+            slots: vec![0; slots].into_boxed_slice(),
+        }
+    }
+
+    /// Records a sighting of fingerprint `fp` and reports whether its
+    /// slot already held it.
+    fn seen_before(&mut self, fp: u64) -> bool {
+        // Zero marks an empty slot, so it is never stored as a
+        // fingerprint; 0 and 1 share one.
+        let fp = fp.max(1);
+        // The high bits: FNV-1a mixes every input byte into them.
+        let index = (fp >> (64 - self.slots.len().trailing_zeros())) as usize;
+        let slot = &mut self.slots[index];
+        let seen = *slot == fp;
+        *slot = fp;
+        seen
+    }
+}
+
+/// A 64-bit fingerprint of a fragment key: the exec-time bits folded
+/// into the cache key's FNV-1a shard hash.
+fn fingerprint(key: &(CacheKey, u64)) -> u64 {
+    key.1
+        .to_le_bytes()
+        .into_iter()
+        .fold(key.0.shard_hash(), |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
 /// Interned trace/metric handles the worker hot loop records through.
 struct WorkerStats {
     requests: obs::Counter,
@@ -975,8 +1052,8 @@ fn worker_loop(
     let mut batch: Vec<Job> = Vec::with_capacity(max_batch);
     let mut scratch: Vec<u8> = Vec::with_capacity(8 * 1024);
     let mut jbuf: Vec<u8> = Vec::with_capacity(256);
-    // Each miss renders its tail here; the fragment keeps an exact-size
-    // copy.
+    // Each miss renders its tail here; an admitted fragment keeps an
+    // exact-size copy.
     let mut tail: Vec<u8> = Vec::with_capacity(4096);
     let mut miss_refs: Vec<MetricSample> = Vec::new();
     // Each miss's batch index and fragment key, kept from pass 1.
@@ -995,10 +1072,11 @@ fn worker_loop(
         prefix.extend_from_slice(fast::RESPONSE_OK_HEAD);
         fast::write_f64(&mut prefix, snap.version as f64);
         prefix.extend_from_slice(fast::RESPONSE_PROFILE_HEAD);
-        // Serialized-fragment cache, valid exactly as long as this
-        // binding: a publish changes the models (and the version in the
-        // prefix), so rebinding drops it wholesale.
+        // Serialized-fragment cache and its admission filter, valid
+        // exactly as long as this binding: a publish changes the models
+        // (and the version in the prefix), so rebinding drops both.
         let mut fragments: HashMap<(CacheKey, u64), Fragment> = HashMap::new();
+        let mut sightings = Sightings::new(SIGHTING_SLOTS);
         let ctx = ResponderCtx {
             stats: &stats,
             prefix: &prefix,
@@ -1032,7 +1110,15 @@ fn worker_loop(
                     // Booked before the reply is filled, so a `stats`
                     // frame sent after this reply arrives counts the hit.
                     shared.cache.record_front_hits(1);
-                    respond_job(&ctx, job, fragment, &key, true, &mut scratch, &mut jbuf);
+                    respond_job(
+                        &ctx,
+                        job,
+                        fragment.view(),
+                        &key,
+                        true,
+                        &mut scratch,
+                        &mut jbuf,
+                    );
                 } else {
                     miss_refs.push(reference_from(&job.req, snap.spec.max_core_mhz));
                     misses.push((i, key));
@@ -1053,17 +1139,28 @@ fn worker_loop(
                         Some(_) => super::journal::profile_digest(&profile),
                         None => 0,
                     };
-                    // Epoch reset at capacity: cheaper than LRU chains
-                    // for a cache this small, and misses just recompute.
-                    if fragments.len() >= FRAGMENT_CACHE_MAX {
-                        fragments.clear();
-                    }
-                    let fragment = fragments.entry(key).or_insert_with(|| Fragment {
-                        profile,
-                        tail: tail.as_slice().into(),
-                        digest,
-                    });
-                    respond_job(&ctx, job, fragment, &key, false, &mut scratch, &mut jbuf);
+                    // A key seen for the first time replies from what it
+                    // already has; the second sighting stores the fragment.
+                    let view = if sightings.seen_before(fingerprint(&key)) {
+                        // Epoch reset at capacity: cheaper than LRU chains
+                        // for a cache this small, and misses just recompute.
+                        if fragments.len() >= FRAGMENT_CACHE_MAX {
+                            fragments.clear();
+                        }
+                        let fragment = fragments.entry(key).or_insert_with(|| Fragment {
+                            profile,
+                            tail: tail.as_slice().into(),
+                            digest,
+                        });
+                        fragment.view()
+                    } else {
+                        FragmentView {
+                            profile: &profile,
+                            tail: &tail,
+                            digest,
+                        }
+                    };
+                    respond_job(&ctx, job, view, &key, false, &mut scratch, &mut jbuf);
                 }
             }
             batch.clear();
@@ -1095,7 +1192,7 @@ fn fragment_key(
     )
 }
 
-/// Composes one job's response from the cached fragment and fills the
+/// Composes one job's response from a fragment and fills the
 /// connection's reply slot. Byte-identical to serde-serializing the
 /// equivalent [`Response`] (pinned by protocol tests); `select` re-runs
 /// the objective on the cached vectors, which is deterministic in its
@@ -1109,7 +1206,7 @@ fn fragment_key(
 fn respond_job(
     ctx: &ResponderCtx<'_>,
     job: &Job,
-    fragment: &Fragment,
+    fragment: FragmentView<'_>,
     key: &(CacheKey, u64),
     hit: bool,
     scratch: &mut Vec<u8>,
@@ -1132,7 +1229,7 @@ fn respond_job(
     } else {
         None
     };
-    let profile = &fragment.profile;
+    let profile = fragment.profile;
     let max_idx = profile.max_freq_index();
     // Finite curves can still put E·T or E·T² past f64::MAX, or 1/T
     // past it for a near-zero exec_time.
@@ -1181,7 +1278,7 @@ fn respond_job(
         scratch.clear();
         scratch.extend_from_slice(ctx.prefix);
         fast::write_json_str(scratch, job.req.workload.as_deref().unwrap_or(""));
-        scratch.extend_from_slice(&fragment.tail);
+        scratch.extend_from_slice(fragment.tail);
         scratch.extend_from_slice(fast::RESPONSE_SELECTION_HEAD);
         match &selection {
             Some(s) => fast::write_selection(scratch, s),
@@ -1330,5 +1427,64 @@ impl Client {
     /// The underlying stream (tests poke at it to truncate frames).
     pub fn stream_mut(&mut self) -> &mut TcpStream {
         &mut self.stream
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn second_sighting_is_admitted_and_first_is_not() {
+        let mut table = Sightings::new(16);
+        let fp = 0xdead_beef_0000_0042;
+        assert!(!table.seen_before(fp), "first sighting admitted");
+        assert!(table.seen_before(fp), "second sighting not admitted");
+        assert!(table.seen_before(fp), "third sighting not admitted");
+    }
+
+    #[test]
+    fn overwritten_slot_only_delays_admission() {
+        let mut table = Sightings::new(16);
+        // Same top four bits, so the same slot of sixteen.
+        let (a, b) = (0x7000_0000_0000_0001, 0x7000_0000_0000_0002);
+        assert!(!table.seen_before(a));
+        assert!(!table.seen_before(b), "b took a's slot");
+        assert!(!table.seen_before(a), "a's sighting was overwritten");
+        assert!(
+            table.seen_before(a),
+            "a admitted once it holds the slot again"
+        );
+        // A key in another slot is unaffected by the contest.
+        let c = 0x1000_0000_0000_0003;
+        assert!(!table.seen_before(c));
+        assert!(table.seen_before(c));
+    }
+
+    #[test]
+    fn fingerprint_zero_is_never_seen_in_an_empty_slot() {
+        let mut table = Sightings::new(16);
+        assert!(
+            !table.seen_before(0),
+            "an empty slot read as a sighting of 0"
+        );
+        assert!(table.seen_before(0));
+    }
+
+    #[test]
+    fn fingerprint_separates_exec_times_and_keys() {
+        let cache = ShardedProfileCache::new(8, 1);
+        let spec = gpu_model::DeviceSpec::ga100();
+        let grid = [510.0, 1410.0];
+        let k1 = cache.key(&spec, 0.5, 0.25, &grid);
+        let k2 = cache.key(&spec, 0.25, 0.5, &grid);
+        let fps = [
+            fingerprint(&(k1, 1.0f64.to_bits())),
+            fingerprint(&(k1, 2.0f64.to_bits())),
+            fingerprint(&(k2, 1.0f64.to_bits())),
+        ];
+        assert_ne!(fps[0], fps[1]);
+        assert_ne!(fps[0], fps[2]);
+        assert_eq!(fps[0], fingerprint(&(k1, 1.0f64.to_bits())));
     }
 }

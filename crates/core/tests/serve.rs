@@ -1014,3 +1014,92 @@ fn predict_emits_a_matching_flow_pair() {
 
     stop(server, &addr);
 }
+
+/// A worker stores a reply fragment only on its key's second sighting.
+/// One exact `select`, sent three times on one connection to a
+/// one-worker server with fresh runs of the same application (same
+/// activities, new exec_time) in between, takes every reply path: not
+/// admitted (first), admitted after a sharded-LRU hit (second) and a
+/// fragment hit (third). Each reply must be byte-identical to the
+/// in-process oracle rendered through serde; the journal says which
+/// path answered, and replays without divergence.
+#[test]
+fn repeated_request_is_bitwise_on_unadmitted_admitted_and_hit_paths() {
+    let dir = std::env::temp_dir().join(format!("dvfs-serve-admit-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let (server, _store) = start_server_with(ServeConfig {
+        workers: 1,
+        journal: Some(obs::journal::JournalConfig::new(dir.clone())),
+        ..ServeConfig::default()
+    });
+    let addr = server.local_addr().to_string();
+    let mut client = Client::connect(&addr).unwrap();
+
+    let (fp, dram) = (0.47, 0.38);
+    let exact =
+        |n: usize| Request::select(&format!("exact-{n}"), fp, dram, 7.25, "ed2p", Some(0.1));
+    let fresh = |n: usize| Request::predict(&format!("fresh-{n}"), fp, dram, 7.25 + n as f64);
+    let requests = [exact(1), fresh(1), exact(2), fresh(2), exact(3), fresh(3)];
+
+    let spec = DeviceSpec::ga100();
+    let predictor = Predictor::new(shared_models(), spec.clone());
+    let freqs = DvfsGrid::for_spec(&spec).used();
+    let oracle_cache = ShardedProfileCache::new(8, 1);
+    for req in &requests {
+        client
+            .send_raw(serde_json::to_string(req).unwrap().as_bytes())
+            .unwrap();
+        let served = client.read_frame_raw().unwrap();
+
+        let workload = req.workload.as_deref().unwrap();
+        let reference = reference_like_server(&spec, workload, fp, dram, req.exec_time.unwrap());
+        let profile = predictor
+            .predict_batch_cached(&oracle_cache, &[reference], &freqs)
+            .remove(0);
+        let mut want = dvfs_core::serve::Response::ok(1);
+        if req.cmd == "select" {
+            want.selection = Some(profile.select(dvfs_core::objective::Objective::Ed2p, Some(0.1)));
+        }
+        want.profile = Some(profile);
+        assert_eq!(
+            String::from_utf8(served).unwrap(),
+            serde_json::to_string(&want).unwrap(),
+            "{workload}: served reply differs from the oracle"
+        );
+    }
+    stop(server, &addr);
+
+    let records = obs::journal::read_records(&dir).expect("read journal");
+    let decoded: Vec<_> = records
+        .iter()
+        .map(|r| dvfs_core::serve::journal::DecisionRecord::decode(&r.body).expect("decodes"))
+        .collect();
+    let paths: Vec<(&str, bool)> = decoded
+        .iter()
+        .map(|d| (d.workload.as_str(), d.hit))
+        .collect();
+    assert_eq!(
+        paths,
+        [
+            ("exact-1", false),
+            ("fresh-1", false),
+            ("exact-2", false),
+            ("fresh-2", false),
+            ("exact-3", true),
+            ("fresh-3", false),
+        ],
+        "only the third exact request is a fragment hit"
+    );
+    let replay_snapshot = ModelSnapshot::new(
+        shared_models().clone(),
+        spec,
+        SnapshotMeta {
+            label: "replay".into(),
+            dataset_rows: 0,
+            train_seconds: 0.0,
+        },
+    );
+    let report = dvfs_core::serve::journal::replay(&records, &replay_snapshot);
+    assert_eq!(report.divergent, 0, "{:?}", report.divergences.first());
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -105,7 +105,7 @@ impl Dense {
         if let Activation::Softmax = self.activation {
             // Softmax is row-wise, not elementwise: finish the affine pass
             // first, then apply the row transform to a copy.
-            matmul::matmul_bias_map_into(input, &self.weights, b, pre, |z| z)
+            matmul::matmul_bias_into(input, &self.weights, b, pre)
                 .expect("layer/input width mismatch");
             out.copy_from(pre);
             for r in 0..out.rows() {
@@ -113,8 +113,7 @@ impl Dense {
             }
             return;
         }
-        matmul::matmul_bias_map_into(input, &self.weights, b, out, |z| z)
-            .expect("layer/input width mismatch");
+        matmul::matmul_bias_into(input, &self.weights, b, out).expect("layer/input width mismatch");
         with_variant!(self.activation, act => {
             for (o, d) in out.as_mut_slice().iter_mut().zip(pre.as_mut_slice()) {
                 (*o, *d) = act.value_and_derivative(*o);
@@ -125,60 +124,47 @@ impl Dense {
     /// Inference forward pass into a single reused buffer (no
     /// derivative kept): `out = act(input W + b)`, resizing `out`.
     ///
-    /// For elementwise activations the whole layer runs through the fused
-    /// `matmul_bias_map_into` kernel — bias add and activation happen as
-    /// the register accumulators spill, so `out` is written exactly once
-    /// instead of being re-read by a second bias/activation pass. This is
-    /// bitwise-identical to the unfused sequence (same accumulation order,
-    /// bias still added after the full sum).
+    /// The bias is added as the register tiles spill
+    /// ([`matmul::matmul_bias_into`]); the activation then runs as its
+    /// own pass over `out`, the shape [`Dense::forward_into`] has. Calling
+    /// `exp` inside the tile spill forces the tile's accumulators out of
+    /// registers around every call: the f64 61-state sweep measured
+    /// ~168 µs that way against ~124 µs with the separate pass (criterion
+    /// medians, 2-vCPU Xeon). Both are bitwise-identical to the unfused
+    /// sequence (same accumulation order, bias added after the full sum).
     ///
     /// # Panics
     /// Panics if `input.cols() != in_dim`.
     pub(crate) fn apply_into(&self, input: &Matrix, out: &mut Matrix) {
         out.resize_to(input.rows(), self.out_dim());
-        let b = self.bias.as_slice();
+        matmul::matmul_bias_into(input, &self.weights, self.bias.as_slice(), out)
+            .expect("layer/input width mismatch");
         if let Activation::Softmax = self.activation {
-            // Softmax is row-wise, not elementwise: affine pass first,
-            // then the row transform.
-            matmul::matmul_into(input, &self.weights, out).expect("layer/input width mismatch");
+            // Softmax is row-wise, not elementwise.
             for r in 0..out.rows() {
-                let row = out.row_mut(r);
-                for (z, &bv) in row.iter_mut().zip(b) {
-                    *z += bv;
-                }
-                self.activation.apply_row(row);
+                self.activation.apply_row(out.row_mut(r));
             }
         } else {
             with_variant!(self.activation, act => {
-                matmul::matmul_bias_map_into(input, &self.weights, b, out, move |z| act.apply(z))
-            })
-            .expect("layer/input width mismatch");
+                for o in out.as_mut_slice() {
+                    *o = act.apply(*o);
+                }
+            });
         }
     }
 
     /// Single-sample inference without any `Matrix` round-trip:
     /// `out = act(x W + b)` for a feature vector `x`, resizing `out` to
-    /// `out_dim`. Used by `Network::predict_one_into`.
+    /// `out_dim`: the strip kernel adds the bias as it spills, then the
+    /// activation runs over the row. Used by `Network::predict_one_into`.
     ///
     /// # Panics
     /// Panics if `input.len() != in_dim`.
     pub(crate) fn apply_vec(&self, input: &[f64], out: &mut Vec<f64>) {
         out.resize(self.out_dim(), 0.0);
-        let b = self.bias.as_slice();
-        if let Activation::Softmax = self.activation {
-            matmul::vecmat_into(input, &self.weights, out).expect("layer/input width mismatch");
-            for (z, &bv) in out.iter_mut().zip(b) {
-                *z += bv;
-            }
-            self.activation.apply_row(out);
-        } else {
-            // Fused strip kernel: the affine result never round-trips
-            // through memory. Bitwise-identical to the unfused sequence.
-            with_variant!(self.activation, act => {
-                matmul::vecmat_bias_map_into(input, &self.weights, b, out, move |z| act.apply(z))
-            })
+        matmul::vecmat_bias_into(input, &self.weights, self.bias.as_slice(), out)
             .expect("layer/input width mismatch");
-        }
+        self.activation.apply_row(out);
     }
 
     /// Backward pass leaving the parameter gradients as *raw sums* over

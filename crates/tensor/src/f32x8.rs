@@ -63,9 +63,10 @@ pub fn bf16_truncate(v: f32) -> f32 {
 /// `2^n` reconstruction via exponent-bit arithmetic. Inputs are clamped
 /// to `[-87, 88]`, so the result saturates instead of over/underflowing.
 /// Maximum relative error is ~2 ulp (< 3e-7), measured against f64
-/// `exp` in this module's tests. Every step is straight-line float/int
-/// arithmetic, so the autovectorizer can run eight of these per
-/// iteration inside the fused activation pass.
+/// `exp` in this module's tests. Every step is straight-line float and
+/// integer-bit arithmetic with no float→int conversion, so the
+/// autovectorizer runs eight of these per iteration inside the fused
+/// activation pass.
 #[inline]
 // The literals are exact by construction (`LN2_HI` has a short binary
 // mantissa so `n·LN2_HI` is error-free; the polynomial coefficients are
@@ -75,12 +76,16 @@ pub fn exp32(x: f32) -> f32 {
     const LOG2E: f32 = std::f32::consts::LOG2_E;
     const LN2_HI: f32 = 0.693_359_375;
     const LN2_LO: f32 = -2.121_944_4e-4;
+    // 1.5·2²³: every f32 in [2²³, 2²⁴) is an integer one ulp apart, so
+    // adding the shifter rounds `x·log2(e)` (|·| < 2²²) to an integer,
+    // ties to even, and leaves that integer in the low mantissa bits.
+    const SHIFTER: f32 = 12_582_912.0;
     let x = x.clamp(-87.0, 88.0);
-    // Ties-to-even maps to a single vector rounding instruction;
-    // half-away-from-zero (`round`) lowers to a scalar-ish sequence. The
-    // tie direction only shifts which side of the reduction interval a
-    // half-integer lands on — accuracy is unchanged.
-    let n = (x * LOG2E).round_ties_even();
+    // One add yields both `n` as a float and its integer bits. A `round`
+    // followed by `n as i32` computes the same `n`, but the saturating
+    // cast lowers to one scalar `cvttss2si` per lane.
+    let t = x * LOG2E + SHIFTER;
+    let n = t - SHIFTER;
     let r = (x - n * LN2_HI) - n * LN2_LO;
     // Cephes expf polynomial: e^r ≈ 1 + r + r²·p(r).
     let mut p = 1.987_569_1e-4f32;
@@ -90,7 +95,11 @@ pub fn exp32(x: f32) -> f32 {
     p = p * r + 1.666_666_6e-1;
     p = p * r + 5.000_000_1e-1;
     let poly = p * r * r + r + 1.0;
-    let scale = f32::from_bits((((n as i32) + 127) << 23) as u32);
+    // `bits(t) − bits(SHIFTER)` is `n` in two's complement; wrapping ops
+    // keep a NaN input (any bits) from tripping overflow checks, and its
+    // NaN polynomial makes the product NaN whatever the scale.
+    let n_bits = t.to_bits().wrapping_sub(SHIFTER.to_bits());
+    let scale = f32::from_bits(n_bits.wrapping_add(127) << 23);
     poly * scale
 }
 

@@ -212,40 +212,36 @@ pub fn matvec_into(a: &Matrix, x: &[f64], out: &mut [f64]) -> TensorResult<()> {
     Ok(())
 }
 
-/// Computes `out = f(a @ b + bias)` in a single pass, broadcasting the
-/// length-`n` `bias` row and applying the elementwise map `f` while the
-/// register-strip accumulators spill — the output is written exactly
-/// once and never re-read. This is the fused affine+activation kernel
-/// behind `Dense::apply_into`.
+/// Computes `out = a @ b + bias` in a single pass, broadcasting the
+/// length-`n` `bias` row: the bias is added as the register-tile
+/// accumulators spill, so the output is written exactly once. This is
+/// the affine half of `Dense::apply_into`, which then runs the
+/// activation as its own pass over the output.
 ///
 /// Bitwise-identical to `matmul_into` followed by a separate
-/// `out[i][j] = f(out[i][j] + bias[j])` pass: the accumulation order per
-/// element is unchanged and the bias add still happens after the full
-/// sum, only the intermediate store/reload disappears. Parallelizes over
-/// row bands with the same thresholds as [`matmul_into`].
-pub fn matmul_bias_map_into<F>(
+/// `out[i][j] += bias[j]` pass: the accumulation order per element is
+/// unchanged and the bias add still happens after the full sum, only the
+/// intermediate store/reload disappears. Parallelizes over row bands
+/// with the same thresholds as [`matmul_into`].
+pub fn matmul_bias_into(
     a: &Matrix,
     b: &Matrix,
     bias: &[f64],
     out: &mut Matrix,
-    f: F,
-) -> TensorResult<()>
-where
-    F: Fn(f64) -> f64 + Copy + Sync,
-{
+) -> TensorResult<()> {
     check(a, b)?;
     let (m, k) = a.shape();
     let n = b.cols();
     if out.shape() != (m, n) {
         return Err(ShapeError::new(
-            "matmul_bias_map_into(out)",
+            "matmul_bias_into(out)",
             (m, n),
             out.shape(),
         ));
     }
     if bias.len() != n {
         return Err(ShapeError::new(
-            "matmul_bias_map_into(bias)",
+            "matmul_bias_into(bias)",
             (1, n),
             (1, bias.len()),
         ));
@@ -255,9 +251,7 @@ where
     }
     if k == 0 {
         for r in 0..m {
-            for (o, &bv) in out.row_mut(r).iter_mut().zip(bias) {
-                *o = f(bv);
-            }
+            out.row_mut(r).copy_from_slice(bias);
         }
         return Ok(());
     }
@@ -269,47 +263,34 @@ where
             .for_each(|(chunk_idx, out_chunk)| {
                 let i0 = chunk_idx * band;
                 let rows_here = out_chunk.len() / n;
-                block_rows_bias_map_into(a, b, bias, out_chunk, i0, rows_here, n, f);
+                block_rows_bias_into(a, b, bias, out_chunk, i0, rows_here, n);
             });
     } else {
-        block_rows_bias_map_into(a, b, bias, out.as_mut_slice(), 0, m, n, f);
+        block_rows_bias_into(a, b, bias, out.as_mut_slice(), 0, m, n);
     }
     Ok(())
 }
 
-/// Computes the single-row fused affine `out = f(xᵀ @ a + bias)` without
-/// allocating — the batched kernel of [`matmul_bias_map_into`] restricted
-/// to one row, used by the single-sample inference path.
+/// Computes the single-row affine `out = xᵀ @ a + bias` without
+/// allocating — the batched kernel of [`matmul_bias_into`] restricted to
+/// one row, used by the single-sample inference path.
 ///
 /// Unlike [`vecmat_into`] (rank-1 updates that read-modify-write `out`
 /// per shared-dim step), this strips the output into register
 /// accumulators and writes each element once; each element still sums
-/// over `a`'s rows in ascending order, so the affine part is
-/// bitwise-identical to `vecmat_into` + a separate bias/map pass.
-pub fn vecmat_bias_map_into<F>(
-    x: &[f64],
-    a: &Matrix,
-    bias: &[f64],
-    out: &mut [f64],
-    f: F,
-) -> TensorResult<()>
-where
-    F: Fn(f64) -> f64,
-{
+/// over `a`'s rows in ascending order, so the result is bitwise-identical
+/// to `vecmat_into` + a separate bias pass.
+pub fn vecmat_bias_into(x: &[f64], a: &Matrix, bias: &[f64], out: &mut [f64]) -> TensorResult<()> {
     if x.len() != a.rows() {
-        return Err(ShapeError::new("vecmat_bias_map", (1, x.len()), a.shape()));
+        return Err(ShapeError::new("vecmat_bias", (1, x.len()), a.shape()));
     }
     let n = a.cols();
     if out.len() != n {
-        return Err(ShapeError::new(
-            "vecmat_bias_map(out)",
-            (1, n),
-            (1, out.len()),
-        ));
+        return Err(ShapeError::new("vecmat_bias(out)", (1, n), (1, out.len())));
     }
     if bias.len() != n {
         return Err(ShapeError::new(
-            "vecmat_bias_map(bias)",
+            "vecmat_bias(bias)",
             (1, n),
             (1, bias.len()),
         ));
@@ -324,7 +305,7 @@ where
             }
         }
         for (i, &s) in acc.iter().enumerate() {
-            out[j + i] = f(s + bias[j + i]);
+            out[j + i] = s + bias[j + i];
         }
         j += STRIP;
     }
@@ -333,7 +314,7 @@ where
         for (&xp, row) in x.iter().zip(a.rows_iter()) {
             s += xp * row[jj];
         }
-        *o = f(s + bias[jj]);
+        *o = s + bias[jj];
     }
     Ok(())
 }
@@ -399,7 +380,7 @@ fn matmul_parallel_unchecked(a: &Matrix, b: &Matrix) -> Matrix {
 }
 
 /// Width of the register strip of the single-row kernel
-/// [`vecmat_bias_map_into`]: sixteen doubles span four AVX registers
+/// [`vecmat_bias_into`]: sixteen doubles span four AVX registers
 /// (eight SSE2), wide enough to hide FP-add latency with independent
 /// accumulation chains while still fitting the register file (32 spills,
 /// measured). Keeping the strip in registers across the whole shared
@@ -468,7 +449,7 @@ fn rows4(m: &Matrix, i: usize, last: usize) -> [&[f64]; MR] {
 /// rows `i..i + MR` (rows past the chunk repeat its last row; their sums
 /// are computed and dropped, so every tile has the same shape), and
 /// `spill(j, sum)` maps each finished element of column `j` as it leaves
-/// the registers.
+/// the registers (identity, or a bias add).
 #[inline(always)]
 fn rows_into<L, I, F>(
     b: &Matrix,
@@ -549,12 +530,11 @@ fn block_rows_into(
     rows_into(b, out_chunk, rows_here, n, lhs, |_, s| s);
 }
 
-/// Fused sibling of [`block_rows_into`]: computes rows
-/// `[i0, i0 + rows_here)` of `f(a @ b + bias)` into `out_chunk`. The
-/// tiles are identical; `bias[j]` is added and `f` applied as each
-/// element spills, so the chunk is written exactly once.
-#[allow(clippy::too_many_arguments)]
-fn block_rows_bias_map_into<F>(
+/// Bias-adding sibling of [`block_rows_into`]: computes rows
+/// `[i0, i0 + rows_here)` of `a @ b + bias` into `out_chunk`. The tiles
+/// are identical; `bias[j]` is added as each element spills, so the
+/// chunk is written exactly once.
+fn block_rows_bias_into(
     a: &Matrix,
     b: &Matrix,
     bias: &[f64],
@@ -562,13 +542,10 @@ fn block_rows_bias_map_into<F>(
     i0: usize,
     rows_here: usize,
     n: usize,
-    f: F,
-) where
-    F: Fn(f64) -> f64,
-{
+) {
     let last = (i0 + rows_here).saturating_sub(1);
     let lhs = |i: usize| zip4(rows4(a, i0 + i, last));
-    rows_into(b, out_chunk, rows_here, n, lhs, |j, s| f(s + bias[j]));
+    rows_into(b, out_chunk, rows_here, n, lhs, |j, s| s + bias[j]);
 }
 
 /// Computes rows `[i0, i0 + rows_here)` of `aᵀ @ b` into `out_chunk`
@@ -778,7 +755,7 @@ mod tests {
     }
 
     #[test]
-    fn matmul_bias_map_into_matches_unfused_bitwise() {
+    fn matmul_bias_into_matches_unfused_bitwise() {
         let mut rng = StdRng::seed_from_u64(13);
         for &(m_, k_, n_) in &[
             (1, 1, 1),
@@ -790,52 +767,50 @@ mod tests {
             let a = init::uniform(m_, k_, -1.0, 1.0, &mut rng);
             let b = init::uniform(k_, n_, -1.0, 1.0, &mut rng);
             let bias: Vec<f64> = (0..n_).map(|j| 0.01 * j as f64 - 0.2).collect();
-            let act = |z: f64| if z > 0.0 { z } else { 0.5 * (z.exp() - 1.0) };
             let mut expect = Matrix::full(m_, n_, f64::NAN);
             matmul_into(&a, &b, &mut expect).unwrap();
             for r in 0..m_ {
                 for (o, &bv) in expect.row_mut(r).iter_mut().zip(&bias) {
-                    *o = act(*o + bv);
+                    *o += bv;
                 }
             }
             let mut fused = Matrix::full(m_, n_, f64::NAN);
-            matmul_bias_map_into(&a, &b, &bias, &mut fused, act).unwrap();
+            matmul_bias_into(&a, &b, &bias, &mut fused).unwrap();
             assert_eq!(fused.as_slice(), expect.as_slice(), "({m_},{k_},{n_})");
         }
     }
 
     #[test]
-    fn matmul_bias_map_into_rejects_bad_shapes() {
+    fn matmul_bias_into_rejects_bad_shapes() {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(3, 4);
         let mut bad = Matrix::zeros(2, 3);
-        assert!(matmul_bias_map_into(&a, &b, &[0.0; 4], &mut bad, |z| z).is_err());
+        assert!(matmul_bias_into(&a, &b, &[0.0; 4], &mut bad).is_err());
         let mut ok = Matrix::zeros(2, 4);
-        assert!(matmul_bias_map_into(&a, &b, &[0.0; 3], &mut ok, |z| z).is_err());
-        assert!(matmul_bias_map_into(&a, &b, &[0.0; 4], &mut ok, |z| z).is_ok());
+        assert!(matmul_bias_into(&a, &b, &[0.0; 3], &mut ok).is_err());
+        assert!(matmul_bias_into(&a, &b, &[0.0; 4], &mut ok).is_ok());
     }
 
     #[test]
-    fn vecmat_bias_map_into_matches_unfused_bitwise() {
+    fn vecmat_bias_into_matches_unfused_bitwise() {
         let mut rng = StdRng::seed_from_u64(14);
         for &(k_, n_) in &[(1, 1), (5, 4), (3, 64), (64, 64), (64, 1), (7, 19)] {
             let a = init::uniform(k_, n_, -1.0, 1.0, &mut rng);
             let x: Vec<f64> = (0..k_).map(|i| 0.3 * i as f64 - 1.0).collect();
             let bias: Vec<f64> = (0..n_).map(|j| 0.05 * j as f64).collect();
-            let act = |z: f64| z.tanh();
             let mut expect = vec![f64::NAN; n_];
             vecmat_into(&x, &a, &mut expect).unwrap();
             for (o, &bv) in expect.iter_mut().zip(&bias) {
-                *o = act(*o + bv);
+                *o += bv;
             }
             let mut fused = vec![f64::NAN; n_];
-            vecmat_bias_map_into(&x, &a, &bias, &mut fused, act).unwrap();
+            vecmat_bias_into(&x, &a, &bias, &mut fused).unwrap();
             assert_eq!(fused, expect, "({k_},{n_})");
         }
         let a = Matrix::zeros(2, 3);
-        assert!(vecmat_bias_map_into(&[0.0; 3], &a, &[0.0; 3], &mut [0.0; 3], |z| z).is_err());
-        assert!(vecmat_bias_map_into(&[0.0; 2], &a, &[0.0; 2], &mut [0.0; 3], |z| z).is_err());
-        assert!(vecmat_bias_map_into(&[0.0; 2], &a, &[0.0; 3], &mut [0.0; 2], |z| z).is_err());
+        assert!(vecmat_bias_into(&[0.0; 3], &a, &[0.0; 3], &mut [0.0; 3]).is_err());
+        assert!(vecmat_bias_into(&[0.0; 2], &a, &[0.0; 2], &mut [0.0; 3]).is_err());
+        assert!(vecmat_bias_into(&[0.0; 2], &a, &[0.0; 3], &mut [0.0; 2]).is_err());
     }
 
     /// `(m, k, n)` for an `m × n` output summed over `k`: the 8-row
@@ -879,17 +854,10 @@ mod tests {
 
     /// Every `_into` kernel against the naive triple loop, bit for bit:
     /// the transpose-free kernels through explicit transposes of their
-    /// operands, the fused kernels through the oracle plus a separate
-    /// bias and SELU pass.
+    /// operands, the bias kernels through the oracle plus a separate
+    /// bias pass.
     #[test]
     fn into_kernels_equal_naive_oracle_bitwise_at_model_shapes() {
-        let selu = |z: f64| {
-            if z > 0.0 {
-                1.05070098 * z
-            } else {
-                1.05070098 * 1.67326324 * (z.exp() - 1.0)
-            }
-        };
         let mut rng = StdRng::seed_from_u64(23);
         for &(m_, k_, n_) in ORACLE_SHAPES {
             let what = |kernel: &str| format!("{kernel} ({m_},{k_},{n_})");
@@ -897,10 +865,10 @@ mod tests {
             let b = init::uniform(k_, n_, -2.0, 2.0, &mut rng);
             let bias: Vec<f64> = (0..n_).map(|j| 0.03 * j as f64 - 0.5).collect();
             let oracle = matmul_naive(&a, &b).unwrap();
-            let mut mapped = oracle.clone();
+            let mut biased = oracle.clone();
             for r in 0..m_ {
-                for (o, &bv) in mapped.row_mut(r).iter_mut().zip(&bias) {
-                    *o = selu(*o + bv);
+                for (o, &bv) in biased.row_mut(r).iter_mut().zip(&bias) {
+                    *o += bv;
                 }
             }
 
@@ -926,20 +894,16 @@ mod tests {
             assert_bits(out.as_slice(), oracle.as_slice(), &what("matmul_a_bt_into"));
 
             out.as_mut_slice().fill(f64::NAN);
-            matmul_bias_map_into(&a, &b, &bias, &mut out, selu).unwrap();
-            assert_bits(
-                out.as_slice(),
-                mapped.as_slice(),
-                &what("matmul_bias_map_into"),
-            );
+            matmul_bias_into(&a, &b, &bias, &mut out).unwrap();
+            assert_bits(out.as_slice(), biased.as_slice(), &what("matmul_bias_into"));
 
             // The single-row kernels on the first row.
             let x = a.row(0);
             let mut row = vec![f64::NAN; n_];
             vecmat_into(x, &b, &mut row).unwrap();
             assert_bits(&row, oracle.row(0), &what("vecmat_into"));
-            vecmat_bias_map_into(x, &b, &bias, &mut row, selu).unwrap();
-            assert_bits(&row, mapped.row(0), &what("vecmat_bias_map_into"));
+            vecmat_bias_into(x, &b, &bias, &mut row).unwrap();
+            assert_bits(&row, biased.row(0), &what("vecmat_bias_into"));
 
             // `a · col` as the oracle product with a one-column right side.
             let col = b.col(0);

@@ -183,6 +183,11 @@ DVFS_LOG=error target/release/dvfs replay --dir "$tmp/journal" \
     --models "$tmp/models.json" > "$tmp/replay.txt"
 grep -q 'divergent: 0 of 400' "$tmp/replay.txt"
 
+echo "==> exp32 against its round-and-cast oracle on every f32 (release)"
+# Tier-1 runs a strided sweep plus the edge cases; the exhaustive walk
+# over all 2^32 inputs is #[ignore]d there and runs here, in release.
+cargo test --release --offline -p tensor --test exp32 -q -- --ignored
+
 echo "==> batch-fused engine speedup guard (release)"
 # `cargo test -q` above runs this file in a debug build where the timing
 # leg self-skips; the release run enforces the >=2x fused-f32 bound.
