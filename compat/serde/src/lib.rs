@@ -168,16 +168,21 @@ pub mod __private {
 
     /// Looks up field `name` in `v` (which must be an object) and
     /// deserializes it, with struct context in the error message.
+    ///
+    /// An absent key reads as `null`, so an `Option` field becomes `None`
+    /// as with upstream serde's derive; any type that rejects `null`
+    /// reports the field as missing.
     pub fn field<T: Deserialize>(v: &Value, ty: &str, name: &str) -> Result<T, de::Error> {
         let obj = v
             .as_object()
             .ok_or_else(|| de::Error::custom(format!("expected an object for {ty}")))?;
-        let entry = obj
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, val)| val)
-            .ok_or_else(|| de::Error::custom(format!("missing field {ty}.{name}")))?;
-        T::from_value(entry).map_err(|e| de::Error::custom(format!("{ty}.{name}: {e}")))
+        match obj.iter().find(|(k, _)| k == name) {
+            Some((_, entry)) => {
+                T::from_value(entry).map_err(|e| de::Error::custom(format!("{ty}.{name}: {e}")))
+            }
+            None => T::from_value(&Value::Null)
+                .map_err(|_| de::Error::custom(format!("missing field {ty}.{name}"))),
+        }
     }
 
     /// Splits an externally-tagged enum value `{"Variant": {...}}` into
@@ -218,6 +223,17 @@ mod tests {
         assert_eq!(Option::<f64>::from_value(&o.to_value()).unwrap(), None);
         let t = ("a".to_string(), 2.0f64);
         assert_eq!(<(String, f64)>::from_value(&t.to_value()).unwrap(), t);
+    }
+
+    #[test]
+    fn absent_field_is_none_for_option_and_missing_otherwise() {
+        let obj = Value::Object(vec![("a".into(), Value::Num(1.0))]);
+        let absent: Option<f64> = __private::field(&obj, "T", "b").unwrap();
+        assert_eq!(absent, None);
+        let present: Option<f64> = __private::field(&obj, "T", "a").unwrap();
+        assert_eq!(present, Some(1.0));
+        let err = __private::field::<f64>(&obj, "T", "b").unwrap_err();
+        assert_eq!(err.to_string(), "missing field T.b");
     }
 
     #[test]

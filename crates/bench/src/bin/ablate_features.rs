@@ -69,14 +69,17 @@ fn main() {
         for app in &lab.apps {
             let measured = &lab.measured_ga100[&app.name];
             let (fp, dram) = app.activities(&spec, spec.max_core_mhz);
-            let pred: Vec<f64> = measured
+            let sweep: Vec<Vec<f64>> = measured
                 .frequencies
                 .iter()
-                .map(|&f| {
-                    let full = [fp, dram, f / spec.max_core_mhz];
-                    let row: Vec<f64> = cols.iter().map(|&c| full[c]).collect();
-                    (net.predict_one(&row)[0] * spec.tdp_w).max(0.0)
-                })
+                .map(|&f| vec![fp, dram, f / spec.max_core_mhz])
+                .collect();
+            let sweep = Matrix::from_rows(&sweep).expect("three features per row");
+            let pred: Vec<f64> = net
+                .predict(&select_columns(&sweep, cols))
+                .as_slice()
+                .iter()
+                .map(|&p| (p * spec.tdp_w).max(0.0))
                 .collect();
             acc_sum += nn::metrics::accuracy_from_mape(&pred, &measured.power_w);
         }

@@ -186,14 +186,16 @@ impl PredictEngines {
     /// Assembles the F x 3 feature matrix for one application (fixed
     /// activities, one row per frequency, written in place into a
     /// thread-local matrix reused across calls) and runs one batched
-    /// engine pass over it. The returned vector is the only allocation.
+    /// engine pass over it into `out`, which allocates only if it lacks
+    /// the capacity.
     fn batch_forward(
         engine: &InferenceEngine,
         spec: &DeviceSpec,
         fp_active: f64,
         dram_active: f64,
         frequencies: &[f64],
-    ) -> Vec<f64> {
+        out: &mut Vec<f64>,
+    ) {
         thread_local! {
             static FEATURES: std::cell::RefCell<tensor::Matrix> =
                 std::cell::RefCell::new(tensor::Matrix::zeros(0, 0));
@@ -208,9 +210,7 @@ impl PredictEngines {
                     mhz / spec.max_core_mhz,
                 ));
             }
-            let mut out = Vec::with_capacity(frequencies.len());
-            engine.predict_into(&x, &mut out);
-            out
+            engine.predict_into(&x, out);
         })
     }
 
@@ -223,7 +223,15 @@ impl PredictEngines {
         dram_active: f64,
         frequencies: &[f64],
     ) -> Vec<f64> {
-        let mut out = Self::batch_forward(&self.power, spec, fp_active, dram_active, frequencies);
+        let mut out = Vec::with_capacity(frequencies.len());
+        Self::batch_forward(
+            &self.power,
+            spec,
+            fp_active,
+            dram_active,
+            frequencies,
+            &mut out,
+        );
         for v in &mut out {
             *v = (*v * spec.tdp_w).max(0.0);
         }
@@ -238,18 +246,26 @@ impl PredictEngines {
         dram_active: f64,
         frequencies: &[f64],
     ) -> Vec<f64> {
-        let mut out = Self::batch_forward(&self.time, spec, fp_active, dram_active, frequencies);
+        let mut out = Vec::with_capacity(frequencies.len());
+        Self::batch_forward(
+            &self.time,
+            spec,
+            fp_active,
+            dram_active,
+            frequencies,
+            &mut out,
+        );
         for v in &mut out {
             *v = v.max(0.0);
         }
         out
     }
 
-    /// Single-frequency time ratio through the engine's `rows = 1` path:
-    /// no `Matrix` assembly, no per-call workspace resizing — and
+    /// Single-frequency time ratio: a one-row batch through the same
+    /// kernels as [`PredictEngines::predict_time_ratio_batch`], so it is
     /// bitwise-identical to the corresponding row of a batched call in
     /// every precision mode (per-row accumulation chains are independent
-    /// of the batch blocking). Allocation-free once the thread is warm.
+    /// of the batch size). Allocation-free once the thread is warm.
     pub fn predict_time_ratio(
         &self,
         spec: &DeviceSpec,
@@ -260,10 +276,9 @@ impl PredictEngines {
         thread_local! {
             static OUT: std::cell::RefCell<Vec<f64>> = const { std::cell::RefCell::new(Vec::new()) };
         }
-        let features = Dataset::features(fp_active, dram_active, mhz / spec.max_core_mhz);
         OUT.with(|cell| {
             let mut out = cell.borrow_mut();
-            self.time.predict_one_into(&features, &mut out);
+            Self::batch_forward(&self.time, spec, fp_active, dram_active, &[mhz], &mut out);
             out[0].max(0.0)
         })
     }

@@ -1,10 +1,12 @@
 //! The serve wire protocol: one JSON request object per frame, one JSON
 //! response object per frame.
 //!
-//! The compat `serde_derive` requires every named field to be present on
-//! deserialize (there is no `#[serde(default)]`), so both sides always
-//! send the full struct and use `null` for fields a command does not
-//! need. [`Request`] constructors fill the boilerplate.
+//! A request may leave out any field a command does not need: an absent
+//! field reads as `null`, so `{"cmd":"shutdown"}` is a whole frame. The
+//! canonical frame, which [`Request`]'s constructors and serializer
+//! produce, spells out every field with `null` for the unused ones; only
+//! that shape takes the [`fast`] parser, which builds no value tree, and
+//! any other goes through serde.
 //!
 //! Commands:
 //!
@@ -593,8 +595,8 @@ pub mod fast {
         if scan.pos != bytes.len() {
             return None;
         }
-        // The compat derive requires every field present; a missing one
-        // must flow through serde to produce its exact error message.
+        // A frame that leaves fields out flows through serde, which reads
+        // them as `null`.
         if fields.iter().any(Option::is_none) {
             return None;
         }

@@ -278,6 +278,34 @@ fn garbage_json_gets_an_error_reply_and_the_connection_survives() {
     stop(server, &addr);
 }
 
+/// A frame may leave out the fields its command does not use: a short
+/// `predict` gets the canonical frame's reply byte for byte, and a bare
+/// `shutdown` stops the server.
+#[test]
+fn frames_may_omit_unused_fields() {
+    let (server, _store) = start_server();
+    let addr = server.local_addr().to_string();
+    let mut client = Client::connect(&addr).unwrap();
+
+    let canonical = serde_json::to_string(&Request::predict("short", 0.62, 0.31, 12.5)).unwrap();
+    assert!(canonical.contains("\"objective\":null"), "{canonical}");
+    client.send_raw(canonical.as_bytes()).unwrap();
+    let want = String::from_utf8(client.read_frame_raw().unwrap()).unwrap();
+    assert!(want.starts_with("{\"ok\":true,"), "{want}");
+    let short = r#"{"cmd":"predict","workload":"short","fp_active":0.62,"dram_active":0.31,"exec_time":12.5}"#;
+    client.send_raw(short.as_bytes()).unwrap();
+    let got = String::from_utf8(client.read_frame_raw().unwrap()).unwrap();
+    assert_eq!(
+        got, want,
+        "the short frame's reply differs from the canonical one's"
+    );
+
+    client.send_raw(br#"{"cmd":"shutdown"}"#).unwrap();
+    let resp = client.read_response().unwrap();
+    assert!(resp.ok, "bare shutdown refused: {:?}", resp.error);
+    server.join();
+}
+
 #[test]
 fn oversized_frame_is_rejected_with_a_reason() {
     let (server, _store) = start_server();

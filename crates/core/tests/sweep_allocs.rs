@@ -2,67 +2,34 @@
 //! returns, measured with a counting global allocator.
 //!
 //! Every request that misses the profile cache (each `unseen-apps`
-//! request of the benchmark) runs one power sweep, one time sweep and
-//! one anchor prediction at the default clock. The feature rows are
-//! written in place into a reused matrix and the engines run through
-//! thread-local buffers, so the two returned curves are the only heap
-//! allocations.
+//! request of the benchmark) runs one power sweep and one time sweep,
+//! and reads its anchor ratio off the time sweep's last row. The sweep
+//! below also runs `predict_time_ratio`, the one-row batch that anchors
+//! a grid not ending at the default clock, into its thread-local output.
+//! The feature rows are written in place into a reused matrix and the
+//! engines run through thread-local buffers, so the two returned curves
+//! are the only heap allocations.
 //!
-//! This file intentionally holds a single `#[test]`: the counting
-//! allocator is process-global, so any concurrently running test would
-//! pollute the counters.
+//! The counting allocator is process-global, so this file is a
+//! `harness = false` target holding a single test, run on the main
+//! thread by `common::run` (`nn`'s `tests/common/mod.rs`, included by
+//! path).
 
+#[path = "../../nn/tests/common/mod.rs"]
+mod common;
+
+use common::counted;
 use dvfs_core::models::{ModelConfig, PowerTimeModels, PredictEngines};
 use gpu_model::{DeviceSpec, DvfsGrid};
 use nn::{Precision, TrainingHistory};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-struct CountingAllocator;
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static BYTES: AtomicU64 = AtomicU64::new(0);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ENABLED.load(Ordering::Relaxed) {
-            BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ENABLED.load(Ordering::Relaxed) && new_size > layout.size() {
-            BYTES.fetch_add((new_size - layout.size()) as u64, Ordering::Relaxed);
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
+fn main() {
+    common::run(
+        "f64_sweep_allocates_only_its_two_returned_curves",
+        f64_sweep_allocates_only_its_two_returned_curves,
+    );
 }
 
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-/// Runs `f` with allocation counting on, returning (bytes, allocations).
-fn counted(f: impl FnOnce()) -> (u64, u64) {
-    BYTES.store(0, Ordering::Relaxed);
-    ALLOCS.store(0, Ordering::Relaxed);
-    ENABLED.store(true, Ordering::SeqCst);
-    f();
-    ENABLED.store(false, Ordering::SeqCst);
-    (
-        BYTES.load(Ordering::Relaxed),
-        ALLOCS.load(Ordering::Relaxed),
-    )
-}
-
-#[test]
 fn f64_sweep_allocates_only_its_two_returned_curves() {
     // Untrained paper-topology networks: the allocation pattern does not
     // depend on the weights.
@@ -88,7 +55,7 @@ fn f64_sweep_allocates_only_its_two_returned_curves() {
         let anchor = engines.predict_time_ratio(&spec, fp, dram, spec.max_core_mhz);
         (power, time, anchor)
     };
-    // Warm-up: size the thread-local feature matrix, workspace and row
+    // Warm-up: size the thread-local feature matrix, workspace and output
     // buffers.
     let warm = sweep(0.5, 0.5);
 

@@ -318,30 +318,6 @@ impl InferenceEngine {
         self.predict_into(x, &mut out);
         out
     }
-
-    /// Single-sample forward pass through the same batched kernels with
-    /// `rows = 1` — per-row accumulation chains are independent, so this
-    /// is bitwise-identical to the corresponding row of a batched call
-    /// in every precision mode.
-    pub fn predict_one_into(&self, features: &[f64], out: &mut Vec<f64>) {
-        assert_eq!(features.len(), self.in_dim, "engine input width");
-        if self.precision == Precision::F64 || self.packed.is_empty() {
-            self.net.predict_one_into(features, out);
-            return;
-        }
-        SCRATCH.with(|cell| {
-            let (a, b) = &mut *cell.borrow_mut();
-            a.clear();
-            a.extend(features.iter().map(|&v| v as f32));
-            for layer in &self.packed {
-                b.resize(layer.out_dim(), 0.0);
-                layer.run(a, 1, b);
-                std::mem::swap(a, b);
-            }
-            out.clear();
-            out.extend(a.iter().map(|&v| f64::from(v)));
-        });
-    }
 }
 
 thread_local! {
@@ -409,7 +385,7 @@ mod tests {
     }
 
     #[test]
-    fn predict_one_matches_batch_row_in_every_mode() {
+    fn one_row_batch_matches_batch_row_in_every_mode() {
         let net = paper_net(4);
         let x = grid61(0.5, 0.9);
         for p in [Precision::F64, Precision::F32, Precision::Bf16] {
@@ -417,7 +393,7 @@ mod tests {
             let batch = engine.predict(&x);
             let mut one = Vec::new();
             for r in [0usize, 7, 60] {
-                engine.predict_one_into(x.row(r), &mut one);
+                engine.predict_into(&x.select_rows(&[r]), &mut one);
                 // Exact: per-row accumulation chains are independent of
                 // the batch blocking, in f32/bf16 just as in f64.
                 assert_eq!(one.as_slice(), &batch[r..r + 1], "mode {p} row {r}");

@@ -153,20 +153,6 @@ impl Dense {
         }
     }
 
-    /// Single-sample inference without any `Matrix` round-trip:
-    /// `out = act(x W + b)` for a feature vector `x`, resizing `out` to
-    /// `out_dim`: the strip kernel adds the bias as it spills, then the
-    /// activation runs over the row. Used by `Network::predict_one_into`.
-    ///
-    /// # Panics
-    /// Panics if `input.len() != in_dim`.
-    pub(crate) fn apply_vec(&self, input: &[f64], out: &mut Vec<f64>) {
-        out.resize(self.out_dim(), 0.0);
-        matmul::vecmat_bias_into(input, &self.weights, self.bias.as_slice(), out)
-            .expect("layer/input width mismatch");
-        self.activation.apply_row(out);
-    }
-
     /// Backward pass leaving the parameter gradients as *raw sums* over
     /// the rows — no `1/batch` averaging. This is the per-shard kernel of
     /// the data-parallel engine: every row of a shard contributes its raw

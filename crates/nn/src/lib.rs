@@ -42,9 +42,9 @@
 //! `tests/zero_alloc.rs` proves it with a counting global allocator. That
 //! step is the only training path; [`Trainer::fit`] drives it. The
 //! convenience [`Network::predict`] runs the same kernels through a
-//! thread-local workspace, and [`reference`] keeps a naive allocating
-//! implementation (`predict`, `fit`, `shard_step`) as the oracle the
-//! parity proptests compare against bitwise.
+//! thread-local workspace, and [`reference`](mod@reference) keeps a
+//! naive allocating implementation (`predict`, `fit`, `shard_step`) as
+//! the oracle the parity proptests compare against bitwise.
 //!
 //! # Deterministic data parallelism
 //!

@@ -8,7 +8,6 @@ use crate::workspace::Workspace;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
 use tensor::Matrix;
 
 /// A feedforward neural network (multi-layer perceptron).
@@ -92,40 +91,6 @@ impl Network {
             self.layers[i].apply_into(input_i, &mut cur.out);
         }
         ws.output()
-    }
-
-    /// Convenience: predict a single feature vector, returning the outputs.
-    pub fn predict_one(&self, features: &[f64]) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.predict_one_into(features, &mut out);
-        out
-    }
-
-    /// Predicts a single feature vector into `out` (cleared first).
-    ///
-    /// Skips the row-vector `Matrix` round-trip entirely: the sample flows
-    /// through a pair of thread-local `Vec<f64>` buffers via `vecmat`, and
-    /// the result is copied out of them, so a warm call with a warm `out`
-    /// allocates nothing.
-    pub(crate) fn predict_one_into(&self, features: &[f64], out: &mut Vec<f64>) {
-        out.clear();
-        if self.layers.is_empty() {
-            out.extend_from_slice(features);
-            return;
-        }
-        thread_local! {
-            static BUFS: RefCell<(Vec<f64>, Vec<f64>)> = const { RefCell::new((Vec::new(), Vec::new())) };
-        }
-        BUFS.with(|cell| {
-            let (a, b) = &mut *cell.borrow_mut();
-            a.clear();
-            a.extend_from_slice(features);
-            for l in &self.layers {
-                l.apply_vec(a, b);
-                std::mem::swap(a, b);
-            }
-            out.extend_from_slice(a);
-        })
     }
 
     /// Training forward pass into a caller-provided workspace. The input is
@@ -379,15 +344,6 @@ mod tests {
         let history = trainer.fit(&x, &y).unwrap();
         let last = *history.train_loss.last().unwrap();
         assert!(last < first / 10.0, "loss went {first} -> {last}");
-    }
-
-    #[test]
-    fn predict_one_matches_predict() {
-        let net = tiny_net(5);
-        let f = [0.25, -0.75];
-        let a = net.predict_one(&f);
-        let b = net.predict(&Matrix::row_vector(&f));
-        assert_eq!(a, b.into_vec());
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! A [`Workspace`] owns every intermediate matrix a forward/backward pass
 //! needs — per-layer activations and activation derivatives, deltas,
 //! parameter gradients, downstream gradients, plus the batch input and
-//! the loss gradient. Buffers are sized from the network topology once
-//! and resized (never reallocated, once capacity is reached) via
-//! [`Matrix::resize_to`] as batch dimensions change, so steady-state
-//! training steps perform **zero heap allocations** — see
+//! the loss gradient. Buffers are sized from the network topology once;
+//! every kernel resizes the buffers it writes to the batch at hand via
+//! [`Matrix::resize_to`] (never reallocating within capacity), so
+//! steady-state training steps perform **zero heap allocations** — see
 //! `tests/zero_alloc.rs` for the counting-allocator proof.
 //!
 //! The workspace path is bitwise-identical to the allocating oracle in
@@ -19,8 +19,8 @@ use crate::network::Network;
 use std::cell::RefCell;
 use tensor::Matrix;
 
-/// Per-layer scratch buffers. Row counts track the current batch; column
-/// counts are fixed by the layer shape.
+/// Per-layer scratch buffers. Each kernel sizes the rows of the buffers
+/// it writes to its batch; column counts are fixed by the layer shape.
 #[derive(Debug, Clone)]
 pub(crate) struct LayerWs {
     /// What backprop needs of the pre-activation `z = x W + b`,
@@ -52,11 +52,6 @@ pub struct Workspace {
     /// `(in_dim, out_dim)` per layer — the topology the buffers were built
     /// for. A mismatch on `ensure` triggers a rebuild.
     topo: Vec<(usize, usize)>,
-    /// Row count the batch-sized buffers are currently shaped for. Lets
-    /// [`Workspace::ensure`] return immediately on the steady-state path
-    /// (same topology, same batch) instead of re-deriving every layer
-    /// shape and re-resizing every buffer per call.
-    rows: usize,
     /// One [`LayerWs`] per layer. After [`Network::forward_ws`] each holds
     /// the layer's activation and activation derivative;
     /// [`Network::shard_grads_ws`] consumes them into deltas and raw
@@ -75,7 +70,6 @@ impl Workspace {
     pub fn for_network(net: &Network, batch: usize) -> Self {
         let mut ws = Self {
             topo: Vec::new(),
-            rows: 0,
             layers: Vec::new(),
             input: Matrix::zeros(batch, net.in_dim()),
             loss_grad: Matrix::zeros(batch, net.out_dim()),
@@ -84,12 +78,11 @@ impl Workspace {
         ws
     }
 
-    /// Makes the workspace match `net`'s topology with row capacity for
-    /// `rows`. Rebuilds from scratch on a topology change; otherwise only
-    /// adjusts the row dimension of the batch-sized buffers (allocation-free
-    /// within existing capacity). When both the topology and the batch size
-    /// match the previous call — the steady state of every inference and
-    /// training loop — this is a two-comparison early return.
+    /// Makes the workspace match `net`'s topology, rebuilding it from
+    /// scratch with `rows` rows on a change. Row counts are left alone:
+    /// each kernel resizes the buffers it writes to its own batch, so a
+    /// one-row call between two larger batches touches only the buffers
+    /// that call writes.
     pub fn ensure(&mut self, net: &Network, rows: usize) {
         let matches = self.topo.len() == net.layers().len()
             && self
@@ -99,24 +92,10 @@ impl Workspace {
                 .all(|(&(i, o), l)| i == l.in_dim() && o == l.out_dim());
         if !matches {
             self.rebuild(net, rows);
-            return;
-        }
-        if rows == self.rows {
-            return;
-        }
-        self.rows = rows;
-        for lw in &mut self.layers {
-            let out_dim = lw.grad_w.cols();
-            let in_dim = lw.grad_w.rows();
-            lw.pre.resize_to(rows, out_dim);
-            lw.out.resize_to(rows, out_dim);
-            lw.delta.resize_to(rows, out_dim);
-            lw.down.resize_to(rows, in_dim);
         }
     }
 
     fn rebuild(&mut self, net: &Network, rows: usize) {
-        self.rows = rows;
         self.topo = net
             .layers()
             .iter()
@@ -185,6 +164,7 @@ mod tests {
     use super::*;
     use crate::activation::Activation;
     use crate::network::NetworkBuilder;
+    use rand::SeedableRng;
 
     fn net() -> Network {
         NetworkBuilder::new(3)
@@ -207,14 +187,16 @@ mod tests {
     }
 
     #[test]
-    fn ensure_resizes_rows_without_reallocating() {
+    fn smaller_batches_reuse_the_buffers() {
         let n = net();
         let mut ws = Workspace::for_network(&n, 32);
         let ptr = ws.layers[0].pre.as_slice().as_ptr();
-        ws.ensure(&n, 7);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+        n.forward_ws(&tensor::init::uniform(7, 3, -1.0, 1.0, &mut rng), &mut ws);
         assert_eq!(ws.layers[0].pre.shape(), (7, 8));
         assert_eq!(ws.layers[0].pre.as_slice().as_ptr(), ptr);
-        ws.ensure(&n, 32);
+        n.forward_ws(&tensor::init::uniform(32, 3, -1.0, 1.0, &mut rng), &mut ws);
+        assert_eq!(ws.layers[0].pre.shape(), (32, 8));
         assert_eq!(ws.layers[0].pre.as_slice().as_ptr(), ptr);
     }
 

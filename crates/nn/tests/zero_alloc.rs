@@ -1,63 +1,20 @@
 //! Proof that the workspace training path is allocation-free in steady
 //! state, measured with a counting global allocator.
 //!
-//! This file intentionally holds a single `#[test]`: the counting allocator
-//! is process-global, so any concurrently running test would pollute the
-//! counters.
+//! The counting allocator is process-global, so this file is a
+//! `harness = false` target holding a single test, run on the main
+//! thread by `common::run` (see `tests/common/mod.rs`).
 
+mod common;
+
+use common::counted;
 use nn::activation::Activation;
 use nn::network::NetworkBuilder;
 use nn::optimizer::OptimizerKind;
 use nn::train::{TrainConfig, Trainer};
 use nn::workspace::Workspace;
 use nn::{reference, Loss};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use tensor::{ops, Matrix};
-
-struct CountingAllocator;
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static BYTES: AtomicU64 = AtomicU64::new(0);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ENABLED.load(Ordering::Relaxed) {
-            BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ENABLED.load(Ordering::Relaxed) && new_size > layout.size() {
-            BYTES.fetch_add((new_size - layout.size()) as u64, Ordering::Relaxed);
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-/// Runs `f` with allocation counting on, returning (bytes, allocations).
-fn counted(f: impl FnOnce()) -> (u64, u64) {
-    BYTES.store(0, Ordering::Relaxed);
-    ALLOCS.store(0, Ordering::Relaxed);
-    ENABLED.store(true, Ordering::SeqCst);
-    f();
-    ENABLED.store(false, Ordering::SeqCst);
-    (
-        BYTES.load(Ordering::Relaxed),
-        ALLOCS.load(Ordering::Relaxed),
-    )
-}
 
 fn dataset(n: usize, seed: u64) -> (Matrix, Matrix) {
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
@@ -69,7 +26,13 @@ fn dataset(n: usize, seed: u64) -> (Matrix, Matrix) {
     (x, Matrix::col_vector(&y_vals))
 }
 
-#[test]
+fn main() {
+    common::run(
+        "training_steps_are_allocation_free_after_warmup",
+        training_steps_are_allocation_free_after_warmup,
+    );
+}
+
 fn training_steps_are_allocation_free_after_warmup() {
     let (x, y) = dataset(512, 1);
     // The paper topology: 3 -> 64 -> 64 -> 64 -> 1, SELU, RMSprop.

@@ -11,63 +11,20 @@
 //! allocation-free too (the engine adds only lock acquisitions and
 //! channel rendezvous on pre-built structures).
 //!
-//! This file intentionally holds a single `#[test]`: the counting
-//! allocator is process-global, so any concurrently running test would
-//! pollute the counters.
+//! The counting allocator is process-global, so this file is a
+//! `harness = false` target holding a single test, run on the main
+//! thread by `common::run` (see `tests/common/mod.rs`).
 
+mod common;
+
+use common::counted;
 use nn::activation::Activation;
 use nn::engine::shard_bounds;
 use nn::network::NetworkBuilder;
 use nn::optimizer::OptimizerKind;
 use nn::workspace::Workspace;
 use nn::Loss;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use tensor::{ops, reduce, Matrix};
-
-struct CountingAllocator;
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static BYTES: AtomicU64 = AtomicU64::new(0);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ENABLED.load(Ordering::Relaxed) {
-            BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ENABLED.load(Ordering::Relaxed) && new_size > layout.size() {
-            BYTES.fetch_add((new_size - layout.size()) as u64, Ordering::Relaxed);
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-/// Runs `f` with allocation counting on, returning (bytes, allocations).
-fn counted(f: impl FnOnce()) -> (u64, u64) {
-    BYTES.store(0, Ordering::Relaxed);
-    ALLOCS.store(0, Ordering::Relaxed);
-    ENABLED.store(true, Ordering::SeqCst);
-    f();
-    ENABLED.store(false, Ordering::SeqCst);
-    (
-        BYTES.load(Ordering::Relaxed),
-        ALLOCS.load(Ordering::Relaxed),
-    )
-}
 
 fn dataset(n: usize, seed: u64) -> (Matrix, Matrix) {
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
@@ -88,7 +45,13 @@ struct Shard {
     total: f64,
 }
 
-#[test]
+fn main() {
+    common::run(
+        "sharded_training_steps_are_allocation_free_after_warmup",
+        sharded_training_steps_are_allocation_free_after_warmup,
+    );
+}
+
 fn sharded_training_steps_are_allocation_free_after_warmup() {
     let (x, y) = dataset(512, 1);
     // The paper topology: 3 -> 64 -> 64 -> 64 -> 1, SELU, RMSprop.

@@ -1,7 +1,7 @@
 //! Flight recorder: typed trace events in per-thread ring buffers,
 //! exported as Chrome trace-event / Perfetto-compatible JSON.
 //!
-//! Where [`crate::span`] aggregates *totals* per call-tree path, the
+//! Where [`crate::span`](mod@crate::span) aggregates *totals* per call-tree path, the
 //! flight recorder keeps a bounded *timeline*: the last
 //! `DVFS_TRACE_CAP` (default 16384) events each thread produced, with
 //! monotonic nanosecond timestamps, so a trace of the parallel engine —

@@ -39,12 +39,6 @@ pub fn lecun_normal(fan_in: usize, fan_out: usize, rng: &mut impl Rng) -> Matrix
     normal(fan_in, fan_out, 0.0, std, rng)
 }
 
-/// Glorot/Xavier-uniform initialization: `U(±sqrt(6/(fan_in+fan_out)))`.
-pub fn glorot_uniform(fan_in: usize, fan_out: usize, rng: &mut impl Rng) -> Matrix {
-    let limit = (6.0 / (fan_in + fan_out).max(1) as f64).sqrt();
-    uniform(fan_in, fan_out, -limit, limit, rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,14 +69,6 @@ mod tests {
         let m = lecun_normal(100, 200, &mut rng);
         let var = reduce::variance(m.as_slice());
         assert!((var - 0.01).abs() < 0.002, "var {var}");
-    }
-
-    #[test]
-    fn glorot_uniform_respects_limit() {
-        let mut rng = StdRng::seed_from_u64(10);
-        let limit = (6.0_f64 / 30.0).sqrt();
-        let m = glorot_uniform(10, 20, &mut rng);
-        assert!(m.as_slice().iter().all(|&x| x.abs() <= limit));
     }
 
     #[test]

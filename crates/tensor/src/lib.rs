@@ -12,13 +12,13 @@
 //! Every hot-path operation has an allocation-free sibling that writes into
 //! a caller-provided buffer: [`matmul::matmul_into`], the transpose-free
 //! [`matmul::matmul_at_b_into`] (`Aᵀ·B`) and [`matmul::matmul_a_bt_into`]
-//! (`A·Bᵀ`), [`matmul::matvec_into`] / [`matmul::vecmat_into`], and in
-//! [`ops`]: `add_row_broadcast_into`, `scale_in_place`, `sum_rows_into`,
-//! `gather_rows_into`. Each `_into` variant is **bitwise-identical** to its
-//! allocating counterpart — same per-element accumulation order — so
-//! callers can switch to buffer reuse without perturbing results. Combined
-//! with [`Matrix::resize_to`] (which never reallocates within capacity),
-//! these make steady-state training and inference loops allocation-free.
+//! (`A·Bᵀ`), the bias-fused [`matmul::matmul_bias_into`], and in [`ops`]:
+//! `scale_in_place`, `sum_rows_into`, `gather_rows_into`. Each `_into`
+//! variant is **bitwise-identical** to its allocating counterpart — same
+//! per-element accumulation order — so callers can switch to buffer reuse
+//! without perturbing results. Combined with [`Matrix::resize_to`] (which
+//! never reallocates within capacity), these make steady-state training
+//! and inference loops allocation-free.
 //!
 //! The neural-network crate (`nn`) and the multi-learner baselines
 //! (`baselines`) are built on top of these primitives. Training is `f64`

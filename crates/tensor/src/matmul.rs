@@ -37,11 +37,7 @@ const PAR_WORK_THRESHOLD: usize = 1 << 23;
 /// blocked serial kernel otherwise.
 pub fn matmul(a: &Matrix, b: &Matrix) -> TensorResult<Matrix> {
     check(a, b)?;
-    if a.rows() >= PAR_ROW_THRESHOLD {
-        Ok(matmul_parallel_unchecked(a, b))
-    } else {
-        Ok(matmul_blocked_unchecked(a, b))
-    }
+    Ok(product(a, b, a.rows() >= PAR_ROW_THRESHOLD))
 }
 
 /// Reference triple-loop implementation. Slow; kept for testing.
@@ -63,16 +59,16 @@ pub fn matmul_naive(a: &Matrix, b: &Matrix) -> TensorResult<Matrix> {
     Ok(out)
 }
 
-/// Serial register-strip implementation (kept under its historical name).
+/// Serial register-tile implementation (kept under its historical name).
 pub fn matmul_blocked(a: &Matrix, b: &Matrix) -> TensorResult<Matrix> {
     check(a, b)?;
-    Ok(matmul_blocked_unchecked(a, b))
+    Ok(product(a, b, false))
 }
 
 /// Row-parallel implementation on the rayon pool.
 pub fn matmul_parallel(a: &Matrix, b: &Matrix) -> TensorResult<Matrix> {
     check(a, b)?;
-    Ok(matmul_parallel_unchecked(a, b))
+    Ok(product(a, b, true))
 }
 
 /// Computes `a @ x` where `x` is a length-`cols` vector, returning a vector.
@@ -103,19 +99,12 @@ pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) -> TensorResult<()>
     if m == 0 || n == 0 || k == 0 {
         return Ok(());
     }
-    if m >= PAR_ROW_THRESHOLD && m * k * n >= PAR_WORK_THRESHOLD {
-        let band = (m / rayon::current_num_threads().max(1)).max(1);
-        out.as_mut_slice()
-            .par_chunks_mut(band * n)
-            .enumerate()
-            .for_each(|(chunk_idx, out_chunk)| {
-                let i0 = chunk_idx * band;
-                let rows_here = out_chunk.len() / n;
-                block_rows_into(a, b, out_chunk, i0, rows_here, n);
-            });
-    } else {
-        block_rows_into(a, b, out.as_mut_slice(), 0, m, n);
-    }
+    row_bands(
+        out.as_mut_slice(),
+        n,
+        into_parallel(m, k, n),
+        |chunk, i0, rows| block_rows_into(a, b, chunk, i0, rows, n),
+    );
     Ok(())
 }
 
@@ -140,19 +129,12 @@ pub fn matmul_at_b_into(a: &Matrix, b: &Matrix, out: &mut Matrix) -> TensorResul
     if m == 0 || n == 0 || r == 0 {
         return Ok(());
     }
-    if m >= PAR_ROW_THRESHOLD && m * r * n >= PAR_WORK_THRESHOLD {
-        let band = (m / rayon::current_num_threads().max(1)).max(1);
-        out.as_mut_slice()
-            .par_chunks_mut(band * n)
-            .enumerate()
-            .for_each(|(chunk_idx, out_chunk)| {
-                let i0 = chunk_idx * band;
-                let rows_here = out_chunk.len() / n;
-                at_b_rows_into(a, b, out_chunk, i0, rows_here, n);
-            });
-    } else {
-        at_b_rows_into(a, b, out.as_mut_slice(), 0, m, n);
-    }
+    row_bands(
+        out.as_mut_slice(),
+        n,
+        into_parallel(m, r, n),
+        |chunk, i0, rows| at_b_rows_into(a, b, chunk, i0, rows, n),
+    );
     Ok(())
 }
 
@@ -175,40 +157,12 @@ pub fn matmul_a_bt_into(a: &Matrix, b: &Matrix, out: &mut Matrix) -> TensorResul
     if m == 0 || n == 0 {
         return Ok(());
     }
-    let k = a.cols();
-    let ncols = n;
-    if m >= PAR_ROW_THRESHOLD && m * k * n >= PAR_WORK_THRESHOLD {
-        let band = (m / rayon::current_num_threads().max(1)).max(1);
-        out.as_mut_slice()
-            .par_chunks_mut(band * ncols)
-            .enumerate()
-            .for_each(|(chunk_idx, out_chunk)| {
-                let i0 = chunk_idx * band;
-                let rows_here = out_chunk.len() / ncols;
-                a_bt_rows_into(a, b, out_chunk, i0, rows_here, ncols);
-            });
-    } else {
-        a_bt_rows_into(a, b, out.as_mut_slice(), 0, m, ncols);
-    }
-    Ok(())
-}
-
-/// Computes `a @ x` into `out` without allocating; `out.len()` must equal
-/// `a.rows()`. Same per-row accumulation order as [`matvec`].
-pub fn matvec_into(a: &Matrix, x: &[f64], out: &mut [f64]) -> TensorResult<()> {
-    if a.cols() != x.len() {
-        return Err(ShapeError::new("matvec", a.shape(), (x.len(), 1)));
-    }
-    if out.len() != a.rows() {
-        return Err(ShapeError::new(
-            "matvec(out)",
-            (a.rows(), 1),
-            (out.len(), 1),
-        ));
-    }
-    for (o, row) in out.iter_mut().zip(a.rows_iter()) {
-        *o = row.iter().zip(x).map(|(&p, &q)| p * q).sum();
-    }
+    row_bands(
+        out.as_mut_slice(),
+        n,
+        into_parallel(m, a.cols(), n),
+        |chunk, i0, rows| a_bt_rows_into(a, b, chunk, i0, rows, n),
+    );
     Ok(())
 }
 
@@ -255,92 +209,12 @@ pub fn matmul_bias_into(
         }
         return Ok(());
     }
-    if m >= PAR_ROW_THRESHOLD && m * k * n >= PAR_WORK_THRESHOLD {
-        let band = (m / rayon::current_num_threads().max(1)).max(1);
-        out.as_mut_slice()
-            .par_chunks_mut(band * n)
-            .enumerate()
-            .for_each(|(chunk_idx, out_chunk)| {
-                let i0 = chunk_idx * band;
-                let rows_here = out_chunk.len() / n;
-                block_rows_bias_into(a, b, bias, out_chunk, i0, rows_here, n);
-            });
-    } else {
-        block_rows_bias_into(a, b, bias, out.as_mut_slice(), 0, m, n);
-    }
-    Ok(())
-}
-
-/// Computes the single-row affine `out = xᵀ @ a + bias` without
-/// allocating — the batched kernel of [`matmul_bias_into`] restricted to
-/// one row, used by the single-sample inference path.
-///
-/// Unlike [`vecmat_into`] (rank-1 updates that read-modify-write `out`
-/// per shared-dim step), this strips the output into register
-/// accumulators and writes each element once; each element still sums
-/// over `a`'s rows in ascending order, so the result is bitwise-identical
-/// to `vecmat_into` + a separate bias pass.
-pub fn vecmat_bias_into(x: &[f64], a: &Matrix, bias: &[f64], out: &mut [f64]) -> TensorResult<()> {
-    if x.len() != a.rows() {
-        return Err(ShapeError::new("vecmat_bias", (1, x.len()), a.shape()));
-    }
-    let n = a.cols();
-    if out.len() != n {
-        return Err(ShapeError::new("vecmat_bias(out)", (1, n), (1, out.len())));
-    }
-    if bias.len() != n {
-        return Err(ShapeError::new(
-            "vecmat_bias(bias)",
-            (1, n),
-            (1, bias.len()),
-        ));
-    }
-    let mut j = 0;
-    while j + STRIP <= n {
-        let mut acc = [0.0f64; STRIP];
-        for (&xp, row) in x.iter().zip(a.rows_iter()) {
-            let arow = &row[j..j + STRIP];
-            for (acw, &v) in acc.iter_mut().zip(arow) {
-                *acw += xp * v;
-            }
-        }
-        for (i, &s) in acc.iter().enumerate() {
-            out[j + i] = s + bias[j + i];
-        }
-        j += STRIP;
-    }
-    for (jj, o) in out.iter_mut().enumerate().skip(j) {
-        let mut s = 0.0f64;
-        for (&xp, row) in x.iter().zip(a.rows_iter()) {
-            s += xp * row[jj];
-        }
-        *o = s + bias[jj];
-    }
-    Ok(())
-}
-
-/// Computes the row vector `xᵀ @ a` into `out` without allocating;
-/// `x.len()` must equal `a.rows()` and `out.len()` must equal `a.cols()`.
-///
-/// Accumulates over `a`'s rows in ascending order starting from `0.0`, so
-/// the result is bitwise-identical to `matmul(&Matrix::row_vector(x), &a)`.
-pub fn vecmat_into(x: &[f64], a: &Matrix, out: &mut [f64]) -> TensorResult<()> {
-    if x.len() != a.rows() {
-        return Err(ShapeError::new("vecmat", (1, x.len()), a.shape()));
-    }
-    if out.len() != a.cols() {
-        return Err(ShapeError::new(
-            "vecmat(out)",
-            (1, a.cols()),
-            (1, out.len()),
-        ));
-    }
-    out.fill(0.0);
-    for (&xp, row) in x.iter().zip(a.rows_iter()) {
-        for (o, &v) in out.iter_mut().zip(row) {
-            *o += xp * v;
-        }
-    }
+    row_bands(
+        out.as_mut_slice(),
+        n,
+        into_parallel(m, k, n),
+        |chunk, i0, rows| block_rows_bias_into(a, b, bias, chunk, i0, rows, n),
+    );
     Ok(())
 }
 
@@ -351,42 +225,46 @@ fn check(a: &Matrix, b: &Matrix) -> TensorResult<()> {
     Ok(())
 }
 
-fn matmul_blocked_unchecked(a: &Matrix, b: &Matrix) -> Matrix {
-    let m = a.rows();
-    let n = b.cols();
-    let mut out = Matrix::zeros(m, n);
-    block_rows_into(a, b, out.as_mut_slice(), 0, m, n);
-    out
+/// Whether an `_into` kernel with an `m × n` output summed over `k` goes
+/// parallel: enough rows to split and enough work to pay for the threads.
+fn into_parallel(m: usize, k: usize, n: usize) -> bool {
+    m >= PAR_ROW_THRESHOLD && m * k * n >= PAR_WORK_THRESHOLD
 }
 
-fn matmul_parallel_unchecked(a: &Matrix, b: &Matrix) -> Matrix {
+/// The allocating product behind [`matmul`], [`matmul_blocked`] and
+/// [`matmul_parallel`].
+fn product(a: &Matrix, b: &Matrix, parallel: bool) -> Matrix {
     let (m, k) = a.shape();
     let n = b.cols();
     let mut out = Matrix::zeros(m, n);
-    if m == 0 || n == 0 || k == 0 {
-        return out;
-    }
-    // Split the output into contiguous row bands, one rayon task per band.
-    let band = (m / rayon::current_num_threads().max(1)).max(1);
-    out.as_mut_slice()
-        .par_chunks_mut(band * n)
-        .enumerate()
-        .for_each(|(chunk_idx, out_chunk)| {
-            let i0 = chunk_idx * band;
-            let rows_here = out_chunk.len() / n;
-            block_rows_into(a, b, out_chunk, i0, rows_here, n);
+    if m > 0 && n > 0 && k > 0 {
+        row_bands(out.as_mut_slice(), n, parallel, |chunk, i0, rows| {
+            block_rows_into(a, b, chunk, i0, rows, n)
         });
+    }
     out
 }
 
-/// Width of the register strip of the single-row kernel
-/// [`vecmat_bias_into`]: sixteen doubles span four AVX registers
-/// (eight SSE2), wide enough to hide FP-add latency with independent
-/// accumulation chains while still fitting the register file (32 spills,
-/// measured). Keeping the strip in registers across the whole shared
-/// dimension removes the per-element load/store of the output that
-/// otherwise bottlenecks the store port.
-const STRIP: usize = 16;
+/// Hands the rows of the row-major `out` (`n > 0` columns) to
+/// `rows(chunk, i0, rows_here)`: in one call covering every row, or, when
+/// `parallel`, as contiguous bands of rows, one rayon task per band.
+/// `chunk` holds rows `[i0, i0 + rows_here)`.
+fn row_bands(
+    out: &mut [f64],
+    n: usize,
+    parallel: bool,
+    rows: impl Fn(&mut [f64], usize, usize) + Sync,
+) {
+    let m = out.len() / n;
+    if !parallel {
+        rows(out, 0, m);
+        return;
+    }
+    let band = (m / rayon::current_num_threads().max(1)).max(1);
+    out.par_chunks_mut(band * n)
+        .enumerate()
+        .for_each(|(chunk_idx, chunk)| rows(chunk, chunk_idx * band, chunk.len() / n));
+}
 
 /// Rows of the register tile of the matrix kernels: `MR × NR` = 32
 /// accumulation chains in eight AVX registers. Each strip of the right
@@ -731,30 +609,6 @@ mod tests {
     }
 
     #[test]
-    fn matvec_into_matches_matvec() {
-        let a = m(2, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let x = [1.0, 0.5, 2.0];
-        let mut out = [f64::NAN; 2];
-        matvec_into(&a, &x, &mut out).unwrap();
-        assert_eq!(out.to_vec(), matvec(&a, &x).unwrap());
-        assert!(matvec_into(&a, &x, &mut [0.0; 3]).is_err());
-        assert!(matvec_into(&a, &[1.0], &mut out).is_err());
-    }
-
-    #[test]
-    fn vecmat_into_matches_row_vector_matmul() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let a = init::uniform(5, 4, -1.0, 1.0, &mut rng);
-        let x = [0.3, -1.2, 2.5, 0.0, 7.75];
-        let mut out = [f64::NAN; 4];
-        vecmat_into(&x, &a, &mut out).unwrap();
-        let expect = matmul(&Matrix::row_vector(&x), &a).unwrap();
-        assert_eq!(&out[..], expect.as_slice());
-        assert!(vecmat_into(&x[..3], &a, &mut out).is_err());
-        assert!(vecmat_into(&x, &a, &mut [0.0; 3]).is_err());
-    }
-
-    #[test]
     fn matmul_bias_into_matches_unfused_bitwise() {
         let mut rng = StdRng::seed_from_u64(13);
         for &(m_, k_, n_) in &[
@@ -791,33 +645,12 @@ mod tests {
         assert!(matmul_bias_into(&a, &b, &[0.0; 4], &mut ok).is_ok());
     }
 
-    #[test]
-    fn vecmat_bias_into_matches_unfused_bitwise() {
-        let mut rng = StdRng::seed_from_u64(14);
-        for &(k_, n_) in &[(1, 1), (5, 4), (3, 64), (64, 64), (64, 1), (7, 19)] {
-            let a = init::uniform(k_, n_, -1.0, 1.0, &mut rng);
-            let x: Vec<f64> = (0..k_).map(|i| 0.3 * i as f64 - 1.0).collect();
-            let bias: Vec<f64> = (0..n_).map(|j| 0.05 * j as f64).collect();
-            let mut expect = vec![f64::NAN; n_];
-            vecmat_into(&x, &a, &mut expect).unwrap();
-            for (o, &bv) in expect.iter_mut().zip(&bias) {
-                *o += bv;
-            }
-            let mut fused = vec![f64::NAN; n_];
-            vecmat_bias_into(&x, &a, &bias, &mut fused).unwrap();
-            assert_eq!(fused, expect, "({k_},{n_})");
-        }
-        let a = Matrix::zeros(2, 3);
-        assert!(vecmat_bias_into(&[0.0; 3], &a, &[0.0; 3], &mut [0.0; 3]).is_err());
-        assert!(vecmat_bias_into(&[0.0; 2], &a, &[0.0; 2], &mut [0.0; 3]).is_err());
-        assert!(vecmat_bias_into(&[0.0; 2], &a, &[0.0; 3], &mut [0.0; 2]).is_err());
-    }
-
     /// `(m, k, n)` for an `m × n` output summed over `k`: the 8-row
     /// training shards (forward `x·W`, `xᵀ·δ` and `δ·Wᵀ`), the 61-state
-    /// served sweep, the 1537-row validation pass and a 7686-row product
-    /// that takes the parallel branch, then odd sizes around the 4-row
-    /// tile, the 8- and 16-wide strips and the 64-row packing block.
+    /// served sweep and its layers as a one-row batch, the 1537-row
+    /// validation pass and a 7686-row product that takes the parallel
+    /// branch, then odd sizes around the 4-row tile, the 8-wide strip and
+    /// the 64-row packing block.
     const ORACLE_SHAPES: &[(usize, usize, usize)] = &[
         (8, 64, 64),
         (8, 3, 64),
@@ -829,6 +662,9 @@ mod tests {
         (61, 3, 64),
         (61, 64, 64),
         (61, 64, 1),
+        (1, 3, 64),
+        (1, 64, 64),
+        (1, 64, 1),
         (1537, 64, 64),
         (7686, 64, 64),
         (1, 1, 1),
@@ -896,21 +732,6 @@ mod tests {
             out.as_mut_slice().fill(f64::NAN);
             matmul_bias_into(&a, &b, &bias, &mut out).unwrap();
             assert_bits(out.as_slice(), biased.as_slice(), &what("matmul_bias_into"));
-
-            // The single-row kernels on the first row.
-            let x = a.row(0);
-            let mut row = vec![f64::NAN; n_];
-            vecmat_into(x, &b, &mut row).unwrap();
-            assert_bits(&row, oracle.row(0), &what("vecmat_into"));
-            vecmat_bias_into(x, &b, &bias, &mut row).unwrap();
-            assert_bits(&row, biased.row(0), &what("vecmat_bias_into"));
-
-            // `a · col` as the oracle product with a one-column right side.
-            let col = b.col(0);
-            let mut mv = vec![f64::NAN; m_];
-            matvec_into(&a, &col, &mut mv).unwrap();
-            let want = matmul_naive(&a, &Matrix::col_vector(&col)).unwrap();
-            assert_bits(&mv, want.as_slice(), &what("matvec_into"));
         }
     }
 

@@ -214,34 +214,12 @@ impl Matrix {
         }
     }
 
-    /// Vertically stacks `self` on top of `other`.
-    pub fn vstack(&self, other: &Self) -> TensorResult<Self> {
-        if self.cols != other.cols {
-            return Err(ShapeError::new("vstack", self.shape(), other.shape()));
-        }
-        let mut data = Vec::with_capacity(self.data.len() + other.data.len());
-        data.extend_from_slice(&self.data);
-        data.extend_from_slice(&other.data);
-        Ok(Self {
-            rows: self.rows + other.rows,
-            cols: self.cols,
-            data,
-        })
-    }
-
     /// Applies `f` to every element, returning a new matrix.
     pub fn map(&self, f: impl Fn(f64) -> f64) -> Self {
         Self {
             rows: self.rows,
             cols: self.cols,
             data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f64) -> f64) {
-        for x in &mut self.data {
-            *x = f(*x);
         }
     }
 
@@ -367,22 +345,6 @@ mod tests {
         assert_eq!(s.row(0), &[5.0, 6.0]);
         assert_eq!(s.row(1), &[1.0, 2.0]);
         assert_eq!(s.row(2), &[5.0, 6.0]);
-    }
-
-    #[test]
-    fn vstack_concatenates_rows() {
-        let a = Matrix::from_vec(1, 2, vec![1.0, 2.0]).unwrap();
-        let b = Matrix::from_vec(2, 2, vec![3.0, 4.0, 5.0, 6.0]).unwrap();
-        let v = a.vstack(&b).unwrap();
-        assert_eq!(v.shape(), (3, 2));
-        assert_eq!(v.row(2), &[5.0, 6.0]);
-    }
-
-    #[test]
-    fn vstack_rejects_mismatched_cols() {
-        let a = Matrix::zeros(1, 2);
-        let b = Matrix::zeros(1, 3);
-        assert!(a.vstack(&b).is_err());
     }
 
     #[test]

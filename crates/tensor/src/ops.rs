@@ -13,25 +13,9 @@ pub fn sub(a: &Matrix, b: &Matrix) -> TensorResult<Matrix> {
     zip_with("sub", a, b, |x, y| x - y)
 }
 
-/// Returns the Hadamard (elementwise) product `a ⊙ b`.
-pub fn hadamard(a: &Matrix, b: &Matrix) -> TensorResult<Matrix> {
-    zip_with("hadamard", a, b, |x, y| x * y)
-}
-
 /// Returns `a * s` for a scalar `s`.
 pub fn scale(a: &Matrix, s: f64) -> Matrix {
     a.map(|x| x * s)
-}
-
-/// In-place `a += alpha * b` (the classic axpy), shape checked.
-pub fn axpy(alpha: f64, b: &Matrix, a: &mut Matrix) -> TensorResult<()> {
-    if a.shape() != b.shape() {
-        return Err(ShapeError::new("axpy", a.shape(), b.shape()));
-    }
-    for (x, &y) in a.as_mut_slice().iter_mut().zip(b.as_slice()) {
-        *x += alpha * y;
-    }
-    Ok(())
 }
 
 /// In-place `a += b` elementwise, shape checked.
@@ -49,13 +33,6 @@ pub fn add_assign(a: &mut Matrix, b: &Matrix) -> TensorResult<()> {
         *x += y;
     }
     Ok(())
-}
-
-/// Dot product of two equal-length slices.
-#[inline]
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(&x, &y)| x * y).sum()
 }
 
 /// Adds a `1 x cols` row-vector `bias` to every row of `a` (broadcast).
@@ -90,25 +67,6 @@ pub fn sum_rows(a: &Matrix) -> Matrix {
         }
     }
     out
-}
-
-/// Adds a `1 x cols` row-vector `bias` to every row of `a` in place.
-/// Allocation-free sibling of [`add_row_broadcast`].
-pub fn add_row_broadcast_into(a: &mut Matrix, bias: &Matrix) -> TensorResult<()> {
-    if bias.rows() != 1 || bias.cols() != a.cols() {
-        return Err(ShapeError::new(
-            "add_row_broadcast",
-            a.shape(),
-            bias.shape(),
-        ));
-    }
-    let b = bias.as_slice();
-    for r in 0..a.rows() {
-        for (x, &bv) in a.row_mut(r).iter_mut().zip(b) {
-            *x += bv;
-        }
-    }
-    Ok(())
 }
 
 /// Multiplies every element of `a` by `s` in place. Bitwise-identical to
@@ -191,33 +149,13 @@ mod tests {
         let a = Matrix::zeros(2, 2);
         let b = Matrix::zeros(2, 3);
         assert!(add(&a, &b).is_err());
-        assert!(hadamard(&a, &b).is_err());
-    }
-
-    #[test]
-    fn hadamard_multiplies_elementwise() {
-        let a = m(1, 3, &[1.0, 2.0, 3.0]);
-        let b = m(1, 3, &[4.0, 5.0, 6.0]);
-        assert_eq!(hadamard(&a, &b).unwrap().as_slice(), &[4.0, 10.0, 18.0]);
+        assert!(sub(&a, &b).is_err());
     }
 
     #[test]
     fn scale_multiplies_scalar() {
         let a = m(1, 2, &[1.5, -2.0]);
         assert_eq!(scale(&a, 2.0).as_slice(), &[3.0, -4.0]);
-    }
-
-    #[test]
-    fn axpy_accumulates() {
-        let mut a = m(1, 2, &[1.0, 1.0]);
-        let b = m(1, 2, &[2.0, 3.0]);
-        axpy(0.5, &b, &mut a).unwrap();
-        assert_eq!(a.as_slice(), &[2.0, 2.5]);
-    }
-
-    #[test]
-    fn dot_product() {
-        assert_eq!(dot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
     }
 
     #[test]
@@ -239,18 +177,6 @@ mod tests {
     fn sum_rows_collapses() {
         let a = m(3, 2, &[1.0, 10.0, 2.0, 20.0, 3.0, 30.0]);
         assert_eq!(sum_rows(&a).as_slice(), &[6.0, 60.0]);
-    }
-
-    #[test]
-    fn broadcast_into_matches_allocating() {
-        let a = m(2, 2, &[1.0, 2.0, 3.0, 4.0]);
-        let b = m(1, 2, &[10.0, 20.0]);
-        let expect = add_row_broadcast(&a, &b).unwrap();
-        let mut got = a.clone();
-        add_row_broadcast_into(&mut got, &b).unwrap();
-        assert_eq!(got, expect);
-        let mut bad = Matrix::zeros(2, 3);
-        assert!(add_row_broadcast_into(&mut bad, &b).is_err());
     }
 
     #[test]

@@ -46,15 +46,6 @@ pub fn argmin(xs: &[f64]) -> Option<usize> {
         .map(|(i, _)| i)
 }
 
-/// Index of the maximum value; `None` for an empty slice.
-pub fn argmax(xs: &[f64]) -> Option<usize> {
-    xs.iter()
-        .enumerate()
-        .filter(|(_, x)| !x.is_nan())
-        .max_by(|(_, a), (_, b)| a.partial_cmp(b).expect("NaN filtered"))
-        .map(|(i, _)| i)
-}
-
 /// Drives a fixed-shape pairwise tree reduction over `n` slots,
 /// accumulating the result into slot 0.
 ///
@@ -109,7 +100,6 @@ mod tests {
     fn arg_reductions() {
         let xs = [3.0, 1.0, 2.0, 1.0];
         assert_eq!(argmin(&xs), Some(1)); // first minimum wins
-        assert_eq!(argmax(&xs), Some(0));
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Column statistics and feature scaling.
 //!
-//! [`Standardizer`] (z-score) and [`MinMaxScaler`] are fitted on a training
-//! matrix and can then transform any matrix with the same column count —
-//! the usual fit/transform split so validation and deployment data are
-//! scaled with *training* statistics.
+//! [`Standardizer`] (z-score) is fitted on a training matrix and can then
+//! transform any matrix with the same column count — the usual
+//! fit/transform split so validation and deployment data are scaled with
+//! *training* statistics.
 
 use crate::error::{ShapeError, TensorResult};
 use crate::matrix::Matrix;
@@ -64,85 +64,6 @@ impl Standardizer {
         }
         Ok(out)
     }
-
-    /// Inverse transform: maps scaled values back to the original units.
-    pub fn inverse_transform(&self, m: &Matrix) -> TensorResult<Matrix> {
-        if m.cols() != self.means.len() {
-            return Err(ShapeError::new(
-                "unstandardize",
-                m.shape(),
-                (1, self.means.len()),
-            ));
-        }
-        let mut out = m.clone();
-        for r in 0..out.rows() {
-            let row = out.row_mut(r);
-            for (v, (mean, std)) in row.iter_mut().zip(self.means.iter().zip(&self.stds)) {
-                *v = *v * std + mean;
-            }
-        }
-        Ok(out)
-    }
-}
-
-/// Min-max scaler: `x' = (x - min) / (max - min)`, per column, into [0, 1].
-///
-/// Constant columns map to 0.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct MinMaxScaler {
-    mins: Vec<f64>,
-    ranges: Vec<f64>,
-}
-
-impl MinMaxScaler {
-    /// Fits the scaler to the columns of `m`.
-    pub fn fit(m: &Matrix) -> Self {
-        let mut mins = Vec::with_capacity(m.cols());
-        let mut ranges = Vec::with_capacity(m.cols());
-        for c in 0..m.cols() {
-            let col = m.col(c);
-            let lo = reduce::min(&col).unwrap_or(0.0);
-            let hi = reduce::max(&col).unwrap_or(0.0);
-            mins.push(lo);
-            ranges.push(if hi > lo { hi - lo } else { 1.0 });
-        }
-        Self { mins, ranges }
-    }
-
-    /// Number of columns the scaler was fitted on.
-    pub fn num_features(&self) -> usize {
-        self.mins.len()
-    }
-
-    /// Transforms `m` using the fitted min/range.
-    pub fn transform(&self, m: &Matrix) -> TensorResult<Matrix> {
-        if m.cols() != self.mins.len() {
-            return Err(ShapeError::new("minmax", m.shape(), (1, self.mins.len())));
-        }
-        let mut out = m.clone();
-        for r in 0..out.rows() {
-            let row = out.row_mut(r);
-            for (v, (min, range)) in row.iter_mut().zip(self.mins.iter().zip(&self.ranges)) {
-                *v = (*v - min) / range;
-            }
-        }
-        Ok(out)
-    }
-
-    /// Inverse transform back to original units.
-    pub fn inverse_transform(&self, m: &Matrix) -> TensorResult<Matrix> {
-        if m.cols() != self.mins.len() {
-            return Err(ShapeError::new("unminmax", m.shape(), (1, self.mins.len())));
-        }
-        let mut out = m.clone();
-        for r in 0..out.rows() {
-            let row = out.row_mut(r);
-            for (v, (min, range)) in row.iter_mut().zip(self.mins.iter().zip(&self.ranges)) {
-                *v = *v * range + min;
-            }
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -166,16 +87,6 @@ mod tests {
     }
 
     #[test]
-    fn standardizer_inverse_round_trip() {
-        let x = m(3, 2, &[1.0, -5.0, 2.0, 0.0, 3.0, 5.0]);
-        let s = Standardizer::fit(&x);
-        let back = s.inverse_transform(&s.transform(&x).unwrap()).unwrap();
-        for (a, b) in x.as_slice().iter().zip(back.as_slice()) {
-            assert!((a - b).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn standardizer_constant_column_no_nan() {
         let x = m(3, 1, &[7.0, 7.0, 7.0]);
         let s = Standardizer::fit(&x);
@@ -192,37 +103,11 @@ mod tests {
     }
 
     #[test]
-    fn minmax_maps_into_unit_interval() {
-        let x = m(3, 1, &[5.0, 10.0, 15.0]);
-        let s = MinMaxScaler::fit(&x);
-        let t = s.transform(&x).unwrap();
-        assert_eq!(t.as_slice(), &[0.0, 0.5, 1.0]);
-    }
-
-    #[test]
-    fn minmax_inverse_round_trip() {
-        let x = m(3, 2, &[1.0, 100.0, 5.0, 300.0, 9.0, 200.0]);
-        let s = MinMaxScaler::fit(&x);
-        let back = s.inverse_transform(&s.transform(&x).unwrap()).unwrap();
-        for (a, b) in x.as_slice().iter().zip(back.as_slice()) {
-            assert!((a - b).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn minmax_constant_column_maps_to_zero() {
-        let x = m(3, 1, &[4.0, 4.0, 4.0]);
-        let s = MinMaxScaler::fit(&x);
-        let t = s.transform(&x).unwrap();
-        assert!(t.as_slice().iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
     fn transform_generalizes_to_new_data() {
         let train = m(2, 1, &[0.0, 10.0]);
-        let s = MinMaxScaler::fit(&train);
+        let s = Standardizer::fit(&train);
         let test = m(1, 1, &[20.0]);
-        // Out-of-range data extrapolates past 1.0 rather than clamping.
-        assert_eq!(s.transform(&test).unwrap().as_slice(), &[2.0]);
+        // Scaled with the training mean (5) and std (5), not refitted.
+        assert_eq!(s.transform(&test).unwrap().as_slice(), &[3.0]);
     }
 }

@@ -11,6 +11,12 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# Broken or ambiguous intra-doc links (say, to a deleted item) fail here.
+# compat/ is left out: proptest's docs hold an ambiguous `vec` link.
+echo "==> cargo doc --no-deps (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -p gpu-dvfs -p tensor -p obs -p nn \
+    -p dvfs-core -p gpu-model -p kernels -p telemetry -p featsel -p baselines -p bench
+
 # The data-parallel training engine and concurrent campaign promise
 # bitwise-identical results for every worker count, so the whole suite
 # runs once pinned serial and once at 4 workers.
