@@ -31,9 +31,7 @@ impl TrainedPipeline {
     /// grid (1 = every used state, the paper's setting; larger strides
     /// speed up tests).
     pub fn train_on<B: GpuBackend + ?Sized>(backend: &B, stride: usize) -> Self {
-        let spec = backend.spec().clone();
-        let workloads: Vec<PhasedWorkload> =
-            training_suite().iter().map(|k| k.workload(&spec)).collect();
+        let workloads = training_workloads(backend.spec());
         Self::train_on_workloads(backend, &workloads, stride)
     }
 
@@ -132,6 +130,14 @@ impl TrainedPipeline {
     }
 }
 
+/// The training suite's workloads on `spec`, each signature derived from
+/// one run of its instrumented kernel: the offline phase before the
+/// campaign, under a span of its own.
+fn training_workloads(spec: &DeviceSpec) -> Vec<PhasedWorkload> {
+    obs::span!("signatures");
+    training_suite().iter().map(|k| k.workload(spec)).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,15 +204,21 @@ mod tests {
     #[test]
     fn pipeline_phases_record_spans() {
         let (_, _p) = quick_pipeline();
+        let workloads = training_workloads(&DeviceSpec::ga100());
+        assert_eq!(workloads.len(), 21);
         for path in [
+            // `train_on` derives the suite's signatures before the pipeline.
+            "signatures",
             "pipeline",
             "pipeline/campaign",
             "pipeline/dataset",
             "pipeline/train",
             // Power fit: inline on the caller, under the open span tree.
             "pipeline/train/fit/epoch",
+            "pipeline/train/fit/epoch/validate",
             // Time fit: grafted under the same parent by train_with.
             "pipeline/train/time/fit/epoch",
+            "pipeline/train/time/fit/epoch/validate",
         ] {
             assert!(obs::span::stat(path).is_some(), "missing span `{path}`");
         }

@@ -290,6 +290,7 @@ impl Trainer {
                 history.train_loss.push(mean_loss);
                 if let (Some(xv), Some(yv)) = (&x_val, &y_val) {
                     let val = {
+                        obs::span!("validate");
                         let net = net_lock.read();
                         let ws = ws_val.as_mut().expect("validation workspace exists");
                         let pred = net.predict_into(xv, ws);

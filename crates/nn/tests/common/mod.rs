@@ -1,6 +1,6 @@
 //! The counting global allocator and single-test runner shared by the
-//! allocation tests (`zero_alloc*.rs` here and `dvfs-core`'s
-//! `sweep_allocs.rs`).
+//! allocation tests (`zero_alloc*.rs` here, `dvfs-core`'s
+//! `sweep_allocs.rs` and the `rayon` stand-in's `zip_allocs.rs`).
 //!
 //! The allocator counts the allocations of every thread in the process,
 //! which is what `zero_alloc.rs`'s whole-fit comparison needs: it must see

@@ -28,9 +28,10 @@ use rayon::prelude::*;
 const PAR_ROW_THRESHOLD: usize = 64;
 
 /// Minimum multiply-add count before the `_into` kernels go parallel. The
-/// rayon shim spawns scoped threads per call, so parallelism has to
-/// amortize thread startup (tens of microseconds), not just row count —
-/// a 64-row layer matmul is far cheaper serial.
+/// rayon pool's threads persist, but each parallel call still hands its
+/// bands to a worker through the pool's queue and may have to wake it,
+/// so parallelism has to amortize that hand-off, not just row count — a
+/// 64-row layer matmul is far cheaper serial.
 const PAR_WORK_THRESHOLD: usize = 1 << 23;
 
 /// Computes `a @ b`, choosing the parallel kernel for large outputs and the
@@ -249,6 +250,11 @@ fn product(a: &Matrix, b: &Matrix, parallel: bool) -> Matrix {
 /// `rows(chunk, i0, rows_here)`: in one call covering every row, or, when
 /// `parallel`, as contiguous bands of rows, one rayon task per band.
 /// `chunk` holds rows `[i0, i0 + rows_here)`.
+///
+/// [`block_rows_into`], [`block_rows_bias_into`] and [`at_b_rows_into`]
+/// are `#[inline(never)]`. Left to the inliner, whether such a kernel is
+/// folded into its `rows` closure depends on how the parallel branch
+/// compiles, and folded there the 61-row f64 sweep ran about 5% slower.
 fn row_bands(
     out: &mut [f64],
     n: usize,
@@ -395,6 +401,7 @@ fn spill_tile<const S: usize>(
 /// Each output element starts from `0.0` and accumulates over `p` in
 /// ascending order ([`tile`]), so results are bit-for-bit equal to the
 /// naive kernel.
+#[inline(never)]
 fn block_rows_into(
     a: &Matrix,
     b: &Matrix,
@@ -412,6 +419,7 @@ fn block_rows_into(
 /// `[i0, i0 + rows_here)` of `a @ b + bias` into `out_chunk`. The tiles
 /// are identical; `bias[j]` is added as each element spills, so the
 /// chunk is written exactly once.
+#[inline(never)]
 fn block_rows_bias_into(
     a: &Matrix,
     b: &Matrix,
@@ -431,6 +439,7 @@ fn block_rows_bias_into(
 /// `(r, m)`, `b` is `(r, n)`; output row `i` of the chunk is column
 /// `i0 + i` of `a` dotted against `b`, accumulated over `p` in ascending
 /// order. A tile reads four adjacent entries of each row of `a`.
+#[inline(never)]
 fn at_b_rows_into(
     a: &Matrix,
     b: &Matrix,
