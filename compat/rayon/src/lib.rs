@@ -21,21 +21,36 @@
 //!   compute its outputs in parallel into one buffer per piece; otherwise
 //!   the fold reads the source directly.
 //!
-//! An input with fewer than two positions, or a machine reporting one
-//! CPU, runs inline on the calling thread.
+//! An input with fewer than two positions, or a pool of one thread (one
+//! CPU, or `DVFS_THREADS=1`), runs inline on the calling thread.
 
 pub mod iter;
 mod pool;
 
 use iter::{Chunks, ChunksMut, Enumerate, FlatMapIter, Iter, IterMut, Map, Zip};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Number of threads a parallel call spreads across: the pool's workers
-/// plus the calling thread. Read once, from
-/// [`std::thread::available_parallelism`].
+/// plus the calling thread. Resolved once, at first use: the
+/// `DVFS_THREADS` environment variable when it holds a positive integer,
+/// else [`std::thread::available_parallelism`]. (rayon itself reads
+/// `RAYON_NUM_THREADS`; this stand-in reads the variable the workspace's
+/// `--threads` flag sets, so one setting sizes every parallel stage.)
 pub fn current_num_threads() -> usize {
     static THREADS: OnceLock<usize> = OnceLock::new();
-    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    *THREADS.get_or_init(|| {
+        std::env::var("DVFS_THREADS")
+            .ok()
+            .and_then(|v| parse_threads(&v))
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    })
+}
+
+/// Parses a `DVFS_THREADS` value: a positive integer, surrounding
+/// whitespace allowed. `None` (all cores) for `0` or anything else.
+fn parse_threads(value: &str) -> Option<usize> {
+    value.trim().parse().ok().filter(|&n| n > 0)
 }
 
 /// Runs `oper_a` and `oper_b`, potentially in parallel, and returns both
@@ -53,9 +68,14 @@ where
 {
     let pool = pool::global();
     if pool.workers() == 0 {
-        let ra = oper_a();
-        let rb = oper_b();
-        return (ra, rb);
+        // No pool (one CPU, or `DVFS_THREADS=1`): the same contract, in
+        // sequence.
+        let ra = panic::catch_unwind(AssertUnwindSafe(oper_a));
+        let rb = panic::catch_unwind(AssertUnwindSafe(oper_b));
+        return match (ra, rb) {
+            (Ok(ra), Ok(rb)) => (ra, rb),
+            (Err(payload), _) | (Ok(_), Err(payload)) => panic::resume_unwind(payload),
+        };
     }
     let oper_b = Mutex::new(Some(oper_b));
     let rb = Mutex::new(None);
@@ -569,6 +589,14 @@ mod tests {
         let out: Vec<usize> = (0..1000usize).into_par_iter().map(|x| x + 1).collect();
         assert_eq!(out, (1..=1000).collect::<Vec<_>>());
         assert_eq!(join(|| 1, || 2), (1, 2));
+    }
+
+    #[test]
+    fn dvfs_threads_parse_trims_and_treats_zero_as_auto() {
+        assert_eq!(super::parse_threads(" 2"), Some(2));
+        assert_eq!(super::parse_threads("4\n"), Some(4));
+        assert_eq!(super::parse_threads("0"), None);
+        assert_eq!(super::parse_threads("x"), None);
     }
 
     #[test]

@@ -10,13 +10,18 @@
 //! a batch from the busiest sibling instead of sleeping. Two workers
 //! only ever contend when one of them is otherwise idle.
 //!
-//! Parking uses a separate `Mutex<()>`/`Condvar` pair plus an atomic
+//! Parking uses a separate sleep mutex/`Condvar` pair plus an atomic
 //! pending count, ordered to make lost wakeups impossible: a pusher
 //! increments `pending`, then passes through the sleep mutex *before*
 //! notifying — so a worker that observed `pending == 0` under that mutex
-//! is guaranteed to be inside `wait_timeout` (or re-checking) when the
-//! notify lands. Waits still time out at a coarse poll interval so
-//! workers re-check stop/version flags even on an idle server.
+//! is guaranteed to be waiting (or re-checking) when the notify lands.
+//!
+//! The sleep mutex guards a **wake epoch** that [`Dispatcher::wake_all`]
+//! bumps. A daemon worker parks with no time bound
+//! ([`Dispatcher::pop_batch_parked`]) only while nothing is pending and
+//! the epoch still holds the value its last empty pop returned with, so a
+//! `wake_all` that lands between the worker's stop/version checks and
+//! its park makes the park return at once instead of being lost.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -38,7 +43,8 @@ pub struct Dispatcher<T> {
     /// Round-robin cursor: each pushed burst lands wholly in one shard
     /// (keeping it poppable as one batch), successive bursts spread out.
     cursor: AtomicUsize,
-    sleep: Mutex<()>,
+    /// The wake epoch: how many [`Dispatcher::wake_all`] calls ran.
+    sleep: Mutex<u64>,
     wake: Condvar,
 }
 
@@ -57,7 +63,7 @@ impl<T> Dispatcher<T> {
                 .collect(),
             pending: AtomicUsize::new(0),
             cursor: AtomicUsize::new(0),
-            sleep: Mutex::new(()),
+            sleep: Mutex::new(0),
             wake: Condvar::new(),
         }
     }
@@ -103,14 +109,15 @@ impl<T> Dispatcher<T> {
         }
         self.pending.fetch_add(n, Ordering::Release);
         // Pass through the sleep mutex so any worker that read
-        // `pending == 0` has since reached `wait_timeout`.
+        // `pending == 0` has since started waiting.
         drop(self.sleep.lock().unwrap());
         self.wake.notify_one();
     }
 
-    /// Wakes every parked worker (shutdown, snapshot publish).
+    /// Wakes every parked worker (shutdown, snapshot publish). A worker
+    /// about to park in [`Dispatcher::pop_batch_parked`] returns instead.
     pub fn wake_all(&self) {
-        drop(self.sleep.lock().unwrap());
+        *self.sleep.lock().unwrap() += 1;
         self.wake.notify_all();
     }
 
@@ -120,6 +127,46 @@ impl<T> Dispatcher<T> {
     /// empty after parking for at most `park` without work — callers
     /// re-check stop/rebind conditions then.
     pub fn pop_batch_into(&self, worker: usize, max: usize, park: Duration, out: &mut Vec<T>) {
+        if self.try_pop_into(worker, max, out) {
+            return;
+        }
+        // Park until a push passes through the sleep mutex or `park`
+        // elapses. Checking `pending` under the mutex closes the race
+        // with a push that landed between the drains above and here.
+        let guard = self.sleep.lock().unwrap();
+        if self.pending.load(Ordering::Acquire) == 0 {
+            let _ = self.wake.wait_timeout(guard, park).unwrap();
+        }
+    }
+
+    /// Pops up to `max` jobs into `out` like [`Dispatcher::pop_batch_into`],
+    /// but parks with no time bound: it returns with jobs, or with `out`
+    /// empty once a [`Dispatcher::wake_all`] ran since the last empty
+    /// return. `epoch` is the caller's record of that return: start it
+    /// at 0 and pass the same variable on every call, so a `wake_all`
+    /// that lands while the caller is re-checking its stop or rebind
+    /// condition makes the next call return at once.
+    pub fn pop_batch_parked(&self, worker: usize, max: usize, epoch: &mut u64, out: &mut Vec<T>) {
+        loop {
+            if self.try_pop_into(worker, max, out) {
+                return;
+            }
+            let mut wakes = self.sleep.lock().unwrap();
+            while *wakes == *epoch && self.pending.load(Ordering::Acquire) == 0 {
+                wakes = self.wake.wait(wakes).unwrap();
+            }
+            if *wakes != *epoch {
+                *epoch = *wakes;
+                return;
+            }
+            // A push landed: pop it.
+        }
+    }
+
+    /// Clears `out`, then pops up to `max` jobs into it from the worker's
+    /// own shard, or failing that from the fullest sibling. Returns
+    /// whether it got any.
+    fn try_pop_into(&self, worker: usize, max: usize, out: &mut Vec<T>) -> bool {
         out.clear();
         let own = &self.shards[worker % self.shards.len()];
         {
@@ -130,17 +177,11 @@ impl<T> Dispatcher<T> {
         if out.is_empty() && self.shards.len() > 1 {
             self.steal_into(worker, max, out);
         }
-        if !out.is_empty() {
-            self.pending.fetch_sub(out.len(), Ordering::Release);
-            return;
+        if out.is_empty() {
+            return false;
         }
-        // Park until a push passes through the sleep mutex or the poll
-        // interval elapses. Checking `pending` under the mutex closes the
-        // race with a push that landed between the drains above and here.
-        let guard = self.sleep.lock().unwrap();
-        if self.pending.load(Ordering::Acquire) == 0 {
-            let _ = self.wake.wait_timeout(guard, park).unwrap();
-        }
+        self.pending.fetch_sub(out.len(), Ordering::Release);
+        true
     }
 
     /// Steals up to `max` jobs from the fullest sibling shard, skipping
@@ -227,6 +268,71 @@ mod tests {
             t0.elapsed() >= Duration::from_millis(10),
             "must have parked"
         );
+    }
+
+    #[test]
+    fn parked_pop_sleeps_until_a_push_or_a_wake() {
+        let d: Arc<Dispatcher<u32>> = Arc::new(Dispatcher::new(2));
+        let returned = Arc::new(AtomicU64::new(0));
+        let worker = {
+            let (d, returned) = (Arc::clone(&d), Arc::clone(&returned));
+            std::thread::spawn(move || {
+                let (mut epoch, mut out) = (0, Vec::new());
+                d.pop_batch_parked(1, 16, &mut epoch, &mut out);
+                returned.store(1, Ordering::Release);
+                let first = std::mem::take(&mut out);
+                d.pop_batch_parked(1, 16, &mut epoch, &mut out);
+                (first, out, epoch)
+            })
+        };
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(returned.load(Ordering::Acquire), 0, "returned with no work");
+        // A push to the other worker's shard is stolen.
+        d.push_batch([3, 4]);
+        while returned.load(Ordering::Acquire) == 0 {
+            std::thread::yield_now();
+        }
+        d.wake_all();
+        let (first, second, epoch) = worker.join().unwrap();
+        assert_eq!(first, vec![3, 4]);
+        assert!(second.is_empty(), "a wake returns with no jobs");
+        assert_eq!(epoch, 1, "the caller's epoch follows the wakes");
+    }
+
+    /// The stop race an untimed park must close: the worker reads the
+    /// stop flag, `wake_all` runs, and only then does the worker park.
+    /// With the wake lost, a worker here would never exit.
+    #[test]
+    fn a_wake_between_the_stop_check_and_the_park_is_not_lost() {
+        for round in 0..500u32 {
+            let d: Arc<Dispatcher<u32>> = Arc::new(Dispatcher::new(1));
+            let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            let worker = {
+                let (d, stop) = (Arc::clone(&d), Arc::clone(&stop));
+                std::thread::spawn(move || {
+                    let (mut epoch, mut out) = (0, Vec::new());
+                    loop {
+                        d.pop_batch_parked(0, 16, &mut epoch, &mut out);
+                        if out.is_empty() && stop.load(Ordering::Acquire) {
+                            break;
+                        }
+                    }
+                    done_tx.send(()).unwrap();
+                })
+            };
+            // Vary where the wake lands relative to the worker's loop.
+            for _ in 0..round % 7 {
+                std::thread::yield_now();
+            }
+            stop.store(true, Ordering::Release);
+            d.wake_all();
+            assert!(
+                done_rx.recv_timeout(Duration::from_secs(5)).is_ok(),
+                "round {round}: the worker missed its wake"
+            );
+            worker.join().unwrap();
+        }
     }
 
     #[test]

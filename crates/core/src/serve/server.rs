@@ -1,9 +1,12 @@
 //! The thread-per-core prediction server.
 //!
-//! Topology: one **acceptor** thread (non-blocking accept loop), one
+//! Topology: one **acceptor** thread (blocked in `accept`), one
 //! **handler** thread per connection (framing + protocol + control
 //! commands), and `workers` **worker** threads that drain a sharded
-//! job [`Dispatcher`] and run the cached batch-prediction path.
+//! job [`Dispatcher`] and run the cached batch-prediction path. Every
+//! one of them blocks on the event it serves; a stop wakes them all
+//! (see [`Server::shutdown`]), and a handler that finishes is joined by
+//! the next one to finish.
 //!
 //! The request path is built around four hot-path structures:
 //!
@@ -32,10 +35,11 @@
 //!
 //! Each worker binds a [`Predictor`] to the current [`ModelSnapshot`]
 //! and rebinds (dropping its per-snapshot fragment cache) when
-//! [`ModelStore::changed_since`] reports a publish — a snapshot swap
-//! never blocks a reader and never stalls the queues; a batch popped
-//! concurrently with a publish is served by the version that was current
-//! at dequeue (the response carries that version id).
+//! [`ModelStore::changed_since`], checked after every pop, reports a
+//! publish — a snapshot swap never blocks a reader and never stalls the
+//! queues; a batch is served by a version at least as new as the one
+//! current when it was dequeued (the response carries that version id),
+//! so versions never move backwards on a connection.
 //!
 //! The profile cache is a [`ShardedProfileCache`] with one shard per
 //! worker, rounded up to a power of two: requests touch only the shard
@@ -63,19 +67,23 @@ use obs::slo::{SloEngine, SloSpec};
 use obs::timeseries::{Sampler, TimeSeries};
 use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How long blocking waits (queue parks, socket reads) last before
-/// re-checking the stop flag.
-const POLL: Duration = Duration::from_millis(25);
-
 /// How long a handler waits for the worker pool to answer a dispatched
 /// batch before failing the requests (covers a crashed worker).
 const REPLY_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// How long an acceptor waits after a failed `accept` (say, out of file
+/// descriptors) before the next, so a lasting error does not spin it.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// How long a stop waits to connect to its own listener (see
+/// [`wake_listener`]).
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Max entries in each worker's serialized-fragment cache before it is
 /// reset wholesale (a cheap epoch clear beats per-entry LRU bookkeeping
@@ -179,7 +187,13 @@ struct Shared {
     store: Arc<ModelStore>,
     cache: ShardedProfileCache,
     dispatch: Dispatcher<Job>,
+    /// Set once by [`Shared::stop`].
     stop: AtomicBool,
+    /// The connection handlers, live and finished.
+    conns: Mutex<Connections>,
+    /// The listeners' bound addresses, which a stop connects to.
+    local_addr: SocketAddr,
+    telemetry_addr: Option<SocketAddr>,
     max_frame: usize,
     started: Instant,
     /// Rolling metric snapshots the sampler thread feeds; everything
@@ -201,7 +215,108 @@ struct Shared {
     ledger: super::journal::EnergyLedger,
 }
 
+/// The connection registry: a socket clone of every live connection,
+/// so a stop can end its handler's blocked read, and the handlers that
+/// finished but are not joined yet.
+#[derive(Default)]
+struct Connections {
+    next_id: u64,
+    live: HashMap<u64, LiveConnection>,
+    /// Handlers past their last use of the registry. The next handler
+    /// to finish joins them (so at most a few finished threads keep
+    /// their stacks), and [`Server::join`] joins the rest.
+    finished: Vec<JoinHandle<()>>,
+}
+
+struct LiveConnection {
+    stream: TcpStream,
+    /// The handler thread; `None` until its spawn returns.
+    handle: Option<JoinHandle<()>>,
+}
+
+/// Deregisters a handler's connection when the handler returns or
+/// unwinds.
+struct Registered<'a> {
+    shared: &'a Shared,
+    id: u64,
+}
+
+impl Drop for Registered<'_> {
+    fn drop(&mut self) {
+        join_handlers(self.shared.deregister(self.id));
+    }
+}
+
 impl Shared {
+    /// Stops the server and wakes every thread blocked on its event:
+    /// the acceptor and the telemetry responder (their `accept` returns
+    /// a connection of ours, see [`wake_listener`]), the connection
+    /// handlers (their read sides
+    /// shut down, so a blocked read returns EOF while replies still in
+    /// flight go out), and the parked workers. Only the first call does
+    /// anything.
+    fn stop(&self) {
+        if self.stop.swap(true, Ordering::AcqRel) {
+            return;
+        }
+        wake_listener(self.local_addr);
+        if let Some(addr) = self.telemetry_addr {
+            wake_listener(addr);
+        }
+        for conn in self.conns.lock().unwrap().live.values() {
+            let _ = conn.stream.shutdown(Shutdown::Read);
+        }
+        self.dispatch.wake_all();
+    }
+
+    /// Registers an accepted connection under a fresh id, keeping a
+    /// clone of its socket. Returns `None`, and the connection closes,
+    /// once a stop has begun: checking the flag under the registry lock
+    /// means every connection [`Shared::stop`] does not see is refused.
+    fn register(&self, stream: &TcpStream) -> io::Result<Option<u64>> {
+        let stream = stream.try_clone()?;
+        let mut conns = self.conns.lock().unwrap();
+        if self.stop.load(Ordering::Acquire) {
+            return Ok(None);
+        }
+        let id = conns.next_id;
+        conns.next_id += 1;
+        conns.live.insert(
+            id,
+            LiveConnection {
+                stream,
+                handle: None,
+            },
+        );
+        Ok(Some(id))
+    }
+
+    /// Drops connection `id` from the registry, parks its handler's
+    /// `JoinHandle` (when the acceptor stored it already) among the
+    /// finished ones, and returns the handlers that finished before it
+    /// for the caller to join.
+    fn deregister(&self, id: u64) -> Vec<JoinHandle<()>> {
+        let (earlier, idle) = {
+            let mut conns = self.conns.lock().unwrap();
+            let own = conns.live.remove(&id).and_then(|conn| conn.handle);
+            let earlier = std::mem::replace(&mut conns.finished, own.into_iter().collect());
+            (earlier, conns.live.is_empty())
+        };
+        // Workers outlive the last connection of a stopping server.
+        if idle && self.stop.load(Ordering::Acquire) {
+            self.dispatch.wake_all();
+        }
+        earlier
+    }
+
+    /// Whether a worker may exit: stopped, no connection left that
+    /// could push a job, and no job queued.
+    fn drained(&self) -> bool {
+        self.stop.load(Ordering::Acquire)
+            && self.conns.lock().unwrap().live.is_empty()
+            && self.dispatch.is_empty()
+    }
+
     /// Refreshes every derived gauge in the registry: cache counters
     /// (which only move on publish), uptime, the rolling-window view,
     /// and the SLO burn rates. The sampler calls this before each tick
@@ -238,13 +353,10 @@ impl Shared {
 /// `shutdown` frame from any client), reap with [`Server::join`].
 pub struct Server {
     shared: Arc<Shared>,
-    local_addr: SocketAddr,
     acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    handlers: Arc<Mutex<Vec<JoinHandle<()>>>>,
     sampler: Option<Sampler>,
     telemetry: Option<JoinHandle<()>>,
-    telemetry_addr: Option<SocketAddr>,
     /// The decision journal's writer thread; stopped (final drain +
     /// flush) after the workers join so every served decision lands.
     journal: Option<obs::journal::JournalWriter>,
@@ -254,8 +366,15 @@ impl Server {
     /// Binds `config.addr` and spawns the acceptor and worker threads.
     pub fn start(config: ServeConfig, store: Arc<ModelStore>) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
+        let telemetry_listener = match config.telemetry_addr.as_deref() {
+            Some(addr) => Some(TcpListener::bind(addr)?),
+            None => None,
+        };
+        let telemetry_addr = match &telemetry_listener {
+            Some(tl) => Some(tl.local_addr()?),
+            None => None,
+        };
         let reg = obs::global();
         let worker_count = config.workers.max(1);
         let shared = Arc::new(Shared {
@@ -266,6 +385,9 @@ impl Server {
             ),
             dispatch: Dispatcher::new(worker_count),
             stop: AtomicBool::new(false),
+            conns: Mutex::new(Connections::default()),
+            local_addr,
+            telemetry_addr,
             max_frame: config.max_frame,
             started: Instant::now(),
             series: Arc::new(TimeSeries::new(config.ts_capacity)),
@@ -290,7 +412,6 @@ impl Server {
             }
             None => None,
         };
-        let handlers = Arc::new(Mutex::new(Vec::new()));
         let workers = (0..worker_count)
             .map(|i| {
                 let shared = Arc::clone(&shared);
@@ -306,10 +427,9 @@ impl Server {
             .collect();
         let acceptor = {
             let shared = Arc::clone(&shared);
-            let handlers = Arc::clone(&handlers);
             std::thread::Builder::new()
                 .name("serve-acceptor".to_string())
-                .spawn(move || accept_loop(listener, &shared, &handlers))
+                .spawn(move || accept_loop(&listener, &shared))
                 .expect("spawn serve acceptor")
         };
         // The sampler periodically captures a registry snapshot into the
@@ -325,10 +445,8 @@ impl Server {
                 live.publish_live()
             }))
         };
-        let (telemetry, telemetry_addr) = match config.telemetry_addr.as_deref() {
-            Some(addr) => {
-                let tl = TcpListener::bind(addr)?;
-                let taddr = tl.local_addr()?;
+        let telemetry = match (telemetry_listener, telemetry_addr) {
+            (Some(tl), Some(taddr)) => {
                 let scrape_shared = Arc::clone(&shared);
                 let handle = std::thread::Builder::new()
                     .name("serve-telemetry".to_string())
@@ -352,32 +470,29 @@ impl Server {
                     })
                     .expect("spawn serve telemetry");
                 obs::log!(Info, "serve: telemetry on {taddr}");
-                (Some(handle), Some(taddr))
+                Some(handle)
             }
-            None => (None, None),
+            _ => None,
         };
         obs::log!(Info, "serve: listening on {local_addr}");
         Ok(Server {
             shared,
-            local_addr,
             acceptor: Some(acceptor),
             workers,
-            handlers,
             sampler,
             telemetry,
-            telemetry_addr,
             journal,
         })
     }
 
     /// The bound address (resolves the ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.shared.local_addr
     }
 
     /// The bound HTTP telemetry address, when `telemetry_addr` was set.
     pub fn telemetry_addr(&self) -> Option<SocketAddr> {
-        self.telemetry_addr
+        self.shared.telemetry_addr
     }
 
     /// True once a shutdown (API call, `shutdown` frame) was requested.
@@ -385,10 +500,17 @@ impl Server {
         self.shared.stop.load(Ordering::Acquire)
     }
 
-    /// Requests shutdown: stops accepting, lets workers drain the shards.
+    /// Requests shutdown, as a `shutdown` frame does: the listeners stop
+    /// accepting, each connection's handler answers what it has already
+    /// read and closes, and the workers drain the shards and exit once
+    /// the last connection is gone.
     pub fn shutdown(&self) {
-        self.shared.stop.store(true, Ordering::Release);
-        self.shared.dispatch.wake_all();
+        self.shared.stop();
+    }
+
+    /// Connections whose handlers are still running.
+    pub fn connections(&self) -> usize {
+        self.shared.conns.lock().unwrap().live.len()
     }
 
     /// A consistent snapshot of the shared cache's counters.
@@ -406,10 +528,15 @@ impl Server {
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-        let handlers = std::mem::take(&mut *self.handlers.lock().unwrap());
-        for h in handlers {
-            let _ = h.join();
-        }
+        // Workers exit only after the last connection's handler has
+        // deregistered, so what is left has finished or is finishing.
+        let handlers = {
+            let mut conns = self.shared.conns.lock().unwrap();
+            let mut handlers = std::mem::take(&mut conns.finished);
+            handlers.extend(conns.live.drain().filter_map(|(_, conn)| conn.handle));
+            handlers
+        };
+        join_handlers(handlers);
         if let Some(sampler) = self.sampler.take() {
             sampler.stop();
         }
@@ -444,32 +571,124 @@ fn render_exposition(shared: &Shared) -> String {
     )
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    shared: &Arc<Shared>,
-    handlers: &Arc<Mutex<Vec<JoinHandle<()>>>>,
+/// Accepts connections on `listener`, handing each to `serve`, until
+/// `stopped()` holds when an `accept` returns; [`wake_listener`] makes
+/// one return. A failed `accept` is logged and retried after
+/// [`ACCEPT_BACKOFF`].
+pub(crate) fn accept_until_stopped(
+    listener: &TcpListener,
+    what: &str,
+    stopped: impl Fn() -> bool,
+    mut serve: impl FnMut(TcpStream),
 ) {
-    let connections = obs::global().counter("serve.connections");
     loop {
-        if shared.stop.load(Ordering::Acquire) {
+        let accepted = listener.accept();
+        if stopped() {
             return;
         }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                connections.inc();
-                let shared = Arc::clone(shared);
-                let handle = std::thread::Builder::new()
-                    .name("serve-conn".to_string())
-                    .spawn(move || handle_connection(stream, &shared))
-                    .expect("spawn serve handler");
-                handlers.lock().unwrap().push(handle);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(POLL),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+        match accepted {
+            Ok((stream, _peer)) => serve(stream),
+            // A client that left before it was accepted, or a signal.
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::ConnectionAborted | io::ErrorKind::Interrupted
+                ) => {}
             Err(e) => {
-                obs::log!(Warn, "serve: accept failed: {e}");
-                std::thread::sleep(POLL);
+                obs::log!(Warn, "{what}: accept failed: {e}");
+                std::thread::sleep(ACCEPT_BACKOFF);
             }
+        }
+    }
+}
+
+/// Wakes a thread blocked in `accept` on `addr` by connecting to it
+/// (through loopback when `addr` is unspecified). The connection closes
+/// at once; the woken thread checks its stop flag before serving it.
+pub(crate) fn wake_listener(addr: SocketAddr) {
+    let mut target = addr;
+    if target.ip().is_unspecified() {
+        target.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    if let Err(e) = TcpStream::connect_timeout(&target, WAKE_TIMEOUT) {
+        obs::log!(Warn, "serve: cannot wake the listener on {addr}: {e}");
+    }
+}
+
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
+    let connections = obs::global().counter("serve.connections");
+    accept_until_stopped(
+        listener,
+        "serve",
+        || shared.stop.load(Ordering::Acquire),
+        |stream| {
+            if spawn_handler(stream, shared) {
+                connections.inc();
+            }
+        },
+    );
+}
+
+/// Registers `stream` and spawns its handler thread. A connection that
+/// cannot be registered or given a thread is dropped with a warning;
+/// one that arrives once a stop has begun is dropped silently. Returns
+/// whether a handler took the connection.
+fn spawn_handler(stream: TcpStream, shared: &Arc<Shared>) -> bool {
+    let id = match shared.register(&stream) {
+        Ok(Some(id)) => id,
+        Ok(None) => return false,
+        Err(e) => {
+            obs::log!(
+                Warn,
+                "serve: dropping a connection: cannot register it: {e}"
+            );
+            return false;
+        }
+    };
+    let handler_shared = Arc::clone(shared);
+    let spawned = std::thread::Builder::new()
+        .name("serve-conn".to_string())
+        .spawn(move || {
+            let _registered = Registered {
+                shared: &handler_shared,
+                id,
+            };
+            handle_connection(stream, &handler_shared);
+        });
+    match spawned {
+        Ok(handle) => {
+            let mut conns = shared.conns.lock().unwrap();
+            match conns.live.get_mut(&id) {
+                Some(conn) => conn.handle = Some(handle),
+                // The handler finished already; the next one joins it.
+                None => conns.finished.push(handle),
+            }
+            true
+        }
+        Err(e) => {
+            obs::log!(
+                Warn,
+                "serve: dropping a connection: cannot spawn its handler: {e}"
+            );
+            join_handlers(shared.deregister(id));
+            false
+        }
+    }
+}
+
+/// Joins finished connection handlers, logging any that panicked.
+fn join_handlers(handles: Vec<JoinHandle<()>>) {
+    for handle in handles {
+        if let Err(panic) = handle.join() {
+            let reason = panic
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("a non-string payload");
+            obs::log!(Error, "serve: a connection handler panicked: {reason}");
         }
     }
 }
@@ -509,7 +728,6 @@ struct Connection<'a> {
 
 fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(POLL));
     let mut conn = Connection {
         stream,
         shared,
@@ -526,9 +744,15 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
 impl Connection<'_> {
     fn run(&mut self) {
         loop {
+            // Once stopped, a handler answers the frames its last read
+            // returned and closes: a client that keeps sending cannot
+            // hold the server open.
             if self.shared.stop.load(Ordering::Acquire) {
                 return;
             }
+            // Blocks until the client sends, closes, or a stop shuts the
+            // read side down (which reads as a close once the bytes that
+            // arrived before it are consumed).
             match self.reader.fill(&mut self.stream) {
                 Ok(Fill::Idle) => continue,
                 Ok(Fill::Read(_)) => {}
@@ -685,8 +909,7 @@ impl Connection<'_> {
             "shutdown" => {
                 let resp = Response::ok(shared.store.current_version());
                 let _ = self.respond(&resp);
-                shared.stop.store(true, Ordering::Release);
-                shared.dispatch.wake_all();
+                shared.stop();
                 false
             }
             other => {
@@ -1058,6 +1281,9 @@ fn worker_loop(
     let mut miss_refs: Vec<MetricSample> = Vec::new();
     // Each miss's batch index and fragment key, kept from pass 1.
     let mut misses: Vec<(usize, (CacheKey, u64))> = Vec::new();
+    // The dispatcher's wake epoch this worker last saw (see
+    // `Dispatcher::pop_batch_parked`).
+    let mut wakes = 0;
     'rebind: loop {
         // Bind a predictor to the current snapshot; the Arc keeps it
         // alive (and bitwise stable) even if a publish lands mid-batch.
@@ -1086,15 +1312,21 @@ fn worker_loop(
             errors: &shared.errors,
         };
         loop {
-            shared
-                .dispatch
-                .pop_batch_into(worker, max_batch, POLL, &mut batch);
             if batch.is_empty() {
-                if shared.stop.load(Ordering::Acquire) && shared.dispatch.is_empty() {
+                shared
+                    .dispatch
+                    .pop_batch_parked(worker, max_batch, &mut wakes, &mut batch);
+            }
+            // A publish since this binding: rebind first, keeping the
+            // batch in hand, so it is served by a version at least as
+            // new as the one current when it was dequeued.
+            if shared.store.changed_since(snap.version) {
+                continue 'rebind;
+            }
+            if batch.is_empty() {
+                // Woken with no work: a stop, or a publish (rebound above).
+                if shared.drained() {
                     return;
-                }
-                if shared.store.changed_since(snap.version) {
-                    continue 'rebind;
                 }
                 continue;
             }
@@ -1164,9 +1396,6 @@ fn worker_loop(
                 }
             }
             batch.clear();
-            if shared.store.changed_since(snap.version) {
-                continue 'rebind;
-            }
         }
     }
 }
@@ -1441,6 +1670,21 @@ mod tests {
         assert!(!table.seen_before(fp), "first sighting admitted");
         assert!(table.seen_before(fp), "second sighting not admitted");
         assert!(table.seen_before(fp), "third sighting not admitted");
+    }
+
+    #[test]
+    fn wake_listener_reaches_an_unspecified_bind_through_loopback() {
+        let listener = TcpListener::bind("0.0.0.0:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        assert!(addr.ip().is_unspecified());
+        let (accepted_tx, accepted_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || accepted_tx.send(listener.accept().is_ok()));
+        wake_listener(addr);
+        assert_eq!(
+            accepted_rx.recv_timeout(Duration::from_secs(5)),
+            Ok(true),
+            "the blocked accept did not return"
+        );
     }
 
     #[test]

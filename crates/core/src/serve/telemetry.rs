@@ -34,10 +34,10 @@ const MAX_HEAD: usize = 8 * 1024;
 /// Per-connection socket timeout — a stuck scraper must not pin the
 /// responder thread.
 const IO_TIMEOUT: Duration = Duration::from_secs(2);
-/// How long blocking accepts wait before re-checking the stop signal.
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
 
-/// Serves HTTP on `listener` until `stop()` turns true. `body_for`
+/// Serves HTTP on `listener` until `stop()` holds when an `accept`
+/// returns, as the serve acceptor does: to stop it, set the flag, then
+/// wake the listener with [`super::server::wake_listener`]. `body_for`
 /// resolves a request path to `(content_type, body)`; `None` is a 404.
 /// Runs connections inline — scrapes are rare (seconds apart) and
 /// bounded, so one thread is the right amount of machinery.
@@ -46,29 +46,12 @@ where
     S: Fn() -> bool,
     B: Fn(&str) -> Option<(String, String)>,
 {
-    if listener.set_nonblocking(true).is_err() {
-        obs::log!(Warn, "telemetry: cannot set listener non-blocking; exiting");
-        return;
-    }
     let scrapes = obs::global().counter("telemetry.scrapes");
-    loop {
-        if stop() {
-            return;
+    super::server::accept_until_stopped(&listener, "telemetry", stop, |stream| {
+        if serve_one(stream, &body_for).is_ok() {
+            scrapes.inc();
         }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if serve_one(stream, &body_for).is_ok() {
-                    scrapes.inc();
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => {
-                obs::log!(Warn, "telemetry: accept failed: {e}");
-                std::thread::sleep(ACCEPT_POLL);
-            }
-        }
-    }
+    });
 }
 
 fn serve_one<B>(mut stream: TcpStream, body_for: &B) -> io::Result<()>
@@ -175,7 +158,24 @@ mod tests {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
-    fn spawn_responder() -> (String, Arc<AtomicBool>, std::thread::JoinHandle<()>) {
+    /// A responder on an ephemeral port; [`Responder::stop`] ends it.
+    struct Responder {
+        addr: String,
+        stop: Arc<AtomicBool>,
+        handle: std::thread::JoinHandle<()>,
+    }
+
+    impl Responder {
+        /// Stops the loop the way the server does (flag, then a wake
+        /// connection) and joins it.
+        fn stop(self) {
+            self.stop.store(true, Ordering::Release);
+            crate::serve::server::wake_listener(self.addr.parse().unwrap());
+            self.handle.join().unwrap();
+        }
+    }
+
+    fn spawn_responder() -> Responder {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let stop = Arc::new(AtomicBool::new(false));
@@ -183,7 +183,7 @@ mod tests {
         let handle = std::thread::spawn(move || {
             telemetry_loop(
                 listener,
-                move || stop_flag.load(Ordering::Relaxed),
+                move || stop_flag.load(Ordering::Acquire),
                 |path| match path {
                     "/metrics" => Some(("text/plain".to_string(), "m_total 1\n".to_string())),
                     "/healthz" => Some(("text/plain".to_string(), "ok\n".to_string())),
@@ -191,12 +191,13 @@ mod tests {
                 },
             );
         });
-        (addr, stop, handle)
+        Responder { addr, stop, handle }
     }
 
     #[test]
     fn responder_serves_routes_and_404s() {
-        let (addr, stop, handle) = spawn_responder();
+        let responder = spawn_responder();
+        let addr = responder.addr.clone();
         let (status, body) = http_get(&addr, "/metrics").unwrap();
         assert_eq!((status, body.as_str()), (200, "m_total 1\n"));
         let (status, body) = http_get(&addr, "/healthz").unwrap();
@@ -206,8 +207,7 @@ mod tests {
         assert_eq!(status, 200);
         let (status, _) = http_get(&addr, "/nope").unwrap();
         assert_eq!(status, 404);
-        stop.store(true, Ordering::Relaxed);
-        handle.join().unwrap();
+        responder.stop();
     }
 
     /// Raw one-shot request with an arbitrary method; returns the full
@@ -233,7 +233,8 @@ mod tests {
 
     #[test]
     fn head_mirrors_get_headers_without_body() {
-        let (addr, stop, handle) = spawn_responder();
+        let responder = spawn_responder();
+        let addr = responder.addr.clone();
         for (path, get_body) in [("/metrics", "m_total 1\n"), ("/healthz", "ok\n")] {
             let raw = raw_request(&addr, "HEAD", path);
             assert!(raw.starts_with("HTTP/1.1 200"), "got: {raw}");
@@ -247,13 +248,13 @@ mod tests {
         assert!(raw.starts_with("HTTP/1.1 404"), "got: {raw}");
         assert_eq!(content_length(&raw), "not found\n".len());
         assert_eq!(raw.split("\r\n\r\n").nth(1).unwrap_or(""), "");
-        stop.store(true, Ordering::Relaxed);
-        handle.join().unwrap();
+        responder.stop();
     }
 
     #[test]
     fn non_get_methods_are_rejected() {
-        let (addr, stop, handle) = spawn_responder();
+        let responder = spawn_responder();
+        let addr = responder.addr.clone();
         let mut stream = TcpStream::connect(&addr).unwrap();
         stream
             .write_all(b"POST /metrics HTTP/1.1\r\nHost: x\r\n\r\n")
@@ -261,8 +262,7 @@ mod tests {
         let mut raw = String::new();
         stream.read_to_string(&mut raw).unwrap();
         assert!(raw.starts_with("HTTP/1.1 405"), "got: {raw}");
-        stop.store(true, Ordering::Relaxed);
-        handle.join().unwrap();
+        responder.stop();
     }
 
     #[test]

@@ -9,7 +9,7 @@ use dvfs_core::predictor::Predictor;
 use dvfs_core::serve::{Client, Request, ServeConfig, Server};
 use dvfs_core::snapshot::{ModelSnapshot, ModelStore, SnapshotMeta};
 use gpu_model::{DeviceSpec, DvfsGrid, MetricSample, NoiseModel, SignatureBuilder};
-use std::io::Write;
+use std::io::{Read, Write};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -531,6 +531,83 @@ fn shutdown_frame_drains_queued_requests() {
     let resp = client.call(&Request::shutdown()).unwrap();
     assert!(resp.ok);
     server.join();
+}
+
+/// `Server::shutdown` + `join` end a server promptly with one
+/// connection idle and another's pipelined burst in flight: every thread
+/// blocked on its event wakes, the burst is answered in full, the idle
+/// client reads EOF, and the telemetry responder stops with the rest.
+#[test]
+fn in_process_shutdown_wakes_every_thread_and_answers_the_burst_in_flight() {
+    let (server, _store) = start_server_with(ServeConfig {
+        telemetry_addr: Some("127.0.0.1:0".to_string()),
+        ..ServeConfig::default()
+    });
+    let addr = server.local_addr().to_string();
+    let taddr = server
+        .telemetry_addr()
+        .expect("telemetry port was requested");
+    let mut idle = Client::connect(&addr).unwrap();
+    assert!(idle.call(&Request::ping()).unwrap().ok);
+    let mut busy = Client::connect(&addr).unwrap();
+    assert!(busy.call(&Request::ping()).unwrap().ok);
+    let payloads: Vec<String> = (0..64)
+        .map(|i| {
+            let fp = 0.05 + 0.014 * f64::from(i);
+            serde_json::to_string(&Request::predict("burst", fp, 0.6, 2.0)).unwrap()
+        })
+        .collect();
+    let frames: Vec<&[u8]> = payloads.iter().map(|p| p.as_bytes()).collect();
+    // Both handlers block in their reads before the burst arrives, and
+    // the burst reaches the server before the stop does.
+    std::thread::sleep(Duration::from_millis(50));
+    busy.send_frames(&frames).unwrap();
+    std::thread::sleep(Duration::from_millis(5));
+    let (joined_tx, joined_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.shutdown();
+        server.join();
+        joined_tx.send(()).unwrap();
+    });
+    for i in 0..payloads.len() {
+        let resp = busy
+            .read_response()
+            .unwrap_or_else(|e| panic!("burst reply {i} lost: {e}"));
+        assert!(resp.ok, "burst reply {i}: {:?}", resp.error);
+    }
+    joined_rx
+        .recv_timeout(Duration::from_secs(2))
+        .expect("shutdown + join took over 2 s");
+    let mut byte = [0u8; 1];
+    let read = idle.stream_mut().read(&mut byte);
+    assert!(matches!(read, Ok(0)), "idle client read {read:?}, not EOF");
+    assert!(
+        std::net::TcpStream::connect(taddr).is_err(),
+        "the telemetry port still accepts after join"
+    );
+}
+
+/// A connection's handler deregisters when the connection closes, so a
+/// stream of short connections leaves no entry (or unjoined thread)
+/// behind.
+#[test]
+fn closed_connections_leave_the_registry_empty() {
+    let (server, _store) = start_server();
+    let addr = server.local_addr().to_string();
+    for _ in 0..500 {
+        let mut client = Client::connect(&addr).unwrap();
+        assert!(client.call(&Request::ping()).unwrap().ok);
+    }
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while server.connections() > 0 && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(
+        server.connections(),
+        0,
+        "closed connections still registered"
+    );
+    stop(server, &addr);
 }
 
 #[test]

@@ -44,7 +44,9 @@
 //!
 //! Plus [`log!`], a leveled stderr logger filtered by the `DVFS_LOG`
 //! environment variable (`off|error|warn|info|debug`, default `info`),
-//! and [`worker_threads`], the one reader of `DVFS_THREADS`.
+//! and [`worker_threads`], which sizes a parallel stage: by request, or
+//! like the `rayon` pool, whose `current_num_threads` is the one reader
+//! of `DVFS_THREADS`.
 //!
 //! ```
 //! let requests = obs::global().counter("server.requests");
@@ -116,34 +118,23 @@ macro_rules! log {
 }
 
 /// Worker threads for a parallel stage (training engine, collection
-/// campaign): `requested` when positive, else `DVFS_THREADS` when it
-/// holds a positive integer, else every available core.
+/// campaign): `requested` when positive, else the size of the `rayon`
+/// pool, which `DVFS_THREADS` sets once, at the pool's first use
+/// ([`rayon::current_num_threads`]).
 pub fn worker_threads(requested: usize) -> usize {
     if requested > 0 {
-        return requested;
+        requested
+    } else {
+        rayon::current_num_threads()
     }
-    std::env::var("DVFS_THREADS")
-        .ok()
-        .and_then(|v| parse_threads(&v))
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
-/// Parses a `DVFS_THREADS` value: a positive integer, surrounding
-/// whitespace allowed. `None` (all cores) for `0` or anything else.
-pub fn parse_threads(value: &str) -> Option<usize> {
-    value.trim().parse().ok().filter(|&n| n > 0)
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
-    fn dvfs_threads_parse_trims_and_treats_zero_as_auto() {
-        assert_eq!(crate::parse_threads(" 2"), Some(2));
-        assert_eq!(crate::parse_threads("4\n"), Some(4));
-        assert_eq!(crate::parse_threads("0"), None);
-        assert_eq!(crate::parse_threads("x"), None);
+    fn worker_threads_default_to_the_pool_size() {
         assert_eq!(crate::worker_threads(3), 3);
-        assert!(crate::worker_threads(0) >= 1);
+        assert_eq!(crate::worker_threads(0), rayon::current_num_threads());
     }
 
     #[test]

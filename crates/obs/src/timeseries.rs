@@ -20,8 +20,7 @@ use crate::hist::bounds_of_index;
 use crate::metrics::MetricsRegistry;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, PoisonError};
 use std::time::{Duration, Instant};
 
 /// One histogram's state at a tick: totals plus raw (non-cumulative)
@@ -313,8 +312,16 @@ pub fn interval_from_env() -> Duration {
 /// Handle to the background sampler thread. Stops (joining the thread)
 /// on [`Sampler::stop`] or drop.
 pub struct Sampler {
-    stop: Arc<AtomicBool>,
+    stop: Arc<StopSignal>,
     handle: Option<std::thread::JoinHandle<()>>,
+}
+
+/// The sampler's stop flag and the condition variable its thread waits
+/// on between ticks, so a stop ends the wait at once.
+#[derive(Default)]
+struct StopSignal {
+    stopped: Mutex<bool>,
+    changed: Condvar,
 }
 
 impl Sampler {
@@ -326,27 +333,26 @@ impl Sampler {
     where
         F: Fn() + Send + 'static,
     {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
+        let stop = Arc::new(StopSignal::default());
+        let signal = Arc::clone(&stop);
         let ticks = crate::global().counter("obs.ts_ticks");
         let cost = crate::global().histogram("obs.ts_sample_ns");
         let handle = std::thread::Builder::new()
             .name("obs-sampler".into())
-            .spawn(move || {
-                while !stop_flag.load(Ordering::Relaxed) {
-                    let t0 = Instant::now();
-                    pre_sample();
-                    series.sample(crate::global());
-                    cost.record_duration(t0.elapsed());
-                    ticks.inc();
-                    // Sleep in short slices so stop() returns promptly
-                    // even with multi-second intervals.
-                    let mut left = interval;
-                    while !stop_flag.load(Ordering::Relaxed) && !left.is_zero() {
-                        let nap = left.min(Duration::from_millis(25));
-                        std::thread::sleep(nap);
-                        left = left.saturating_sub(nap);
-                    }
+            .spawn(move || loop {
+                let t0 = Instant::now();
+                pre_sample();
+                series.sample(crate::global());
+                cost.record_duration(t0.elapsed());
+                ticks.inc();
+                // Sleep out the interval unless a stop arrives first.
+                let stopped = signal.stopped.lock();
+                let (stopped, _) = signal
+                    .changed
+                    .wait_timeout_while(stopped, interval, |stopped| !*stopped)
+                    .unwrap_or_else(PoisonError::into_inner);
+                if *stopped {
+                    return;
                 }
             })
             .expect("spawn obs-sampler thread");
@@ -362,7 +368,8 @@ impl Sampler {
     }
 
     fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        *self.stop.stopped.lock() = true;
+        self.stop.changed.notify_all();
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
@@ -463,6 +470,24 @@ mod tests {
         }
         sampler.stop();
         assert!(ts.len() >= 3, "sampler must have captured ticks");
+    }
+
+    #[test]
+    fn stop_ends_a_long_interval_at_once() {
+        let ts = Arc::new(TimeSeries::new(4));
+        let sampler = Sampler::start(Arc::clone(&ts), Duration::from_secs(3600), || {});
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while ts.is_empty() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let t0 = Instant::now();
+        sampler.stop();
+        assert!(
+            t0.elapsed() < Duration::from_secs(1),
+            "stop waited {:?} on an hour-long interval",
+            t0.elapsed()
+        );
+        assert_eq!(ts.len(), 1, "one tick at start, none after the stop");
     }
 
     #[test]

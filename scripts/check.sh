@@ -70,7 +70,7 @@ serve_pid=$!
 wait_for_serve "$tmp/serve.log"
 DVFS_LOG=error target/release/dvfs loadgen --addr "$addr" \
     --requests 400 --connections 4 --shutdown >/dev/null
-wait "$serve_pid"
+wait_for_exit "$serve_pid" 10
 cargo run --release --offline -p obs --example validate_metrics -- \
     "$tmp/serve_metrics.json" --hist serve.request_ns
 cargo run --release --offline -p obs --example validate_trace -- \
@@ -88,7 +88,7 @@ serve_pid=$!
 wait_for_serve "$tmp/serve_pipe.log"
 DVFS_LOG=error target/release/dvfs loadgen --addr "$addr" \
     --requests 400 --connections 4 --pipeline 4 --shutdown >/dev/null
-wait "$serve_pid"
+wait_for_exit "$serve_pid" 10
 cargo run --release --offline -p obs --example validate_trace -- \
     "$tmp/serve_pipe_trace.json" --require serve.request
 
@@ -134,7 +134,7 @@ target/release/dvfs scrape --addr "$taddr" > "$tmp/exposition2.txt"
 grep -qx 'slo_latency_p99_alerts 1' "$tmp/exposition2.txt"
 DVFS_LOG=error target/release/dvfs loadgen --addr "$addr" \
     --requests 8 --connections 1 --shutdown >/dev/null
-wait "$obs_pid"
+wait_for_exit "$obs_pid" 10
 cargo run --release --offline -p obs --example validate_trace -- \
     "$tmp/obs_trace.json" --require serve.request --require-flow serve.req
 cargo run --release --offline -p obs --example validate_metrics -- \
@@ -161,7 +161,7 @@ target/release/dvfs top --addr "$addr" --once --json > "$tmp/bf16_top.json"
 grep -q '"precision":"bf16"' "$tmp/bf16_top.json"
 DVFS_LOG=error target/release/dvfs loadgen --addr "$addr" \
     --requests 8 --connections 1 --shutdown >/dev/null
-wait "$bf16_pid"
+wait_for_exit "$bf16_pid" 10
 cargo run --release --offline -p obs --example validate_metrics -- \
     "$tmp/bf16_metrics.json" --hist serve.request_ns \
     --gauge quality.precision_power.mape=0..12 \
@@ -180,7 +180,7 @@ journal_pid=$!
 wait_for_serve "$tmp/journal_serve.log"
 DVFS_LOG=error target/release/dvfs loadgen --addr "$addr" \
     --requests 400 --connections 4 --pipeline 4 --shutdown >/dev/null
-wait "$journal_pid"
+wait_for_exit "$journal_pid" 10
 DVFS_LOG=error target/release/dvfs journal --dir "$tmp/journal" --export \
     > "$tmp/journal.jsonl"
 cargo run --release --offline -p obs --example validate_journal -- \

@@ -25,3 +25,24 @@ wait_for_serve() {
     echo "error: dvfs serve never printed its address${telemetry:+es} in $log" >&2
     return 1
 }
+
+# wait_for_exit PID SECONDS
+#
+# Waits for the background job PID to exit and returns its exit status,
+# as `wait PID` does, but gives up after SECONDS: it then kills the
+# process and fails with an error, so a daemon that does not stop fails
+# the caller instead of hanging it.
+wait_for_exit() {
+    local pid="$1" seconds="$2"
+    for _ in $(seq $((seconds * 10))); do
+        if ! kill -0 "$pid" 2>/dev/null; then
+            wait "$pid"
+            return
+        fi
+        sleep 0.1
+    done
+    echo "error: process $pid still running ${seconds}s after it was told to stop" >&2
+    kill -KILL "$pid" 2>/dev/null || true
+    wait "$pid" 2>/dev/null || true
+    return 1
+}

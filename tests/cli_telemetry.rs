@@ -4,12 +4,17 @@
 //! chaining the exports behind the command result with `and_then`.
 //!
 //! Also pins the exit-code contract (0 ok, 2 usage/validation, 3 I/O or
-//! config) and the `dvfs serve` clean-shutdown path: a shutdown frame must
-//! drain in-flight requests and still land the telemetry exports.
+//! config) and the `dvfs serve` lifecycle: a shutdown frame must drain
+//! in-flight requests and still land the telemetry exports; a shutdown
+//! frame or SIGTERM ends the daemon promptly with a connection idle; and
+//! an idle daemon sleeps, yet answers a new connection at once.
 
-use std::io::BufRead;
-use std::path::Path;
-use std::process::Command;
+use std::collections::HashMap;
+use std::io::{BufRead, Read};
+use std::path::{Path, PathBuf};
+use std::process::{Child, ChildStdout, Command, Stdio};
+use std::sync::OnceLock;
+use std::time::{Duration, Instant};
 
 /// Exit code for usage / validation errors (bad flags, unknown commands).
 const EXIT_USAGE: i32 = 2;
@@ -414,4 +419,267 @@ fn serve_telemetry_port_scrape_and_top_work_end_to_end() {
     let resp = client.call(&Request::shutdown()).expect("shutdown ack");
     assert!(resp.ok);
     assert_eq!(child.wait().expect("wait").code(), Some(0));
+}
+
+/// Tiny models written once for the daemon lifecycle tests below.
+fn shared_tiny_models() -> &'static Path {
+    static MODELS: OnceLock<PathBuf> = OnceLock::new();
+    MODELS.get_or_init(|| {
+        let path = tmp("lifecycle_models.json");
+        write_tiny_models(&path);
+        path
+    })
+}
+
+/// A `dvfs serve` child on tiny models, started with its default flags
+/// plus `args` and with `DVFS_TS_INTERVAL` unset. Killed on drop if it
+/// is still running.
+struct Daemon {
+    child: Child,
+    /// Held open: the daemon prints a summary line on its way out.
+    _stdout: std::io::BufReader<ChildStdout>,
+    addr: String,
+}
+
+impl Daemon {
+    fn start(args: &[&str]) -> Daemon {
+        let mut child = dvfs()
+            .arg("serve")
+            .arg("--models")
+            .arg(shared_tiny_models())
+            .args(args)
+            .env_remove("DVFS_TS_INTERVAL")
+            .env("DVFS_LOG", "warn")
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("spawn dvfs serve");
+        let mut stdout = std::io::BufReader::new(child.stdout.take().unwrap());
+        let addr = loop {
+            let mut line = String::new();
+            assert_ne!(
+                stdout.read_line(&mut line).unwrap(),
+                0,
+                "serve exited before printing its address"
+            );
+            if let Some(rest) = line.trim().strip_prefix("listening on ") {
+                break rest.to_string();
+            }
+        };
+        Daemon {
+            child,
+            _stdout: stdout,
+            addr,
+        }
+    }
+
+    /// A connection whose handler is known to be up (it answered a ping).
+    fn connect(&self) -> gpu_dvfs::core::serve::Client {
+        let mut client = gpu_dvfs::core::serve::Client::connect(&self.addr).expect("connect");
+        let resp = client
+            .call(&gpu_dvfs::core::serve::Request::ping())
+            .expect("ping");
+        assert!(resp.ok, "ping failed: {:?}", resp.error);
+        client
+    }
+
+    /// Waits for the daemon to exit, for at most `limit`, and returns its
+    /// exit code.
+    fn exit_code_within(&mut self, limit: Duration) -> Option<i32> {
+        let t0 = Instant::now();
+        loop {
+            if let Some(status) = self.child.try_wait().expect("poll dvfs serve") {
+                return status.code();
+            }
+            assert!(
+                t0.elapsed() < limit,
+                "dvfs serve still running {limit:?} after it was told to stop"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        if let Ok(None) = self.child.try_wait() {
+            let _ = self.child.kill();
+        }
+        let _ = self.child.wait();
+    }
+}
+
+/// `(name, voluntary context switches)` of every thread of process `pid`,
+/// by thread id.
+fn voluntary_switches(pid: u32) -> HashMap<String, (String, u64)> {
+    std::fs::read_dir(format!("/proc/{pid}/task"))
+        .expect("/proc lists the daemon's threads")
+        .filter_map(|task| {
+            let task = task.ok()?;
+            let status = std::fs::read_to_string(task.path().join("status")).ok()?;
+            let field = |key: &str| {
+                status
+                    .lines()
+                    .find_map(|l| l.strip_prefix(key))
+                    .map(|v| v.trim().to_string())
+            };
+            let name = field("Name:")?;
+            let switches = field("voluntary_ctxt_switches:")?.parse().ok()?;
+            Some((
+                task.file_name().to_string_lossy().into_owned(),
+                (name, switches),
+            ))
+        })
+        .collect()
+}
+
+/// An idle daemon's serving threads block on their events instead of
+/// polling: over a second with one connection open and no traffic, the
+/// acceptor, the workers, the connection's handler and the sampler (at
+/// its default 1 s interval) each block and wake at most twice.
+#[test]
+fn an_idle_daemon_leaves_its_serving_threads_asleep() {
+    let mut daemon = Daemon::start(&[]);
+    let mut idle = daemon.connect();
+    // Let the handler block in its read and the sampler take its first
+    // tick.
+    std::thread::sleep(Duration::from_millis(300));
+    let pid = daemon.child.id();
+    let before = voluntary_switches(pid);
+    std::thread::sleep(Duration::from_secs(1));
+    let after = voluntary_switches(pid);
+    let mut watched = Vec::new();
+    for (tid, (name, then)) in &before {
+        if !(name.starts_with("serve-") || name == "obs-sampler") {
+            continue;
+        }
+        let now = after.get(tid).map_or(*then, |(_, n)| *n);
+        watched.push(name.clone());
+        assert!(
+            now - then <= 2,
+            "{name} (tid {tid}) blocked {} times in 1 s with no traffic",
+            now - then
+        );
+    }
+    for name in [
+        "serve-acceptor",
+        "serve-worker-0",
+        "serve-conn",
+        "obs-sampler",
+    ] {
+        assert!(
+            watched.iter().any(|w| w == name),
+            "no {name} thread among {watched:?}"
+        );
+    }
+    let resp = idle
+        .call(&gpu_dvfs::core::serve::Request::shutdown())
+        .expect("shutdown ack");
+    assert!(resp.ok);
+    assert_eq!(daemon.exit_code_within(Duration::from_secs(2)), Some(0));
+}
+
+/// A new connection to an idle daemon is accepted at once: the time from
+/// `connect` to the first `ping` reply has a median under 10 ms, which
+/// an acceptor that sleeps between polls would miss.
+#[test]
+fn a_new_connection_to_an_idle_daemon_is_answered_at_once() {
+    let mut daemon = Daemon::start(&[]);
+    let mut firsts: Vec<Duration> = (0..20)
+        .map(|_| {
+            let t0 = Instant::now();
+            drop(daemon.connect());
+            t0.elapsed()
+        })
+        .collect();
+    firsts.sort();
+    let median = firsts[firsts.len() / 2];
+    assert!(
+        median < Duration::from_millis(10),
+        "connect to first ping reply: median {median:?} over {firsts:?}"
+    );
+    let resp = daemon
+        .connect()
+        .call(&gpu_dvfs::core::serve::Request::shutdown())
+        .expect("shutdown ack");
+    assert!(resp.ok);
+    assert_eq!(daemon.exit_code_within(Duration::from_secs(2)), Some(0));
+}
+
+/// How a lifecycle test stops the daemon.
+#[derive(Debug, Clone, Copy)]
+enum StopBy {
+    Frame,
+    Sigterm,
+}
+
+/// Sends SIGTERM to `pid`.
+fn sigterm(pid: u32) {
+    extern "C" {
+        fn kill(pid: i32, signum: i32) -> i32;
+    }
+    const SIGTERM: i32 = 15;
+    // SAFETY: kill(2) takes two integers and touches no memory of ours.
+    let rc = unsafe { kill(pid as i32, SIGTERM) };
+    assert_eq!(rc, 0, "kill(SIGTERM) failed");
+}
+
+/// Stops a daemon that serves a telemetry port while one connection sits
+/// idle and another has a pipelined burst in flight: the daemon must
+/// exit cleanly within 2 s, every request of the burst must be answered,
+/// and the idle client must read EOF.
+fn stop_ends_the_daemon_promptly(stop_by: StopBy) {
+    use gpu_dvfs::core::serve::Request;
+
+    let mut daemon = Daemon::start(&["--telemetry-port", "0"]);
+    let mut idle = daemon.connect();
+    let mut busy = daemon.connect();
+    // Distinct keys, so each request pays for its own sweep and the burst
+    // is still being answered when the stop arrives.
+    let payloads: Vec<String> = (0..64)
+        .map(|i| {
+            let fp = 0.05 + 0.014 * f64::from(i);
+            serde_json::to_string(&Request::predict("burst", fp, 0.4, 2.0)).unwrap()
+        })
+        .collect();
+    let frames: Vec<&[u8]> = payloads.iter().map(|p| p.as_bytes()).collect();
+    // Both handlers block in their reads before the burst arrives.
+    std::thread::sleep(Duration::from_millis(50));
+    busy.send_frames(&frames).expect("send the burst");
+    // The burst reaches the daemon before the stop does.
+    std::thread::sleep(Duration::from_millis(5));
+    match stop_by {
+        StopBy::Frame => {
+            let resp = daemon.connect().call(&Request::shutdown()).expect("ack");
+            assert!(resp.ok);
+        }
+        StopBy::Sigterm => sigterm(daemon.child.id()),
+    }
+    for i in 0..payloads.len() {
+        let resp = busy
+            .read_response()
+            .unwrap_or_else(|e| panic!("{stop_by:?}: burst reply {i} lost: {e}"));
+        assert!(resp.ok, "{stop_by:?}: burst reply {i}: {:?}", resp.error);
+    }
+    assert_eq!(
+        daemon.exit_code_within(Duration::from_secs(2)),
+        Some(0),
+        "{stop_by:?}: serve must exit cleanly"
+    );
+    let mut byte = [0u8; 1];
+    let read = idle.stream_mut().read(&mut byte);
+    assert!(
+        matches!(read, Ok(0)),
+        "{stop_by:?}: the idle client read {read:?} instead of EOF"
+    );
+}
+
+#[test]
+fn a_shutdown_frame_ends_the_daemon_promptly() {
+    stop_ends_the_daemon_promptly(StopBy::Frame);
+}
+
+#[cfg(unix)]
+#[test]
+fn sigterm_ends_the_daemon_promptly() {
+    stop_ends_the_daemon_promptly(StopBy::Sigterm);
 }
