@@ -16,6 +16,12 @@
 //! notifying — so a worker that observed `pending == 0` under that mutex
 //! is guaranteed to be waiting (or re-checking) when the notify lands.
 //!
+//! A pop takes at most one batch, so a burst bigger than that leaves
+//! jobs queued. A pop that leaves any (read off the value its
+//! `pending.fetch_sub` returns) wakes one parked sibling the same way a
+//! push does, and the sibling steals the next batch while the popper
+//! serves its own; a pop that empties the queue pays nothing new.
+//!
 //! The sleep mutex guards a **wake epoch** that [`Dispatcher::wake_all`]
 //! bumps. A daemon worker parks with no time bound
 //! ([`Dispatcher::pop_batch_parked`]) only while nothing is pending and
@@ -92,8 +98,8 @@ impl<T> Dispatcher<T> {
 
     /// Pushes a burst of jobs into the next round-robin shard as one
     /// unit, so the popping worker can coalesce the whole burst into one
-    /// prediction batch. Wakes one parked worker per burst (every job in
-    /// the burst goes to the same worker anyway).
+    /// prediction batch. Wakes one parked worker per burst; when the
+    /// burst is bigger than that worker's batch, its pop wakes the next.
     pub fn push_batch(&self, jobs: impl IntoIterator<Item = T>) {
         let shard = &self.shards[self.cursor.fetch_add(1, Ordering::Relaxed) % self.shards.len()];
         let mut n = 0;
@@ -164,8 +170,8 @@ impl<T> Dispatcher<T> {
     }
 
     /// Clears `out`, then pops up to `max` jobs into it from the worker's
-    /// own shard, or failing that from the fullest sibling. Returns
-    /// whether it got any.
+    /// own shard, or failing that from the fullest sibling, and wakes a
+    /// parked sibling if jobs are left. Returns whether it got any.
     fn try_pop_into(&self, worker: usize, max: usize, out: &mut Vec<T>) -> bool {
         out.clear();
         let own = &self.shards[worker % self.shards.len()];
@@ -180,7 +186,14 @@ impl<T> Dispatcher<T> {
         if out.is_empty() {
             return false;
         }
-        self.pending.fetch_sub(out.len(), Ordering::Release);
+        // Jobs left behind (a burst bigger than `max`): wake a parked
+        // sibling to steal them now, in `push_batch`'s order. `pending`
+        // can dip below `out.len()` while a pusher that already queued
+        // its jobs has yet to count them; that pusher wakes someone.
+        if self.pending.fetch_sub(out.len(), Ordering::Release) > out.len() {
+            drop(self.sleep.lock().unwrap());
+            self.wake.notify_one();
+        }
         true
     }
 
@@ -333,6 +346,39 @@ mod tests {
             );
             worker.join().unwrap();
         }
+    }
+
+    /// A burst of two batches must run on both workers at once: the pop
+    /// that leaves the second batch queued wakes the parked sibling,
+    /// with no further push or `wake_all`.
+    #[test]
+    fn a_pop_that_leaves_jobs_queued_wakes_a_parked_sibling() {
+        const MAX: usize = 4;
+        let d: Arc<Dispatcher<usize>> = Arc::new(Dispatcher::new(2));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let workers: Vec<_> = (0..2)
+            .map(|w| {
+                let (d, tx) = (Arc::clone(&d), tx.clone());
+                std::thread::spawn(move || {
+                    let (mut epoch, mut out) = (0, Vec::new());
+                    d.pop_batch_parked(w, MAX, &mut epoch, &mut out);
+                    tx.send(out.len()).unwrap();
+                })
+            })
+            .collect();
+        // Both workers park before the burst lands.
+        std::thread::sleep(Duration::from_millis(50));
+        d.push_batch(0..2 * MAX);
+        let popped: Vec<usize> = (0..2)
+            .map_while(|_| rx.recv_timeout(Duration::from_secs(2)).ok())
+            .collect();
+        // Release a worker the burst never reached, so a failure ends.
+        d.wake_all();
+        for worker in workers {
+            worker.join().unwrap();
+        }
+        assert_eq!(popped, vec![MAX, MAX], "one worker was left parked");
+        assert!(d.is_empty());
     }
 
     #[test]

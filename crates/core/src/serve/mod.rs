@@ -56,5 +56,5 @@ pub use journal::{DecisionRecord, EnergyLedger, ReplayReport};
 pub use loadgen::{LoadgenConfig, LoadgenReport, Pacing, ZipfSampler};
 pub use protocol::{CacheStatsReply, QualityReply, Request, Response, ServerStatsReply, SloReply};
 pub use reply::ReplyTable;
-pub use server::{default_slos, Client, ServeConfig, Server};
+pub use server::{default_slos, Client, ServeConfig, Server, StopHandle};
 pub use telemetry::http_get;

@@ -362,6 +362,20 @@ pub struct Server {
     journal: Option<obs::journal::JournalWriter>,
 }
 
+/// Stops a [`Server`] from any thread (see [`Server::stop_handle`]); a
+/// no-op once the server is gone.
+#[derive(Clone)]
+pub struct StopHandle(std::sync::Weak<Shared>);
+
+impl StopHandle {
+    /// Runs [`Server::shutdown`] if the server still exists.
+    pub fn stop(&self) {
+        if let Some(shared) = self.0.upgrade() {
+            shared.stop();
+        }
+    }
+}
+
 impl Server {
     /// Binds `config.addr` and spawns the acceptor and worker threads.
     pub fn start(config: ServeConfig, store: Arc<ModelStore>) -> io::Result<Server> {
@@ -495,17 +509,18 @@ impl Server {
         self.shared.telemetry_addr
     }
 
-    /// True once a shutdown (API call, `shutdown` frame) was requested.
-    pub fn is_stopped(&self) -> bool {
-        self.shared.stop.load(Ordering::Acquire)
-    }
-
     /// Requests shutdown, as a `shutdown` frame does: the listeners stop
     /// accepting, each connection's handler answers what it has already
     /// read and closes, and the workers drain the shards and exit once
     /// the last connection is gone.
     pub fn shutdown(&self) {
         self.shared.stop();
+    }
+
+    /// A handle that runs [`Server::shutdown`] from another thread while
+    /// this one waits in [`Server::join`].
+    pub fn stop_handle(&self) -> StopHandle {
+        StopHandle(Arc::downgrade(&self.shared))
     }
 
     /// Connections whose handlers are still running.

@@ -794,7 +794,17 @@ fn impossible_latency_slo_fires_exactly_once_under_sustained_load() {
 
 #[test]
 fn pipelined_burst_gets_in_order_bitwise_identical_responses() {
-    let (server, _store) = start_server();
+    pipelined_burst_is_answered_in_order(ServeConfig::default());
+    // Each 6-predict half of the burst spans two 4-job batches, one per
+    // worker.
+    pipelined_burst_is_answered_in_order(ServeConfig {
+        max_batch: 4,
+        ..Default::default()
+    });
+}
+
+fn pipelined_burst_is_answered_in_order(config: ServeConfig) {
+    let (server, _store) = start_server_with(config);
     let addr = server.local_addr().to_string();
 
     // Reference answers, one call at a time on a separate connection.

@@ -91,6 +91,16 @@ DVFS_LOG=error target/release/dvfs loadgen --addr "$addr" \
 wait_for_exit "$serve_pid" 10
 cargo run --release --offline -p obs --example validate_trace -- \
     "$tmp/serve_pipe_trace.json" --require serve.request
+# One connection pipelining deeper than the batch: each 16-request burst
+# splits into four 4-job batches that both workers serve, and the
+# replies must still come back in request order.
+DVFS_LOG=error target/release/dvfs serve --models "$tmp/models.json" \
+    --max-batch 4 > "$tmp/serve_split.log" &
+serve_pid=$!
+wait_for_serve "$tmp/serve_split.log"
+DVFS_LOG=error target/release/dvfs loadgen --addr "$addr" \
+    --requests 400 --connections 1 --pipeline 16 --shutdown >/dev/null
+wait_for_exit "$serve_pid" 10
 
 echo "==> dvfs serve observability smoke (scrape mid-load, burn alert, top, flows)"
 # An impossible latency objective (p99 <= 1 ns) over tight 1 s / 2 s

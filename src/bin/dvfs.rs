@@ -107,47 +107,95 @@ fn main() -> ExitCode {
     }
 }
 
-/// SIGINT/SIGTERM latch for `dvfs serve`: the handler only flips an
-/// atomic; the serve loop polls it and runs the ordinary drain + export
-/// path. No `libc` crate — std already links the platform libc, so the
-/// two-argument `signal(2)` binding below is all that's needed.
+/// SIGINT/SIGTERM latch for `dvfs serve` and `dvfs top`: the first
+/// signal sets a flag and writes one byte into a socket pair, whose other
+/// end [`interrupt::wait`] blocks on, so a waiting thread wakes at once
+/// and nothing polls. No `libc` crate: std already links the platform
+/// libc, so the `signal(2)` and `write(2)` bindings below are all that's
+/// needed.
 #[cfg(unix)]
 mod interrupt {
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::io::{Read as _, Write as _};
+    use std::os::unix::io::AsRawFd as _;
+    use std::os::unix::net::UnixStream;
+    use std::sync::atomic::{AtomicBool, AtomicI32, Ordering};
+    use std::sync::OnceLock;
+    use std::time::Duration;
 
     static TRIGGERED: AtomicBool = AtomicBool::new(false);
+    /// The socket pair: `wait` reads the first end, `latch` and `wake`
+    /// write the second.
+    static PAIR: OnceLock<(UnixStream, UnixStream)> = OnceLock::new();
+    /// The write end's descriptor, for the handler.
+    static WAKE_FD: AtomicI32 = AtomicI32::new(-1);
+
+    extern "C" {
+        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
+        fn write(fd: i32, buf: *const u8, count: usize) -> isize;
+    }
 
     extern "C" fn latch(_signum: i32) {
-        // Async-signal-safe: a relaxed-or-stronger atomic store only.
-        TRIGGERED.store(true, Ordering::SeqCst);
-    }
-
-    pub fn install() {
-        extern "C" {
-            fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-        }
-        const SIGINT: i32 = 2;
-        const SIGTERM: i32 = 15;
-        // SAFETY: `signal` is the POSIX libc entry point and `latch` is
-        // async-signal-safe (single atomic store, no allocation/locks).
-        unsafe {
-            signal(SIGINT, latch);
-            signal(SIGTERM, latch);
+        // Only the first signal writes, so the byte always fits and
+        // `errno` stays untouched. Both calls are async-signal-safe.
+        if !TRIGGERED.swap(true, Ordering::SeqCst) {
+            // SAFETY: `WAKE_FD` names a socket that `PAIR` keeps open for
+            // the life of the process, and the buffer is one live byte.
+            unsafe { write(WAKE_FD.load(Ordering::SeqCst), [1u8].as_ptr(), 1) };
         }
     }
 
-    pub fn triggered() -> bool {
+    pub fn install() -> std::io::Result<()> {
+        let pair = UnixStream::pair()?;
+        let fd = pair.1.as_raw_fd();
+        if PAIR.set(pair).is_ok() {
+            WAKE_FD.store(fd, Ordering::SeqCst);
+            const SIGINT: i32 = 2;
+            const SIGTERM: i32 = 15;
+            // SAFETY: `signal` is the POSIX libc entry point and `latch`
+            // is async-signal-safe (an atomic swap and one `write`).
+            unsafe {
+                signal(SIGINT, latch);
+                signal(SIGTERM, latch);
+            }
+        }
+        Ok(())
+    }
+
+    /// Blocks until a signal has arrived, [`wake`] runs or `limit`
+    /// elapses (`None`: no limit), and returns whether a signal has
+    /// arrived.
+    pub fn wait(limit: Option<Duration>) -> bool {
+        if let Some((rx, _)) = PAIR.get() {
+            if !TRIGGERED.load(Ordering::SeqCst) && rx.set_read_timeout(limit).is_ok() {
+                let _ = (&*rx).read(&mut [0u8]);
+            }
+        }
         TRIGGERED.load(Ordering::SeqCst)
+    }
+
+    /// Releases a thread blocked in [`wait`] without a signal.
+    pub fn wake() {
+        if let Some((_, tx)) = PAIR.get() {
+            let _ = (&*tx).write_all(&[0u8]);
+        }
     }
 }
 
 #[cfg(not(unix))]
 mod interrupt {
-    pub fn install() {}
+    pub fn install() -> std::io::Result<()> {
+        Ok(())
+    }
 
-    pub fn triggered() -> bool {
+    /// No signal ever arrives: sleeps for `limit`, or returns at once.
+    pub fn wait(limit: Option<std::time::Duration>) -> bool {
+        if let Some(limit) = limit {
+            std::thread::sleep(limit);
+        }
         false
     }
+
+    pub fn wake() {}
 }
 
 /// One subcommand: its name, its entry point, and the flags it reads
@@ -924,19 +972,27 @@ fn cmd_serve(opts: &Flags) -> Result<(), CliError> {
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
 
-    interrupt::install();
-    while !interrupt::triggered() && !server.is_stopped() {
-        std::thread::sleep(std::time::Duration::from_millis(50));
+    // A signal stops the server as a `shutdown` frame does. Meanwhile
+    // this thread blocks in join, which drains the queue and publishes
+    // the final cache gauges.
+    let io_err = |e: std::io::Error| CliError::Io(format!("serve: signal watcher: {e}"));
+    interrupt::install().map_err(io_err)?;
+    let stop = server.stop_handle();
+    let watcher = std::thread::Builder::new()
+        .name("serve-signals".into())
+        .spawn(move || {
+            if interrupt::wait(None) {
+                obs::log!(Info, "serve: interrupt received, draining");
+                stop.stop();
+            }
+        })
+        .map_err(io_err)?;
+    server.join();
+    interrupt::wake();
+    if watcher.join().is_err() {
+        obs::log!(Warn, "serve: the signal watcher panicked");
     }
-    if interrupt::triggered() {
-        obs::log!(Info, "serve: interrupt received, draining");
-    }
-    server.shutdown();
-    let stats = {
-        // Join drains the queue and publishes the final cache gauges.
-        server.join();
-        obs::global()
-    };
+    let stats = obs::global();
     let served = stats.counter("serve.requests").get();
     let latency = stats.histogram("serve.request_ns");
     let us = |ns: u64| ns as f64 / 1e3;
@@ -1037,7 +1093,7 @@ fn cmd_top(opts: &Flags) -> Result<(), CliError> {
     let json = opts.contains_key("json");
     let interval = std::time::Duration::from_secs_f64(f64_flag(opts, "interval", 2.0)?);
 
-    interrupt::install();
+    interrupt::install().map_err(|e| CliError::Io(format!("top: {e}")))?;
     let mut client =
         Client::connect(&addr).map_err(|e| CliError::Io(format!("top: connect {addr}: {e}")))?;
     loop {
@@ -1067,13 +1123,9 @@ fn cmd_top(opts: &Flags) -> Result<(), CliError> {
         if once {
             return Ok(());
         }
-        let wake = std::time::Instant::now() + interval;
-        while std::time::Instant::now() < wake {
-            if interrupt::triggered() {
-                println!();
-                return Ok(());
-            }
-            std::thread::sleep(std::time::Duration::from_millis(50));
+        if interrupt::wait(Some(interval)) {
+            println!();
+            return Ok(());
         }
     }
 }

@@ -532,10 +532,11 @@ fn voluntary_switches(pid: u32) -> HashMap<String, (String, u64)> {
         .collect()
 }
 
-/// An idle daemon's serving threads block on their events instead of
-/// polling: over a second with one connection open and no traffic, the
-/// acceptor, the workers, the connection's handler and the sampler (at
-/// its default 1 s interval) each block and wake at most twice.
+/// An idle daemon's threads block on their events instead of polling:
+/// over a second with one connection open and no traffic, every thread
+/// (the main thread, the signal watcher, the acceptor, the workers, the
+/// connection's handler and the sampler at its default 1 s interval)
+/// blocks and wakes at most twice.
 #[test]
 fn an_idle_daemon_leaves_its_serving_threads_asleep() {
     let mut daemon = Daemon::start(&[]);
@@ -549,9 +550,6 @@ fn an_idle_daemon_leaves_its_serving_threads_asleep() {
     let after = voluntary_switches(pid);
     let mut watched = Vec::new();
     for (tid, (name, then)) in &before {
-        if !(name.starts_with("serve-") || name == "obs-sampler") {
-            continue;
-        }
         let now = after.get(tid).map_or(*then, |(_, n)| *n);
         watched.push(name.clone());
         assert!(
@@ -561,6 +559,8 @@ fn an_idle_daemon_leaves_its_serving_threads_asleep() {
         );
     }
     for name in [
+        "dvfs",
+        "serve-signals",
         "serve-acceptor",
         "serve-worker-0",
         "serve-conn",
