@@ -9,7 +9,9 @@
 //! and seeds. Both paths are bitwise-identical in output, so the group
 //! isolates the pure cost of buffer churn. `shard_step_8x64` times the
 //! step's kernels alone: one forward and backward pass on one 8-row
-//! shard.
+//! shard. `validate_1537` times the per-epoch validation pass: one f64
+//! forward over 1537 rows (the validation split of the paper campaign)
+//! plus its loss.
 //!
 //! Set `BENCH_SMOKE=1` to shrink the heavy model-training workloads so
 //! `scripts/check.sh` can exercise every bench body in seconds.
@@ -121,11 +123,8 @@ fn bench_training(c: &mut Criterion) {
 fn bench_epoch_cost(c: &mut Criterion) {
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(11);
     let x = tensor::init::uniform(512, 3, 0.0, 1.0, &mut rng);
-    let y_vals: Vec<f64> = x
-        .rows_iter()
-        .map(|r| 0.5 * r[0] + r[1] * r[1] - 0.3 * r[2] + 0.1)
-        .collect();
-    let y = Matrix::col_vector(&y_vals);
+    let target = |r: &[f64]| 0.5 * r[0] + r[1] * r[1] - 0.3 * r[2] + 0.1;
+    let y = Matrix::col_vector(&x.rows_iter().map(target).collect::<Vec<f64>>());
     let net: Network = NetworkBuilder::new(3)
         .hidden(64, Activation::Selu)
         .hidden(64, Activation::Selu)
@@ -176,6 +175,17 @@ fn bench_epoch_cost(c: &mut Criterion) {
         b.iter(|| {
             net.forward_ws(black_box(&xs), &mut ws);
             net.shard_grads_ws(black_box(&ys), Loss::Mse, &mut ws)
+        })
+    });
+    // What `Trainer::fit` runs after every epoch (`fit/epoch/validate`):
+    // the workspace forward over the validation rows, then the loss.
+    let xv = tensor::init::uniform(1537, 3, 0.0, 1.0, &mut rng);
+    let yv = Matrix::col_vector(&xv.rows_iter().map(target).collect::<Vec<f64>>());
+    let mut ws_val = Workspace::for_network(&net, xv.rows());
+    group.bench_function("validate_1537", |b| {
+        b.iter(|| {
+            let pred = net.predict_into(black_box(&xv), &mut ws_val);
+            Loss::Mse.value(pred, &yv)
         })
     });
     group.finish();

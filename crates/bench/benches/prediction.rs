@@ -134,11 +134,12 @@ fn bench_prediction(c: &mut Criterion) {
 }
 
 /// A raw paper-topology network evaluated over a 61-row feature matrix
-/// (one DVFS sweep): the allocating reference oracle, then the compiled
-/// engine at each precision. `engine_f64` runs the workspace kernels and
-/// is bitwise identical to the oracle; `engine_f32` and `engine_bf16` run
-/// one packed GEMM per layer over all 61 rows, f32 lanes or bf16-truncated
-/// weights with f32 accumulation.
+/// (one DVFS sweep): the allocating reference oracle, the f64 sweep's
+/// SELU passes alone (`selu_pass`), then the compiled engine at each
+/// precision. `engine_f64` runs the workspace kernels and is bitwise
+/// identical to the oracle; `engine_f32` and `engine_bf16` run one packed
+/// GEMM per layer over all 61 rows, f32 lanes or bf16-truncated weights
+/// with f32 accumulation.
 fn bench_nn_forward(c: &mut Criterion) {
     let net = NetworkBuilder::new(3)
         .hidden(64, Activation::Selu)
@@ -153,6 +154,22 @@ fn bench_nn_forward(c: &mut Criterion) {
     let mut group = c.benchmark_group("nn_forward_61_states");
     group.bench_function("reference_alloc", |b| {
         b.iter(|| reference::predict(&net, black_box(&x)))
+    });
+    // The f64 sweep's three SELU passes alone: each hidden layer's stored
+    // pre-activations copied into the layer-sized buffer, then the pass.
+    let selu: Vec<Vec<f64>> = bench::pre_activations(&net, &x)
+        .into_iter()
+        .filter_map(|(act, z)| (act == Activation::Selu).then_some(z))
+        .collect();
+    let mut buf = vec![0.0; selu[0].len()];
+    group.bench_function("selu_pass", |b| {
+        b.iter(|| {
+            for z in &selu {
+                buf.copy_from_slice(black_box(z));
+                Activation::Selu.apply_slice(&mut buf);
+            }
+            buf[0]
+        })
     });
     let mut out = Vec::new();
     for precision in [Precision::F64, Precision::F32, Precision::Bf16] {

@@ -7,7 +7,10 @@
 //! is set) writes the JSON report next to it.
 
 use dvfs_core::experiments::Lab;
+use nn::activation::Activation;
+use nn::network::Network;
 use serde::Serialize;
+use tensor::{matmul, Matrix};
 
 /// Builds the Lab for a harness binary. `DVFS_QUICK=1` subsamples the
 /// training grid (stride 4) for fast smoke runs; the default is the
@@ -47,4 +50,24 @@ pub fn emit<T: Serialize>(name: &str, rendered: &str, report: &T) {
             Err(e) => obs::log!(Error, "[harness] failed to serialize {name}: {e}"),
         }
     }
+}
+
+/// Each layer's activation and its pre-activations `a·W + b` (row-major,
+/// `x.rows() × width`) in a forward pass of `net` over `x`: the inputs
+/// the activation passes of that forward see, stored so a bench can time
+/// the passes alone.
+pub fn pre_activations(net: &Network, x: &Matrix) -> Vec<(Activation, Vec<f64>)> {
+    let mut a = x.clone();
+    let mut layers = Vec::with_capacity(net.layers().len());
+    for layer in net.layers() {
+        let mut z = Matrix::zeros(a.rows(), layer.out_dim());
+        matmul::matmul_bias_into(&a, layer.weights(), layer.bias().as_slice(), &mut z)
+            .expect("layer shapes agree");
+        layers.push((layer.activation(), z.as_slice().to_vec()));
+        for r in 0..z.rows() {
+            layer.activation().apply_row(z.row_mut(r));
+        }
+        a = z;
+    }
+    layers
 }

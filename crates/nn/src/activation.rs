@@ -5,8 +5,14 @@
 //! here so the ablation benches can rerun that sweep. SELU uses the exact
 //! constants from Klambauer et al. 2017 that the paper quotes
 //! (α = 1.67326324, scale = 1.05070098).
+//!
+//! ELU and SELU take `e^x` from [`tensor::exp64`], never from libm
+//! directly: the scalar functions here, the slice passes the layers run
+//! and `nn::reference` all reach that one definition, so the f64
+//! network's bitwise oracles hold by construction on any platform.
 
 use serde::{Deserialize, Serialize};
+use tensor::exp64;
 
 /// SELU α constant (paper Equation 2).
 pub const SELU_ALPHA: f64 = 1.67326324;
@@ -70,14 +76,14 @@ impl Activation {
                 if x > 0.0 {
                     x
                 } else {
-                    alpha * (x.exp() - 1.0)
+                    alpha * (exp64::exp(x) - 1.0)
                 }
             }
             Activation::Selu => {
                 if x > 0.0 {
                     SELU_SCALE * x
                 } else {
-                    SELU_SCALE * SELU_ALPHA * (x.exp() - 1.0)
+                    SELU_SCALE * SELU_ALPHA * (exp64::exp(x) - 1.0)
                 }
             }
             Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
@@ -118,14 +124,14 @@ impl Activation {
                 if x > 0.0 {
                     1.0
                 } else {
-                    alpha * x.exp()
+                    alpha * exp64::exp(x)
                 }
             }
             Activation::Selu => {
                 if x > 0.0 {
                     SELU_SCALE
                 } else {
-                    SELU_SCALE * SELU_ALPHA * x.exp()
+                    SELU_SCALE * SELU_ALPHA * exp64::exp(x)
                 }
             }
             Activation::Sigmoid => {
@@ -162,7 +168,7 @@ impl Activation {
                 if x > 0.0 {
                     (x, 1.0)
                 } else {
-                    let e = x.exp();
+                    let e = exp64::exp(x);
                     (alpha * (e - 1.0), alpha * e)
                 }
             }
@@ -170,7 +176,7 @@ impl Activation {
                 if x > 0.0 {
                     (SELU_SCALE * x, SELU_SCALE)
                 } else {
-                    let e = x.exp();
+                    let e = exp64::exp(x);
                     (
                         SELU_SCALE * SELU_ALPHA * (e - 1.0),
                         SELU_SCALE * SELU_ALPHA * e,
@@ -178,6 +184,59 @@ impl Activation {
                 }
             }
             _ => (self.apply(x), self.derivative(x)),
+        }
+    }
+
+    /// [`Activation::apply`] over a slice in place, bit for bit.
+    ///
+    /// ELU and SELU run one branch-free loop: every element evaluates
+    /// both branches, `e^x` through [`exp64::exp_in_range`], and a bit
+    /// mask keeps one, so the loop vectorizes. A slice holding a
+    /// non-positive value off that function's main path (zero,
+    /// `|x| < 2⁻⁵⁴`, `x ≤ −512`, NaN) runs the scalar loop instead, as
+    /// every other activation does, its `match` resolved once per slice.
+    ///
+    /// # Panics
+    /// Panics for [`Activation::Softmax`]; use [`Activation::apply_row`].
+    pub fn apply_slice(&self, xs: &mut [f64]) {
+        match *self {
+            Activation::Elu { alpha } if exp_main_path_covers(xs) => {
+                exp_linear_values(xs, 1.0, alpha);
+            }
+            Activation::Selu if exp_main_path_covers(xs) => {
+                exp_linear_values(xs, SELU_SCALE, SELU_SCALE * SELU_ALPHA);
+            }
+            Activation::Softmax => panic!("softmax is not elementwise; use apply_row"),
+            _ => with_variant!(*self, act => {
+                for v in xs.iter_mut() {
+                    *v = act.apply(*v);
+                }
+            }),
+        }
+    }
+
+    /// [`Activation::value_and_derivative`] over a slice: each `xs[i]`
+    /// becomes `f(xs[i])` and `ds[i]` receives `f'(xs[i])`, bit for bit,
+    /// through the same vector pass and fallback as
+    /// [`Activation::apply_slice`].
+    ///
+    /// # Panics
+    /// Panics for [`Activation::Softmax`] or if the lengths differ.
+    pub(crate) fn value_and_derivative_slice(&self, xs: &mut [f64], ds: &mut [f64]) {
+        assert_eq!(xs.len(), ds.len(), "value and derivative lengths differ");
+        match *self {
+            Activation::Elu { alpha } if exp_main_path_covers(xs) => {
+                exp_linear_values_and_derivatives(xs, ds, 1.0, alpha);
+            }
+            Activation::Selu if exp_main_path_covers(xs) => {
+                exp_linear_values_and_derivatives(xs, ds, SELU_SCALE, SELU_SCALE * SELU_ALPHA);
+            }
+            Activation::Softmax => panic!("softmax derivative requires the row Jacobian"),
+            _ => with_variant!(*self, act => {
+                for (v, d) in xs.iter_mut().zip(ds.iter_mut()) {
+                    (*v, *d) = act.value_and_derivative(*v);
+                }
+            }),
         }
     }
 
@@ -194,11 +253,7 @@ impl Activation {
                 *v /= sum;
             }
         } else {
-            with_variant!(*self, act => {
-                for v in row.iter_mut() {
-                    *v = act.apply(*v);
-                }
-            });
+            self.apply_slice(row);
         }
     }
 
@@ -238,6 +293,51 @@ impl Activation {
             Activation::Softsign => "softsign",
             Activation::Softmax => "softmax",
         }
+    }
+}
+
+/// True when every non-positive element of `xs` lies on the main path
+/// of [`exp64::exp_in_range`], so the ELU/SELU vector pass is exact for
+/// the whole slice. One read-only pass, branch-free so it vectorizes.
+fn exp_main_path_covers(xs: &[f64]) -> bool {
+    xs.iter().fold(true, |covered, &x| {
+        covered & ((x > 0.0) | exp64::in_range(x))
+    })
+}
+
+/// `if take { a } else { b }` as a bit-mask blend, so the pass stays
+/// branch-free whatever the optimizer decides. Both arms are evaluated
+/// for every element: an `if` that evaluated `e^x` on its non-positive
+/// arm only compiled to a branch that mispredicts on every sign change,
+/// and ran a sweep's SELU passes ~5× slower.
+#[inline(always)]
+fn select(take: bool, a: f64, b: f64) -> f64 {
+    let m = u64::from(take).wrapping_neg();
+    f64::from_bits((a.to_bits() & m) | (b.to_bits() & !m))
+}
+
+/// `x > 0 ? pos·x : neg·(e^x − 1)` in place: ELU is `(1, α)`, SELU
+/// `(scale, scale·α)`, the products [`Activation::apply`] evaluates
+/// (`1·x` is `x` for every `x > 0`). Exact only where
+/// [`exp_main_path_covers`] holds.
+#[inline(always)]
+fn exp_linear_values(xs: &mut [f64], pos: f64, neg: f64) {
+    for v in xs {
+        let x = *v;
+        let e = exp64::exp_in_range(x);
+        *v = select(x > 0.0, pos * x, neg * (e - 1.0));
+    }
+}
+
+/// [`exp_linear_values`] plus the derivative `x > 0 ? pos : neg·e^x`
+/// into `ds`, from the one `e^x`.
+#[inline(always)]
+fn exp_linear_values_and_derivatives(xs: &mut [f64], ds: &mut [f64], pos: f64, neg: f64) {
+    for (v, d) in xs.iter_mut().zip(ds) {
+        let x = *v;
+        let e = exp64::exp_in_range(x);
+        *v = select(x > 0.0, pos * x, neg * (e - 1.0));
+        *d = select(x > 0.0, pos, neg * e);
     }
 }
 
@@ -387,6 +487,80 @@ pub(crate) mod tests {
                     act.name()
                 );
             }
+        }
+    }
+
+    /// Pre-activations on the main path of `exp`, both signs, an odd
+    /// count so the vector loop has a tail.
+    fn main_path_values() -> Vec<f64> {
+        (-300..=300)
+            .map(|i| f64::from(i) * 0.037 + 0.0113)
+            .collect()
+    }
+
+    /// `apply_slice` and `value_and_derivative_slice` on `xs` against
+    /// the scalar functions, bit for bit.
+    fn assert_slice_passes_match_scalar(act: Activation, xs: &[f64]) {
+        let mut values = xs.to_vec();
+        act.apply_slice(&mut values);
+        let (mut both, mut ds) = (xs.to_vec(), vec![0.0; xs.len()]);
+        act.value_and_derivative_slice(&mut both, &mut ds);
+        for (i, &x) in xs.iter().enumerate() {
+            let (v, d) = act.value_and_derivative(x);
+            let what = format!("{} at xs[{i}] = {x:e}", act.name());
+            assert_eq!(values[i].to_bits(), act.apply(x).to_bits(), "{what}");
+            assert_eq!(both[i].to_bits(), v.to_bits(), "{what}");
+            assert_eq!(ds[i].to_bits(), d.to_bits(), "{what}");
+        }
+    }
+
+    const EXP_FAMILY: [Activation; 3] = [
+        Activation::Selu,
+        Activation::Elu { alpha: 1.0 },
+        Activation::Elu { alpha: 0.3 },
+    ];
+
+    /// Without edge inputs ELU and SELU take the vector pass, and the
+    /// positive values off `exp`'s main path (subnormal, tiny, huge,
+    /// infinite) do not send it to the scalar loop.
+    #[test]
+    fn vector_pass_equals_scalar_bitwise() {
+        let mut xs = main_path_values();
+        assert!(exp_main_path_covers(&xs));
+        for act in EXP_FAMILY {
+            assert_slice_passes_match_scalar(act, &xs);
+        }
+        let positive_edges = EDGE_INPUTS.into_iter().filter(|&x| x > 0.0);
+        for (k, x) in positive_edges.enumerate() {
+            xs[7 * k + 3] = x;
+        }
+        assert!(exp_main_path_covers(&xs));
+        for act in EXP_FAMILY {
+            assert_slice_passes_match_scalar(act, &xs);
+        }
+    }
+
+    /// Each non-positive edge input off `exp`'s main path sends its
+    /// slice to the scalar loop, alone or mixed with the rest, and the
+    /// result is still bitwise the scalar one; every other activation's
+    /// slice pass is its scalar loop.
+    #[test]
+    fn fallback_pass_equals_scalar_bitwise() {
+        let off_path = |x: f64| !(x > 0.0 || exp64::in_range(x));
+        for edge in EDGE_INPUTS.into_iter().filter(|&x| off_path(x)) {
+            let mut xs = main_path_values();
+            xs[100] = edge;
+            assert!(!exp_main_path_covers(&xs), "{edge:e} must fall back");
+            for act in EXP_FAMILY {
+                assert_slice_passes_match_scalar(act, &xs);
+            }
+        }
+        let mut xs = main_path_values();
+        for (k, x) in EDGE_INPUTS.into_iter().enumerate() {
+            xs[13 * k + 1] = x;
+        }
+        for act in ELEMENTWISE {
+            assert_slice_passes_match_scalar(act, &xs);
         }
     }
 

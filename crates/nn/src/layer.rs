@@ -1,7 +1,7 @@
 //! Fully-connected (dense) layer: parameters plus the forward and
 //! backward kernels the workspace engine drives.
 
-use crate::activation::{with_variant, Activation};
+use crate::activation::Activation;
 use serde::{Deserialize, Serialize};
 use tensor::{matmul, ops, Matrix};
 
@@ -93,7 +93,8 @@ impl Dense {
     /// and what backprop needs of `z` into `pre`, resizing both
     /// (allocation-free within capacity). For an elementwise activation
     /// `pre` receives the derivative `f'(z)`, computed together with
-    /// `f(z)` by [`Activation::value_and_derivative`] so backprop never
+    /// `f(z)` in one pass over the layer output
+    /// ([`Activation::value_and_derivative_slice`]) so backprop never
     /// evaluates `f'` again; for softmax it receives `z`.
     ///
     /// # Panics
@@ -114,11 +115,8 @@ impl Dense {
             return;
         }
         matmul::matmul_bias_into(input, &self.weights, b, out).expect("layer/input width mismatch");
-        with_variant!(self.activation, act => {
-            for (o, d) in out.as_mut_slice().iter_mut().zip(pre.as_mut_slice()) {
-                (*o, *d) = act.value_and_derivative(*o);
-            }
-        });
+        self.activation
+            .value_and_derivative_slice(out.as_mut_slice(), pre.as_mut_slice());
     }
 
     /// Inference forward pass into a single reused buffer (no
@@ -126,12 +124,15 @@ impl Dense {
     ///
     /// The bias is added as the register tiles spill
     /// ([`matmul::matmul_bias_into`]); the activation then runs as its
-    /// own pass over `out`, the shape [`Dense::forward_into`] has. Calling
-    /// `exp` inside the tile spill forces the tile's accumulators out of
-    /// registers around every call: the f64 61-state sweep measured
-    /// ~168 µs that way against ~124 µs with the separate pass (criterion
-    /// medians, 2-vCPU Xeon). Both are bitwise-identical to the unfused
-    /// sequence (same accumulation order, bias added after the full sum).
+    /// own pass over `out` ([`Activation::apply_slice`]), the shape
+    /// [`Dense::forward_into`] has, so no `exp` forces the tile's
+    /// accumulators out of registers. For SELU the pass is one vector
+    /// loop with no libm call ([`tensor::exp64`]): the f64 61-state sweep
+    /// (`nn_forward_61_states/engine_f64`) measured ~54 µs against ~79 µs
+    /// with a per-element loop calling `f64::exp` (criterion medians of
+    /// five alternating runs, 2-vCPU Xeon). The result is bitwise-identical
+    /// to the unfused sequence (same accumulation order, bias added after
+    /// the full sum, then [`Activation::apply`] per element).
     ///
     /// # Panics
     /// Panics if `input.cols() != in_dim`.
@@ -145,11 +146,7 @@ impl Dense {
                 self.activation.apply_row(out.row_mut(r));
             }
         } else {
-            with_variant!(self.activation, act => {
-                for o in out.as_mut_slice() {
-                    *o = act.apply(*o);
-                }
-            });
+            self.activation.apply_slice(out.as_mut_slice());
         }
     }
 

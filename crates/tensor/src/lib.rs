@@ -6,6 +6,8 @@
 //! * Blocked and rayon-parallel matrix multiplication ([`matmul`]).
 //! * Column statistics and feature scaling ([`stats`]).
 //! * Deterministic random initialization ([`init`]).
+//! * A bit-exact, branch-free f64 `e^x` ([`exp64`]) for the SELU and ELU
+//!   activation passes.
 //!
 //! # The `_into` API
 //!
@@ -31,6 +33,7 @@
 //! bound instead of the bitwise contract.
 
 pub mod error;
+pub mod exp64;
 pub mod f32x8;
 pub mod init;
 pub mod matmul;

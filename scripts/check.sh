@@ -40,7 +40,12 @@ cargo run --release --offline -p obs --example validate_metrics -- "$tmp/metrics
 
 echo "==> dvfs --trace-out smoke (4-thread train + batch -> validate traces)"
 DVFS_LOG=error DVFS_THREADS=4 target/release/dvfs train --stride 8 \
-    --out "$tmp/models.json" --trace-out "$tmp/train_trace.json" >/dev/null
+    --out "$tmp/models_t4.json" --trace-out "$tmp/train_trace.json" >/dev/null
+# DESIGN §10: training is bitwise identical at every thread count, so the
+# 4-thread models must equal the default-thread ones byte for byte once
+# the wall-clock `train_seconds` fields are stripped.
+strip_train_seconds() { sed 's/"train_seconds":[^,}]*//g' "$1"; }
+cmp <(strip_train_seconds "$tmp/models.json") <(strip_train_seconds "$tmp/models_t4.json")
 DVFS_LOG=error DVFS_THREADS=4 target/release/dvfs batch --models "$tmp/models.json" \
     --requests 64 --capacity 4 --trace-out "$tmp/batch_trace.json" >/dev/null
 cargo run --release --offline -p obs --example validate_trace -- "$tmp/train_trace.json" \
@@ -204,9 +209,15 @@ echo "==> exp32 against its round-and-cast oracle on every f32 (release)"
 # over all 2^32 inputs is #[ignore]d there and runs here, in release.
 cargo test --release --offline -p tensor --test exp32 -q -- --ignored
 
-echo "==> batch-fused engine speedup guard (release)"
+echo "==> exp64 against the platform exp on 10^9 main-path inputs (release)"
+# Tier-1 runs the edges and a strided walk; the 10^9-input walk is
+# #[ignore]d there and runs here, in release.
+cargo test --release --offline -p tensor --test exp64 -q -- --ignored
+
+echo "==> SELU pass and batch-fused engine speedup guards (release)"
 # `cargo test -q` above runs this file in a debug build where the timing
-# leg self-skips; the release run enforces the >=2x fused-f32 bound.
+# legs self-skip; the release run enforces the vector SELU pass's >=1.1x
+# over the per-element loop and the fused f32 engine's >=1.6x over f64.
 cargo test --release --offline -p bench --test engine_speedup -q
 
 echo "==> bench baseline smoke (BENCH_SMOKE=1)"
@@ -222,5 +233,7 @@ grep -q '"serve_qps_journal"' "$tmp/BENCH_nn.json"
 grep -q '"serve_p99_journal_us"' "$tmp/BENCH_nn.json"
 grep -q '"nn_forward_61_states/engine_f32"' "$tmp/BENCH_nn.json"
 grep -q '"nn_forward_61_states/engine_bf16"' "$tmp/BENCH_nn.json"
+grep -q '"nn_forward_61_states/selu_pass"' "$tmp/BENCH_nn.json"
+grep -q '"nn_training/validate_1537"' "$tmp/BENCH_nn.json"
 
 echo "==> all checks passed"
