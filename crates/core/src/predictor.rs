@@ -307,8 +307,9 @@ impl<'a> Predictor<'a> {
     /// after their first prediction.
     ///
     /// Runs sequentially on the calling thread: the `dvfs serve` daemon
-    /// is thread-per-core, and callers that want a fan-out run one-element
-    /// batches from their own workers against a shared cache.
+    /// runs one batch per serving state, and callers that want a fan-out
+    /// run one-element batches from their own workers against a shared
+    /// cache.
     ///
     /// # Panics
     /// Panics if any reference was not taken at the default clock.

@@ -31,11 +31,25 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Duration;
+
+/// Why the sleep mutex is never poisoned.
+const SLEEP_HOLDERS: &str =
+    "the sleep mutex's holders only read or bump the wake epoch, which cannot panic";
 
 struct Shard<T> {
     jobs: Mutex<VecDeque<T>>,
+}
+
+impl<T> Shard<T> {
+    /// The shard's queue, locked.
+    fn lock(&self) -> MutexGuard<'_, VecDeque<T>> {
+        self.jobs.lock().expect(
+            "a shard's holders only move jobs between its queue and a vector or \
+             `push_batch`'s iterator, none of which panics",
+        )
+    }
 }
 
 /// A fixed set of per-worker job shards with batched push/pop and work
@@ -104,7 +118,7 @@ impl<T> Dispatcher<T> {
         let shard = &self.shards[self.cursor.fetch_add(1, Ordering::Relaxed) % self.shards.len()];
         let mut n = 0;
         {
-            let mut queue = shard.jobs.lock().unwrap();
+            let mut queue = shard.lock();
             for job in jobs {
                 queue.push_back(job);
                 n += 1;
@@ -116,14 +130,19 @@ impl<T> Dispatcher<T> {
         self.pending.fetch_add(n, Ordering::Release);
         // Pass through the sleep mutex so any worker that read
         // `pending == 0` has since started waiting.
-        drop(self.sleep.lock().unwrap());
+        drop(self.sleep());
         self.wake.notify_one();
+    }
+
+    /// The wake epoch, locked.
+    fn sleep(&self) -> MutexGuard<'_, u64> {
+        self.sleep.lock().expect(SLEEP_HOLDERS)
     }
 
     /// Wakes every parked worker (shutdown, snapshot publish). A worker
     /// about to park in [`Dispatcher::pop_batch_parked`] returns instead.
     pub fn wake_all(&self) {
-        *self.sleep.lock().unwrap() += 1;
+        *self.sleep() += 1;
         self.wake.notify_all();
     }
 
@@ -139,9 +158,9 @@ impl<T> Dispatcher<T> {
         // Park until a push passes through the sleep mutex or `park`
         // elapses. Checking `pending` under the mutex closes the race
         // with a push that landed between the drains above and here.
-        let guard = self.sleep.lock().unwrap();
+        let guard = self.sleep();
         if self.pending.load(Ordering::Acquire) == 0 {
-            let _ = self.wake.wait_timeout(guard, park).unwrap();
+            let _ = self.wake.wait_timeout(guard, park).expect(SLEEP_HOLDERS);
         }
     }
 
@@ -157,9 +176,9 @@ impl<T> Dispatcher<T> {
             if self.try_pop_into(worker, max, out) {
                 return;
             }
-            let mut wakes = self.sleep.lock().unwrap();
+            let mut wakes = self.sleep();
             while *wakes == *epoch && self.pending.load(Ordering::Acquire) == 0 {
-                wakes = self.wake.wait(wakes).unwrap();
+                wakes = self.wake.wait(wakes).expect(SLEEP_HOLDERS);
             }
             if *wakes != *epoch {
                 *epoch = *wakes;
@@ -176,7 +195,7 @@ impl<T> Dispatcher<T> {
         out.clear();
         let own = &self.shards[worker % self.shards.len()];
         {
-            let mut queue = own.jobs.lock().unwrap();
+            let mut queue = own.lock();
             let n = queue.len().min(max);
             out.extend(queue.drain(..n));
         }
@@ -191,7 +210,7 @@ impl<T> Dispatcher<T> {
         // can dip below `out.len()` while a pusher that already queued
         // its jobs has yet to count them; that pusher wakes someone.
         if self.pending.fetch_sub(out.len(), Ordering::Release) > out.len() {
-            drop(self.sleep.lock().unwrap());
+            drop(self.sleep());
             self.wake.notify_one();
         }
         true

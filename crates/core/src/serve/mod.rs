@@ -16,13 +16,14 @@
 //! * [`reply`] — pooled, generation-guarded reply slots replacing the
 //!   per-request `mpsc::channel()` (workers swap serialization buffers
 //!   into slots; steady state allocates nothing per request);
-//! * [`server`] — thread-per-core [`server::Server`]: handler threads
-//!   drain every frame a socket read buffered, dispatch the burst as one
-//!   batch, worker threads answer it through the cached predictor
-//!   against a [`crate::cache::ShardedProfileCache`] (plus a per-worker
-//!   serialized-fragment cache), replies leave in one vectored write,
-//!   and every response names the [`crate::snapshot::ModelSnapshot`]
-//!   version that produced it;
+//! * [`server`] — [`server::Server`]: handler threads drain every frame
+//!   a socket read buffered and serve the burst as one batch through the
+//!   cached predictor against a [`crate::cache::ShardedProfileCache`]
+//!   (plus a serialized-fragment cache per serving state): on the
+//!   handler's own thread with a parked worker's serving state when the
+//!   burst fits in one batch, else on the worker threads; replies leave
+//!   in one vectored write, and every response names the
+//!   [`crate::snapshot::ModelSnapshot`] version that produced it;
 //! * [`loadgen`] — open-/closed-loop zipf load generator reporting
 //!   throughput and p50/p90/p99 from the shared `loadgen.rtt_ns`
 //!   histogram;

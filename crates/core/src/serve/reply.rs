@@ -12,8 +12,12 @@
 //! timeouts safe: a late fill against a closed generation is dropped
 //! without touching the next batch's slots.
 
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+
+/// Why a table's lock is never poisoned.
+const HOLDERS: &str =
+    "a reply table's holders only swap buffers and bump counters, which cannot panic";
 
 struct Slot {
     buf: Vec<u8>,
@@ -54,11 +58,16 @@ impl ReplyTable {
         }
     }
 
+    /// The table, locked.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().expect(HOLDERS)
+    }
+
     /// Opens a new generation expecting `n` replies and returns its id.
     /// Implicitly closes the previous generation: stragglers filling
     /// against the old id are dropped.
     pub fn begin(&self, n: usize) -> u64 {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         inner.generation += 1;
         inner.expected = n;
         inner.filled = 0;
@@ -79,7 +88,7 @@ impl ReplyTable {
     /// capacity). Returns false — dropping the reply — when the
     /// generation has moved on (handler timed out or reset).
     pub fn fill(&self, generation: u64, index: usize, buf: &mut Vec<u8>) -> bool {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         if inner.generation != generation || index >= inner.expected {
             return false;
         }
@@ -103,13 +112,13 @@ impl ReplyTable {
     /// `false` is returned — `out` contents are then unspecified.
     pub fn wait_collect(&self, generation: u64, out: &mut Vec<Vec<u8>>, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         while inner.generation == generation && inner.filled < inner.expected {
             let now = Instant::now();
             let Some(left) = deadline.checked_duration_since(now) else {
                 break;
             };
-            let (guard, _) = self.ready.wait_timeout(inner, left).unwrap();
+            let (guard, _) = self.ready.wait_timeout(inner, left).expect(HOLDERS);
             inner = guard;
         }
         if inner.generation != generation || inner.filled < inner.expected {

@@ -1,12 +1,25 @@
-//! The thread-per-core prediction server.
+//! The prediction server.
 //!
 //! Topology: one **acceptor** thread (blocked in `accept`), one
 //! **handler** thread per connection (framing + protocol + control
 //! commands), and `workers` **worker** threads that drain a sharded
-//! job [`Dispatcher`] and run the cached batch-prediction path. Every
-//! one of them blocks on the event it serves; a stop wakes them all
-//! (see [`Server::shutdown`]), and a handler that finishes is joined by
-//! the next one to finish.
+//! job [`Dispatcher`]. Every one of them blocks on the event it serves;
+//! a stop wakes them all (see [`Server::shutdown`]), and a handler that
+//! finishes is joined by the next one to finish.
+//!
+//! **Where a batch runs.** What serving keeps across batches (the
+//! snapshot binding, the fragment cache and its admission table, the
+//! scratch buffers and the journal producer) is one *serving state* per
+//! worker, each behind its own mutex, and a batch runs on whichever
+//! thread holds a state. A burst of at most `max_batch` predicts runs on
+//! its own handler thread: the handler borrows the state of a parked
+//! worker with `try_lock`, starting from the connection's preferred
+//! state (so a connection's hot keys stay in one fragment cache) and
+//! skipping any worker that has popped work, and answers with no
+//! cross-thread wake. A bigger burst, or one that finds no state free,
+//! goes to the dispatcher as one job per predict, and the handler waits
+//! for the workers' replies. Either way at most `workers` batches run at
+//! once.
 //!
 //! The request path is built around four hot-path structures:
 //!
@@ -15,35 +28,37 @@
 //!   (round-robin across bursts) and an idle worker steals from a loaded
 //!   sibling, so handlers and workers only contend when someone is
 //!   otherwise idle.
-//! * **Pooled replies** ([`super::reply`]) — one generation-guarded
-//!   [`ReplyTable`] per connection replaces the per-request
-//!   `mpsc::channel()`; workers *swap* their serialization buffer into
-//!   the request's slot and take the old buffer back as scratch, so the
-//!   steady state allocates nothing per request.
+//! * **Pooled replies** — the serving thread *swaps* its serialization
+//!   buffer into the request's reply buffer and takes the old buffer back
+//!   as scratch, so the steady state allocates nothing per request. A
+//!   dispatched burst's replies go through the connection's
+//!   generation-guarded [`ReplyTable`] ([`super::reply`]); an inline
+//!   burst's go straight into the handler's buffers.
 //! * **Zero-copy framing** ([`super::framing`]) — the handler drains
 //!   every frame buffered by one socket read (pipelining) and coalesces
-//!   consecutive `predict`/`select` frames into **one** dispatch batch;
-//!   all their replies leave in a single vectored write, length
-//!   prefixes and payloads as separate iovecs.
+//!   consecutive `predict`/`select` frames into **one** batch; all their
+//!   replies leave in a single vectored write, length prefixes and
+//!   payloads as separate iovecs.
 //! * **Serde-free hot shapes** ([`super::protocol::fast`]) — predict
 //!   frames parse and responses render without the boxed JSON value
 //!   tree, byte-identical to the serde path (pinned by tests); each
-//!   worker additionally caches the serialized, workload-independent
-//!   profile fragment per (quantized activities, exec time), admitted
-//!   on the key's second sighting, so a hot key's response is a few
-//!   memcpys and a key seen once stores nothing.
+//!   serving state additionally caches the serialized,
+//!   workload-independent profile fragment per (quantized activities,
+//!   exec time), admitted on the key's second sighting, so a hot key's
+//!   response is a few memcpys and a key seen once stores nothing.
 //!
-//! Each worker binds a [`Predictor`] to the current [`ModelSnapshot`]
-//! and rebinds (dropping its per-snapshot fragment cache) when
-//! [`ModelStore::changed_since`], checked after every pop, reports a
-//! publish — a snapshot swap never blocks a reader and never stalls the
+//! Each serving state binds to the current [`ModelSnapshot`] and
+//! rebinds (dropping its per-snapshot fragment cache) when
+//! [`ModelStore::changed_since`], checked before every batch, reports a
+//! publish; a publish also wakes the parked workers, which rebind at
+//! once. A snapshot swap never blocks a reader and never stalls the
 //! queues; a batch is served by a version at least as new as the one
-//! current when it was dequeued (the response carries that version id),
-//! so versions never move backwards on a connection.
+//! current when it started (the response carries that version id), so
+//! versions never move backwards on a connection.
 //!
 //! The profile cache is a [`ShardedProfileCache`] with one shard per
 //! worker, rounded up to a power of two: requests touch only the shard
-//! their quantized key hashes to, and worker-local fragment hits are
+//! their quantized key hashes to, and fragment hits are
 //! booked into the same counters
 //! ([`ShardedProfileCache::record_front_hits`]) so `lookups == hits +
 //! misses` stays true for the request stream as a whole.
@@ -69,7 +84,7 @@ use std::collections::HashMap;
 use std::io;
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -85,13 +100,13 @@ const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 /// [`wake_listener`]).
 const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
-/// Max entries in each worker's serialized-fragment cache before it is
+/// Max entries in each serving state's fragment cache before it is
 /// reset wholesale (a cheap epoch clear beats per-entry LRU bookkeeping
 /// at this size; the cache also clears on every snapshot rebind).
 const FRAGMENT_CACHE_MAX: usize = 8192;
 
-/// Slots in each worker's [`Sightings`] table: twice the fragment cache,
-/// 128 KiB of fingerprints.
+/// Slots in each serving state's [`Sightings`] table: twice the
+/// fragment cache, 128 KiB of fingerprints.
 const SIGHTING_SLOTS: usize = 2 * FRAGMENT_CACHE_MAX;
 
 /// Server tunables. `Default` is sized for tests and smoke runs; the CLI
@@ -100,7 +115,9 @@ const SIGHTING_SLOTS: usize = 2 * FRAGMENT_CACHE_MAX;
 pub struct ServeConfig {
     /// Bind address (`127.0.0.1:0` for an ephemeral port).
     pub addr: String,
-    /// Worker (prediction) threads.
+    /// Worker (prediction) threads, and serving states: at most this
+    /// many batches run at once, on the workers or on the connection
+    /// handlers that borrow a parked worker's state.
     pub workers: usize,
     /// Total cached profiles across all shards.
     pub cache_capacity: usize,
@@ -164,16 +181,26 @@ pub fn default_slos() -> Vec<SloSpec> {
     ]
 }
 
-/// One queued prediction request plus everything needed to answer it
-/// into its connection's reply slot.
-struct Job {
+/// One validated prediction request plus what its reply records.
+struct Task {
     req: Request,
     t0: Instant,
     t0_ns: u64,
     /// Process-unique request id: the flow id tying the handler's
-    /// `serve.recv` slice to the worker's `serve.request` slice on the
-    /// trace timeline.
+    /// `serve.recv` slice to the `serve.request` slice of the thread
+    /// that served it on the trace timeline.
     req_id: u64,
+}
+
+impl AsRef<Task> for Task {
+    fn as_ref(&self) -> &Task {
+        self
+    }
+}
+
+/// A task queued for the worker pool, plus its connection's reply slot.
+struct Job {
+    task: Task,
     /// The connection's reply table plus the slot coordinates the worker
     /// fills. The generation guard makes a timed-out batch's late fills
     /// harmless.
@@ -182,11 +209,22 @@ struct Job {
     index: usize,
 }
 
+impl AsRef<Task> for Job {
+    fn as_ref(&self) -> &Task {
+        &self.task
+    }
+}
+
 /// Shared server state.
 struct Shared {
     store: Arc<ModelStore>,
     cache: ShardedProfileCache,
     dispatch: Dispatcher<Job>,
+    /// One serving state per worker (see the module docs).
+    serving: Box<[ServingSlot]>,
+    /// Max predicts served as one batch.
+    max_batch: usize,
+    stats: ServeStats,
     /// Set once by [`Shared::stop`].
     stop: AtomicBool,
     /// The connection handlers, live and finished.
@@ -248,6 +286,13 @@ impl Drop for Registered<'_> {
 }
 
 impl Shared {
+    /// The connection registry, locked.
+    fn registry(&self) -> MutexGuard<'_, Connections> {
+        self.conns.lock().expect(
+            "the registry's holders only insert, remove and move entries, which cannot panic",
+        )
+    }
+
     /// Stops the server and wakes every thread blocked on its event:
     /// the acceptor and the telemetry responder (their `accept` returns
     /// a connection of ours, see [`wake_listener`]), the connection
@@ -263,7 +308,7 @@ impl Shared {
         if let Some(addr) = self.telemetry_addr {
             wake_listener(addr);
         }
-        for conn in self.conns.lock().unwrap().live.values() {
+        for conn in self.registry().live.values() {
             let _ = conn.stream.shutdown(Shutdown::Read);
         }
         self.dispatch.wake_all();
@@ -275,7 +320,7 @@ impl Shared {
     /// means every connection [`Shared::stop`] does not see is refused.
     fn register(&self, stream: &TcpStream) -> io::Result<Option<u64>> {
         let stream = stream.try_clone()?;
-        let mut conns = self.conns.lock().unwrap();
+        let mut conns = self.registry();
         if self.stop.load(Ordering::Acquire) {
             return Ok(None);
         }
@@ -297,7 +342,7 @@ impl Shared {
     /// for the caller to join.
     fn deregister(&self, id: u64) -> Vec<JoinHandle<()>> {
         let (earlier, idle) = {
-            let mut conns = self.conns.lock().unwrap();
+            let mut conns = self.registry();
             let own = conns.live.remove(&id).and_then(|conn| conn.handle);
             let earlier = std::mem::replace(&mut conns.finished, own.into_iter().collect());
             (earlier, conns.live.is_empty())
@@ -313,7 +358,7 @@ impl Shared {
     /// could push a job, and no job queued.
     fn drained(&self) -> bool {
         self.stop.load(Ordering::Acquire)
-            && self.conns.lock().unwrap().live.is_empty()
+            && self.registry().live.is_empty()
             && self.dispatch.is_empty()
     }
 
@@ -358,7 +403,8 @@ pub struct Server {
     sampler: Option<Sampler>,
     telemetry: Option<JoinHandle<()>>,
     /// The decision journal's writer thread; stopped (final drain +
-    /// flush) after the workers join so every served decision lands.
+    /// flush) after the workers and handlers join, so every served
+    /// decision lands.
     journal: Option<obs::journal::JournalWriter>,
 }
 
@@ -391,6 +437,30 @@ impl Server {
         };
         let reg = obs::global();
         let worker_count = config.workers.max(1);
+        let journal = match config.journal.clone() {
+            Some(journal_config) => {
+                let writer = obs::journal::JournalWriter::open(journal_config)?;
+                obs::log!(
+                    Info,
+                    "serve: journal in {} ({} record(s) recovered)",
+                    writer.dir().display(),
+                    writer.recovered().records
+                );
+                Some(writer)
+            }
+            None => None,
+        };
+        // Each serving state gets its own bounded journal ring, so
+        // producers never contend with each other, only with the drain.
+        let serving = (0..worker_count)
+            .map(|_| ServingSlot {
+                claimed: AtomicBool::new(false),
+                state: Mutex::new(ServingState::new(
+                    store.load(),
+                    journal.as_ref().map(|j| j.producer()),
+                )),
+            })
+            .collect();
         let shared = Arc::new(Shared {
             store,
             cache: ShardedProfileCache::new(
@@ -398,6 +468,9 @@ impl Server {
                 worker_count.next_power_of_two(),
             ),
             dispatch: Dispatcher::new(worker_count),
+            serving,
+            max_batch: config.max_batch.max(1),
+            stats: ServeStats::new(reg),
             stop: AtomicBool::new(false),
             conns: Mutex::new(Connections::default()),
             local_addr,
@@ -413,29 +486,12 @@ impl Server {
             precision: config.precision,
             ledger: super::journal::EnergyLedger::new(),
         });
-        let journal = match config.journal.clone() {
-            Some(journal_config) => {
-                let writer = obs::journal::JournalWriter::open(journal_config)?;
-                obs::log!(
-                    Info,
-                    "serve: journal in {} ({} record(s) recovered)",
-                    writer.dir().display(),
-                    writer.recovered().records
-                );
-                Some(writer)
-            }
-            None => None,
-        };
         let workers = (0..worker_count)
             .map(|i| {
                 let shared = Arc::clone(&shared);
-                let max_batch = config.max_batch.max(1);
-                // Each worker gets its own bounded ring so producers
-                // never contend with each other, only with the drain.
-                let producer = journal.as_ref().map(|j| j.producer());
                 std::thread::Builder::new()
                     .name(format!("serve-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, i, max_batch, producer))
+                    .spawn(move || worker_loop(&shared, i))
                     .expect("spawn serve worker")
             })
             .collect();
@@ -525,7 +581,7 @@ impl Server {
 
     /// Connections whose handlers are still running.
     pub fn connections(&self) -> usize {
-        self.shared.conns.lock().unwrap().live.len()
+        self.shared.registry().live.len()
     }
 
     /// A consistent snapshot of the shared cache's counters.
@@ -546,7 +602,7 @@ impl Server {
         // Workers exit only after the last connection's handler has
         // deregistered, so what is left has finished or is finishing.
         let handlers = {
-            let mut conns = self.shared.conns.lock().unwrap();
+            let mut conns = self.shared.registry();
             let mut handlers = std::mem::take(&mut conns.finished);
             handlers.extend(conns.live.drain().filter_map(|(_, conn)| conn.handle));
             handlers
@@ -671,11 +727,11 @@ fn spawn_handler(stream: TcpStream, shared: &Arc<Shared>) -> bool {
                 shared: &handler_shared,
                 id,
             };
-            handle_connection(stream, &handler_shared);
+            handle_connection(stream, &handler_shared, id);
         });
     match spawned {
         Ok(handle) => {
-            let mut conns = shared.conns.lock().unwrap();
+            let mut conns = shared.registry();
             match conns.live.get_mut(&id) {
                 Some(conn) => conn.handle = Some(handle),
                 // The handler finished already; the next one joins it.
@@ -709,11 +765,11 @@ fn join_handlers(handles: Vec<JoinHandle<()>>) {
 }
 
 /// What one decoded frame asks of the connection handler. Consecutive
-/// `Predict` actions coalesce into one dispatch batch; anything else is
-/// answered inline (after flushing the batch, to keep replies in request
-/// order).
+/// `Predict` actions coalesce into one batch; anything else is answered
+/// on the handler thread (after flushing the batch, to keep replies in
+/// request order).
 enum Action {
-    /// A validated `predict`/`select` bound for the worker pool.
+    /// A validated `predict`/`select` bound for a serving state.
     Predict(Request),
     /// A control command answered on the handler thread.
     Control(Request),
@@ -728,28 +784,35 @@ struct Connection<'a> {
     stream: TcpStream,
     shared: &'a Arc<Shared>,
     reader: FrameReader,
-    /// This connection's reply slots (shared with the worker pool).
+    /// The serving state this connection tries first when it serves a
+    /// burst itself.
+    preferred: usize,
+    /// This connection's reply slots for dispatched bursts (shared with
+    /// the worker pool).
     table: Arc<ReplyTable>,
-    /// The run of predicts decoded since the last dispatch (reused
-    /// between bursts).
+    /// The run of predicts decoded since the last flush (reused between
+    /// bursts).
     pending: Vec<Request>,
-    /// Jobs staged for the next dispatch (reused between bursts).
-    jobs: Vec<Job>,
-    /// Reply buffers collected from the table (reused between bursts).
+    /// The flushed run, stamped, while it is served (reused between
+    /// bursts).
+    tasks: Vec<Task>,
+    /// The burst's reply buffers, filled inline or collected from the
+    /// table (reused between bursts).
     replies: Vec<Vec<u8>>,
     /// Scratch for handler-side (control/error) responses.
     scratch: Vec<u8>,
 }
 
-fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
+fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, id: u64) {
     let _ = stream.set_nodelay(true);
     let mut conn = Connection {
         stream,
         shared,
         reader: FrameReader::new(),
+        preferred: (id % shared.serving.len() as u64) as usize,
         table: Arc::new(ReplyTable::new()),
         pending: Vec::new(),
-        jobs: Vec::new(),
+        tasks: Vec::new(),
         replies: Vec::new(),
         scratch: Vec::new(),
     };
@@ -801,9 +864,9 @@ impl Connection<'_> {
     }
 
     /// Handles one decoded frame in request order: a predict joins the
-    /// pending run, anything else dispatches that run first and is then
-    /// answered inline. Returns false when the connection must close
-    /// (shutdown or a dead socket).
+    /// pending run, anything else flushes that run first and is then
+    /// answered on this thread. Returns false when the connection must
+    /// close (shutdown or a dead socket).
     fn handle(&mut self, action: Action) -> bool {
         match action {
             Action::Predict(req) => {
@@ -823,14 +886,15 @@ impl Connection<'_> {
         }
     }
 
-    /// Dispatches the pending predicts as one batch and writes every
-    /// reply in one vectored write. Returns false when the socket died.
+    /// Serves the pending predicts as one batch, on this thread when the
+    /// run fits in a batch and a parked worker's state is free, else
+    /// through the dispatcher, and writes every reply in one vectored
+    /// write. Returns false when the socket died.
     fn flush_predicts(&mut self) -> bool {
         let n = self.pending.len();
         if n == 0 {
             return true;
         }
-        let generation = self.table.begin(n);
         let t0 = Instant::now();
         let t0_ns = obs::trace::now_ns();
         let first_id = self
@@ -843,27 +907,22 @@ impl Connection<'_> {
             if obs::trace::enabled() {
                 // Flow start before closing the recv slice, so its
                 // timestamp falls inside the slice and Perfetto draws
-                // the arrow from here to the worker's request span.
+                // the arrow from here to the request span.
                 obs::trace::flow_start(obs::trace::intern("serve.req"), req_id);
                 obs::trace::complete(obs::trace::intern("serve.recv"), t0_ns, &[]);
             }
-            self.jobs.push(Job {
+            self.tasks.push(Task {
                 req,
                 t0,
                 t0_ns,
                 req_id,
-                reply: Arc::clone(&self.table),
-                generation,
-                index,
             });
         }
-        self.shared.dispatch.push_batch(self.jobs.drain(..));
-        // Workers drain the shards even after stop, so the replies
-        // normally arrive; the timeout covers a worker that died.
-        if self
-            .table
-            .wait_collect(generation, &mut self.replies, REPLY_TIMEOUT)
-        {
+        if self.replies.len() < n {
+            self.replies.resize_with(n, Vec::new);
+        }
+        let answered = (n <= self.shared.max_batch && self.serve_inline()) || self.dispatch();
+        if answered {
             let spans: Vec<&[u8]> = self.replies[..n].iter().map(Vec::as_slice).collect();
             write_frames_vectored(&mut self.stream, &spans).is_ok()
         } else {
@@ -878,7 +937,43 @@ impl Connection<'_> {
         }
     }
 
-    /// Handles one control command inline. Returns false when the
+    /// Serves the staged tasks on this thread with a parked worker's
+    /// state, their replies landing in `self.replies`. Returns false,
+    /// leaving the tasks staged, when no state is free.
+    fn serve_inline(&mut self) -> bool {
+        let Some(mut state) = self.shared.borrow_serving(self.preferred) else {
+            return false;
+        };
+        let replies = &mut self.replies;
+        state.serve(self.shared, &self.tasks, |i, buf| {
+            std::mem::swap(&mut replies[i], buf);
+        });
+        drop(state);
+        self.tasks.clear();
+        true
+    }
+
+    /// Pushes the staged tasks to the dispatcher as one burst and
+    /// collects their replies into `self.replies`. Returns false when
+    /// the workers did not answer in time.
+    fn dispatch(&mut self) -> bool {
+        let generation = self.table.begin(self.tasks.len());
+        let table = &self.table;
+        self.shared
+            .dispatch
+            .push_batch(self.tasks.drain(..).enumerate().map(|(index, task)| Job {
+                task,
+                reply: Arc::clone(table),
+                generation,
+                index,
+            }));
+        // Workers drain the shards even after stop, so the replies
+        // normally arrive; the timeout covers a worker that died.
+        self.table
+            .wait_collect(generation, &mut self.replies, REPLY_TIMEOUT)
+    }
+
+    /// Handles one control command on this thread. Returns false when the
     /// connection should close.
     fn control(&mut self, req: &Request) -> bool {
         let shared = self.shared;
@@ -1124,8 +1219,8 @@ fn reload(req: &Request, shared: &Arc<Shared>) -> Response {
         Info,
         "serve: reloaded models from {path} as version {version}"
     );
-    // A publish invalidates every worker's per-snapshot fragment cache;
-    // wake parked workers so an idle server rebinds promptly too.
+    // A publish invalidates every serving state's fragment cache; wake
+    // parked workers so an idle server rebinds promptly too.
     shared.dispatch.wake_all();
     Response::ok(version)
 }
@@ -1154,7 +1249,7 @@ pub(crate) fn reference_from(req: &Request, max_core_mhz: f64) -> MetricSample {
     }
 }
 
-/// One worker's cached serialized profile: the numeric response fragment
+/// One cached serialized profile: the numeric response fragment
 /// plus the vectors `select` needs. Both are pure functions of the
 /// quantized cache key and the exact exec-time bits (the workload string
 /// only names the profile — it never enters the math), so the entry is
@@ -1164,7 +1259,7 @@ struct Fragment {
     tail: Box<[u8]>,
     /// FNV-1a digest of the predicted curves, computed once on insert
     /// so journaled fragment hits don't re-hash the profile. Only the
-    /// journal record reads it, so a worker without a journal leaves it 0.
+    /// journal record reads it, so it is 0 when the journal is off.
     digest: u64,
 }
 
@@ -1178,10 +1273,10 @@ impl Fragment {
     }
 }
 
-/// What [`respond_job`] reads of a fragment, borrowed: from a cached
-/// [`Fragment`], or from a miss that was not admitted (its predicted
-/// profile and the worker's reused tail buffer), so that reply copies
-/// nothing.
+/// What [`Responder::respond`] reads of a fragment, borrowed: from a
+/// cached [`Fragment`], or from a miss that was not admitted (its
+/// predicted profile and the serving state's reused tail buffer), so
+/// that reply copies nothing.
 #[derive(Clone, Copy)]
 struct FragmentView<'a> {
     profile: &'a PredictedProfile,
@@ -1190,7 +1285,7 @@ struct FragmentView<'a> {
 }
 
 /// The fragment cache's admission filter: a direct-mapped table of
-/// fragment-key fingerprints, one per worker binding.
+/// fragment-key fingerprints, one per [`Binding`].
 ///
 /// A miss stores its fragment only on the key's second sighting, when
 /// the key's fingerprint already holds its slot. A key that never
@@ -1240,8 +1335,8 @@ fn fingerprint(key: &(CacheKey, u64)) -> u64 {
         })
 }
 
-/// Interned trace/metric handles the worker hot loop records through.
-struct WorkerStats {
+/// Interned trace/metric handles every serving thread records through.
+struct ServeStats {
     requests: obs::Counter,
     batches: obs::Counter,
     latency: obs::Histogram,
@@ -1255,163 +1350,272 @@ struct WorkerStats {
     trace_hit: u32,
 }
 
-/// Everything [`respond_job`] needs beyond the job itself, bound once
-/// per snapshot rebind (the prefix and version change with the
-/// snapshot; the ledger and journal producer outlive it).
-struct ResponderCtx<'a> {
-    stats: &'a WorkerStats,
-    prefix: &'a [u8],
-    version: u64,
-    ledger: &'a super::journal::EnergyLedger,
-    journal: Option<&'a obs::journal::JournalProducer>,
-    errors: &'a obs::Counter,
+impl ServeStats {
+    fn new(reg: &obs::MetricsRegistry) -> Self {
+        Self {
+            requests: reg.counter("serve.requests"),
+            batches: reg.counter("serve.batches"),
+            latency: reg.histogram("serve.request_ns"),
+            predict_latency: reg.histogram("predict.request_ns"),
+            batch_len: reg.histogram("serve.batch_len"),
+            trace_request: obs::trace::intern("serve.request"),
+            trace_predict: obs::trace::intern("predict.request"),
+            trace_flow: obs::trace::intern("serve.req"),
+            trace_workload: obs::trace::intern("workload"),
+            trace_version: obs::trace::intern("version"),
+            trace_hit: obs::trace::intern("hit"),
+        }
+    }
 }
 
-fn worker_loop(
-    shared: &Arc<Shared>,
-    worker: usize,
-    max_batch: usize,
+/// One worker's serving state and the worker's claim on it.
+struct ServingSlot {
+    /// Set while the worker has work for the state (a popped batch, or a
+    /// rebind after a publish). Handlers skip a claimed slot, so a worker
+    /// waits at most for the one batch a handler is already serving. A
+    /// hint only: the mutex does the excluding.
+    claimed: AtomicBool,
+    state: Mutex<ServingState>,
+}
+
+impl ServingSlot {
+    /// Runs `f` on the state for the slot's worker, waiting while a
+    /// handler serves a batch with it.
+    fn for_worker<R>(&self, f: impl FnOnce(&mut ServingState) -> R) -> R {
+        self.claimed.store(true, Ordering::Relaxed);
+        // A batch that panicked leaves nothing to repair (see
+        // `ServingState`), so a poisoned state is served as it is.
+        let out = f(&mut self.state.lock().unwrap_or_else(PoisonError::into_inner));
+        self.claimed.store(false, Ordering::Relaxed);
+        out
+    }
+
+    /// The state, unless the worker claimed it or a thread holds it.
+    fn try_borrow(&self) -> Option<MutexGuard<'_, ServingState>> {
+        if self.claimed.load(Ordering::Relaxed) {
+            return None;
+        }
+        match self.state.try_lock() {
+            Ok(state) => Some(state),
+            Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+            Err(TryLockError::WouldBlock) => None,
+        }
+    }
+}
+
+impl Shared {
+    /// A parked worker's serving state, trying `preferred` first and
+    /// then the others in turn; `None` when every state is busy.
+    fn borrow_serving(&self, preferred: usize) -> Option<MutexGuard<'_, ServingState>> {
+        let n = self.serving.len();
+        (0..n).find_map(|k| self.serving[(preferred + k) % n].try_borrow())
+    }
+}
+
+/// What serving keeps across batches (see the module docs). A batch
+/// clears or overwrites every buffer before it reads it, so one that
+/// panicked midway leaves nothing to repair.
+struct ServingState {
+    binding: Binding,
+    /// This state's bounded journal ring, when the journal is on.
     journal: Option<obs::journal::JournalProducer>,
-) {
-    let reg = obs::global();
-    let stats = WorkerStats {
-        requests: reg.counter("serve.requests"),
-        batches: reg.counter("serve.batches"),
-        latency: reg.histogram("serve.request_ns"),
-        predict_latency: reg.histogram("predict.request_ns"),
-        batch_len: reg.histogram("serve.batch_len"),
-        trace_request: obs::trace::intern("serve.request"),
-        trace_predict: obs::trace::intern("predict.request"),
-        trace_flow: obs::trace::intern("serve.req"),
-        trace_workload: obs::trace::intern("workload"),
-        trace_version: obs::trace::intern("version"),
-        trace_hit: obs::trace::intern("hit"),
-    };
-    let mut batch: Vec<Job> = Vec::with_capacity(max_batch);
-    let mut scratch: Vec<u8> = Vec::with_capacity(8 * 1024);
-    let mut jbuf: Vec<u8> = Vec::with_capacity(256);
-    // Each miss renders its tail here; an admitted fragment keeps an
-    // exact-size copy.
-    let mut tail: Vec<u8> = Vec::with_capacity(4096);
-    let mut miss_refs: Vec<MetricSample> = Vec::new();
-    // Each miss's batch index and fragment key, kept from pass 1.
-    let mut misses: Vec<(usize, (CacheKey, u64))> = Vec::new();
-    // The dispatcher's wake epoch this worker last saw (see
-    // `Dispatcher::pop_batch_parked`).
-    let mut wakes = 0;
-    'rebind: loop {
-        // Bind a predictor to the current snapshot; the Arc keeps it
-        // alive (and bitwise stable) even if a publish lands mid-batch.
-        let snap = shared.store.load();
-        // Every sweep runs on the snapshot's packed batch-fused engines
-        // (f64 mode is bitwise-identical to the training-path forward).
-        let predictor = Predictor::with_engines(&snap.models, &snap.engines, snap.spec.clone());
+    /// The reply being rendered; swapped into the reply's buffer, which
+    /// comes back as the next scratch.
+    scratch: Vec<u8>,
+    /// The journal record being encoded.
+    jbuf: Vec<u8>,
+    /// Each miss renders its tail here; an admitted fragment keeps an
+    /// exact-size copy.
+    tail: Vec<u8>,
+    miss_refs: Vec<MetricSample>,
+    /// Each miss's batch index and fragment key, kept from pass 1.
+    misses: Vec<(usize, (CacheKey, u64))>,
+}
+
+/// A serving state's view of one snapshot. A publish changes the models
+/// and the version in the prefix, so a rebind replaces it whole.
+struct Binding {
+    /// Keeps the snapshot alive (and bitwise stable) even if a publish
+    /// lands mid-batch.
+    snap: Arc<ModelSnapshot>,
+    freqs: Vec<f64>,
+    /// The fixed response prefix: everything up to the profile's
+    /// workload string, version already rendered.
+    prefix: Vec<u8>,
+    /// The serialized-fragment cache and its admission filter.
+    fragments: HashMap<(CacheKey, u64), Fragment>,
+    sightings: Sightings,
+}
+
+impl Binding {
+    fn new(snap: Arc<ModelSnapshot>) -> Self {
         let freqs = DvfsGrid::for_spec(&snap.spec).used();
-        // The fixed response prefix for this snapshot: everything up to
-        // the profile's workload string, version already rendered.
-        let mut prefix: Vec<u8> = Vec::new();
+        let mut prefix = Vec::new();
         prefix.extend_from_slice(fast::RESPONSE_OK_HEAD);
         fast::write_f64(&mut prefix, snap.version as f64);
         prefix.extend_from_slice(fast::RESPONSE_PROFILE_HEAD);
-        // Serialized-fragment cache and its admission filter, valid
-        // exactly as long as this binding: a publish changes the models
-        // (and the version in the prefix), so rebinding drops both.
-        let mut fragments: HashMap<(CacheKey, u64), Fragment> = HashMap::new();
-        let mut sightings = Sightings::new(SIGHTING_SLOTS);
-        let ctx = ResponderCtx {
-            stats: &stats,
-            prefix: &prefix,
-            version: snap.version,
-            ledger: &shared.ledger,
-            journal: journal.as_ref(),
-            errors: &shared.errors,
-        };
-        loop {
-            if batch.is_empty() {
-                shared
-                    .dispatch
-                    .pop_batch_parked(worker, max_batch, &mut wakes, &mut batch);
-            }
-            // A publish since this binding: rebind first, keeping the
-            // batch in hand, so it is served by a version at least as
-            // new as the one current when it was dequeued.
-            if shared.store.changed_since(snap.version) {
-                continue 'rebind;
-            }
-            if batch.is_empty() {
-                // Woken with no work: a stop, or a publish (rebound above).
-                if shared.drained() {
-                    return;
-                }
-                continue;
-            }
-            stats.batches.inc();
-            stats.batch_len.record(batch.len() as u64);
-            // Pass 1: answer fragment-cache hits immediately; stage the
-            // misses for one coalesced predict_batch_cached call.
-            miss_refs.clear();
-            misses.clear();
-            for (i, job) in batch.iter().enumerate() {
-                let key = fragment_key(&shared.cache, &snap.spec, &job.req, &freqs);
-                if let Some(fragment) = fragments.get(&key) {
-                    // Booked before the reply is filled, so a `stats`
-                    // frame sent after this reply arrives counts the hit.
-                    shared.cache.record_front_hits(1);
-                    respond_job(
-                        &ctx,
-                        job,
-                        fragment.view(),
-                        &key,
-                        true,
-                        &mut scratch,
-                        &mut jbuf,
-                    );
-                } else {
-                    miss_refs.push(reference_from(&job.req, snap.spec.max_core_mhz));
-                    misses.push((i, key));
-                }
-            }
-            if !miss_refs.is_empty() {
-                let profiles = predictor.predict_batch_cached(&shared.cache, &miss_refs, &freqs);
-                for (&(i, key), profile) in misses.iter().zip(profiles) {
-                    let job = &batch[i];
-                    if !curves_are_finite(&profile) {
-                        write_overflow(&ctx, job, &mut scratch);
-                        deliver(&ctx, job, &mut scratch);
-                        continue;
-                    }
-                    tail.clear();
-                    fast::write_profile_tail(&mut tail, &profile);
-                    let digest = match ctx.journal {
-                        Some(_) => super::journal::profile_digest(&profile),
-                        None => 0,
-                    };
-                    // A key seen for the first time replies from what it
-                    // already has; the second sighting stores the fragment.
-                    let view = if sightings.seen_before(fingerprint(&key)) {
-                        // Epoch reset at capacity: cheaper than LRU chains
-                        // for a cache this small, and misses just recompute.
-                        if fragments.len() >= FRAGMENT_CACHE_MAX {
-                            fragments.clear();
-                        }
-                        let fragment = fragments.entry(key).or_insert_with(|| Fragment {
-                            profile,
-                            tail: tail.as_slice().into(),
-                            digest,
-                        });
-                        fragment.view()
-                    } else {
-                        FragmentView {
-                            profile: &profile,
-                            tail: &tail,
-                            digest,
-                        }
-                    };
-                    respond_job(&ctx, job, view, &key, false, &mut scratch, &mut jbuf);
-                }
-            }
-            batch.clear();
+        Self {
+            snap,
+            freqs,
+            prefix,
+            fragments: HashMap::new(),
+            sightings: Sightings::new(SIGHTING_SLOTS),
         }
+    }
+}
+
+impl ServingState {
+    fn new(snap: Arc<ModelSnapshot>, journal: Option<obs::journal::JournalProducer>) -> Self {
+        Self {
+            binding: Binding::new(snap),
+            journal,
+            scratch: Vec::with_capacity(8 * 1024),
+            jbuf: Vec::with_capacity(256),
+            tail: Vec::with_capacity(4096),
+            miss_refs: Vec::new(),
+            misses: Vec::new(),
+        }
+    }
+
+    /// Binds to the current snapshot if a publish landed since the last
+    /// bind.
+    fn rebind_if_stale(&mut self, store: &ModelStore) {
+        if store.changed_since(self.binding.snap.version) {
+            self.binding = Binding::new(store.load());
+        }
+    }
+
+    /// Serves one batch of at most `max_batch` tasks, handing each
+    /// task's reply to `deliver` with the task's index in `batch`:
+    /// fragment-cache hits first, then every miss through one
+    /// `predict_batch_cached` call. The batch is served by a snapshot at
+    /// least as new as the one current when the call began.
+    fn serve<T: AsRef<Task>>(
+        &mut self,
+        shared: &Shared,
+        batch: &[T],
+        mut deliver: impl FnMut(usize, &mut Vec<u8>),
+    ) {
+        self.rebind_if_stale(&shared.store);
+        let Self {
+            binding,
+            journal,
+            scratch,
+            jbuf,
+            tail,
+            miss_refs,
+            misses,
+        } = self;
+        let Binding {
+            snap,
+            freqs,
+            prefix,
+            fragments,
+            sightings,
+        } = binding;
+        let responder = Responder {
+            shared,
+            prefix,
+            version: snap.version,
+            journal: journal.as_ref(),
+        };
+        shared.stats.batches.inc();
+        shared.stats.batch_len.record(batch.len() as u64);
+        // Pass 1: answer fragment-cache hits immediately; stage the
+        // misses for one coalesced predict_batch_cached call.
+        miss_refs.clear();
+        misses.clear();
+        for (i, task) in batch.iter().map(AsRef::as_ref).enumerate() {
+            let key = fragment_key(&shared.cache, &snap.spec, &task.req, freqs);
+            if let Some(fragment) = fragments.get(&key) {
+                // Booked before the reply is delivered, so a `stats`
+                // frame sent after this reply arrives counts the hit.
+                shared.cache.record_front_hits(1);
+                responder.respond(task, fragment.view(), &key, true, scratch, jbuf);
+                responder.finish(task);
+                deliver(i, scratch);
+            } else {
+                miss_refs.push(reference_from(&task.req, snap.spec.max_core_mhz));
+                misses.push((i, key));
+            }
+        }
+        if miss_refs.is_empty() {
+            return;
+        }
+        // Every sweep runs on the snapshot's packed batch-fused engines
+        // (f64 mode is bitwise-identical to the training-path forward).
+        let predictor = Predictor::with_engines(&snap.models, &snap.engines, snap.spec.clone());
+        let profiles = predictor.predict_batch_cached(&shared.cache, miss_refs, freqs);
+        for (&(i, key), profile) in misses.iter().zip(profiles) {
+            let task = batch[i].as_ref();
+            if curves_are_finite(&profile) {
+                tail.clear();
+                fast::write_profile_tail(tail, &profile);
+                let digest = match journal {
+                    Some(_) => super::journal::profile_digest(&profile),
+                    None => 0,
+                };
+                // A key seen for the first time replies from what it
+                // already has; the second sighting stores the fragment.
+                let view = if sightings.seen_before(fingerprint(&key)) {
+                    // Epoch reset at capacity: cheaper than LRU chains
+                    // for a cache this small, and misses just recompute.
+                    if fragments.len() >= FRAGMENT_CACHE_MAX {
+                        fragments.clear();
+                    }
+                    let fragment = fragments.entry(key).or_insert_with(|| Fragment {
+                        profile,
+                        tail: tail.as_slice().into(),
+                        digest,
+                    });
+                    fragment.view()
+                } else {
+                    FragmentView {
+                        profile: &profile,
+                        tail,
+                        digest,
+                    }
+                };
+                responder.respond(task, view, &key, false, scratch, jbuf);
+            } else {
+                responder.write_overflow(task, scratch);
+            }
+            responder.finish(task);
+            deliver(i, scratch);
+        }
+    }
+}
+
+/// Pops batches from the worker's shard (or a sibling's) and serves each
+/// with the worker's own state, until the server is stopped and drained.
+fn worker_loop(shared: &Shared, worker: usize) {
+    let slot = &shared.serving[worker];
+    let mut batch: Vec<Job> = Vec::with_capacity(shared.max_batch);
+    // The dispatcher's wake epoch this worker last saw (see
+    // `Dispatcher::pop_batch_parked`).
+    let mut wakes = 0;
+    loop {
+        shared
+            .dispatch
+            .pop_batch_parked(worker, shared.max_batch, &mut wakes, &mut batch);
+        if batch.is_empty() {
+            // Woken with no work: a stop, or a publish, which the state
+            // binds to now rather than at its next batch.
+            if shared.drained() {
+                return;
+            }
+            slot.for_worker(|state| state.rebind_if_stale(&shared.store));
+            continue;
+        }
+        slot.for_worker(|state| {
+            state.serve(shared, &batch, |i, buf| {
+                let job = &batch[i];
+                // A closed generation (handler timed out / moved on) is
+                // fine; the work still warmed the caches.
+                let _ = job.reply.fill(job.generation, job.index, buf);
+            });
+        });
+        batch.clear();
     }
 }
 
@@ -1436,123 +1640,173 @@ fn fragment_key(
     )
 }
 
-/// Composes one job's response from a fragment and fills the
-/// connection's reply slot. Byte-identical to serde-serializing the
-/// equivalent [`Response`] (pinned by protocol tests); `select` re-runs
-/// the objective on the cached vectors, which is deterministic in its
-/// inputs, so hits and misses answer bitwise alike.
-///
-/// This is also where the audit trail forks off: every `select` books
-/// its predicted saving into the energy ledger, and with the journal
-/// enabled the full [`super::journal::DecisionRecord`] is encoded into
-/// `jbuf` and handed to this worker's bounded ring — a full ring drops
-/// (`journal.dropped`), it never blocks the reply.
-fn respond_job(
-    ctx: &ResponderCtx<'_>,
-    job: &Job,
-    fragment: FragmentView<'_>,
-    key: &(CacheKey, u64),
-    hit: bool,
-    scratch: &mut Vec<u8>,
-    jbuf: &mut Vec<u8>,
-) {
-    let stats = ctx.stats;
-    let version = ctx.version;
-    let predict_t0 = Instant::now();
-    let predict_t0_ns = obs::trace::now_ns();
-    let selection = if job.req.cmd == "select" {
-        let objective = parse_objective(job.req.objective.as_deref().unwrap_or(""))
-            .expect("validated at dispatch");
-        Some(select_optimal(
-            &fragment.profile.frequencies,
-            &fragment.profile.energy_j,
-            &fragment.profile.time_s,
-            objective,
-            job.req.threshold,
-        ))
-    } else {
-        None
-    };
-    let profile = fragment.profile;
-    let max_idx = profile.max_freq_index();
-    // Finite curves can still put E·T or E·T² past f64::MAX, or 1/T
-    // past it for a near-zero exec_time.
-    let overflow = selection
-        .as_ref()
-        .is_some_and(|s| !(s.score.is_finite() && s.perf_degradation.is_finite()));
-    if overflow {
-        write_overflow(ctx, job, scratch);
-    } else {
-        if let Some(s) = &selection {
-            ctx.ledger
-                .record(profile.energy_j[max_idx] - profile.energy_j[s.index]);
-        }
-        if let Some(producer) = ctx.journal {
-            let (chosen, decided_idx) = match &selection {
-                Some(s) => (
-                    Some(super::journal::ChosenClock {
-                        index: s.index as u32,
-                        frequency_mhz: s.frequency_mhz,
-                    }),
-                    s.index,
-                ),
-                None => (None, max_idx),
-            };
-            super::journal::DecisionView {
-                version,
-                req_id: job.req_id,
-                select: selection.is_some(),
-                hit,
-                workload: job.req.workload.as_deref().unwrap_or(""),
-                fp_active: job.req.fp_active.unwrap_or(0.0),
-                dram_active: job.req.dram_active.unwrap_or(0.0),
-                exec_time: job.req.exec_time.unwrap_or(0.0),
-                objective: job.req.objective.as_deref(),
-                threshold: job.req.threshold,
-                cache_key: key.0.shard_hash(),
-                profile_digest: fragment.digest,
-                chosen,
-                predicted_time_s: profile.time_s[decided_idx],
-                predicted_energy_j: profile.energy_j[decided_idx],
-                baseline_energy_j: profile.energy_j[max_idx],
+/// What composing a reply reads besides the task and its fragment,
+/// bound for one batch.
+struct Responder<'a> {
+    shared: &'a Shared,
+    prefix: &'a [u8],
+    version: u64,
+    journal: Option<&'a obs::journal::JournalProducer>,
+}
+
+impl Responder<'_> {
+    /// Composes one task's response from a fragment into `scratch`.
+    /// Byte-identical to serde-serializing the equivalent [`Response`]
+    /// (pinned by protocol tests); `select` re-runs the objective on the
+    /// cached vectors, which is deterministic in its inputs, so hits and
+    /// misses answer bitwise alike.
+    ///
+    /// This is also where the audit trail forks off: every `select` books
+    /// its predicted saving into the energy ledger, and with the journal
+    /// enabled the full [`super::journal::DecisionRecord`] is encoded into
+    /// `jbuf` and handed to the serving state's bounded ring — a full ring
+    /// drops (`journal.dropped`), it never blocks the reply.
+    fn respond(
+        &self,
+        task: &Task,
+        fragment: FragmentView<'_>,
+        key: &(CacheKey, u64),
+        hit: bool,
+        scratch: &mut Vec<u8>,
+        jbuf: &mut Vec<u8>,
+    ) {
+        let stats = &self.shared.stats;
+        let predict_t0 = Instant::now();
+        let predict_t0_ns = obs::trace::now_ns();
+        let selection = if task.req.cmd == "select" {
+            let objective = parse_objective(task.req.objective.as_deref().unwrap_or(""))
+                .expect("validated at dispatch");
+            Some(select_optimal(
+                &fragment.profile.frequencies,
+                &fragment.profile.energy_j,
+                &fragment.profile.time_s,
+                objective,
+                task.req.threshold,
+            ))
+        } else {
+            None
+        };
+        let profile = fragment.profile;
+        let max_idx = profile.max_freq_index();
+        // Finite curves can still put E·T or E·T² past f64::MAX, or 1/T
+        // past it for a near-zero exec_time.
+        let overflow = selection
+            .as_ref()
+            .is_some_and(|s| !(s.score.is_finite() && s.perf_degradation.is_finite()));
+        if overflow {
+            self.write_overflow(task, scratch);
+        } else {
+            if let Some(s) = &selection {
+                self.shared
+                    .ledger
+                    .record(profile.energy_j[max_idx] - profile.energy_j[s.index]);
             }
-            .encode(jbuf);
-            producer.append_buf(jbuf);
+            if let Some(producer) = self.journal {
+                let (chosen, decided_idx) = match &selection {
+                    Some(s) => (
+                        Some(super::journal::ChosenClock {
+                            index: s.index as u32,
+                            frequency_mhz: s.frequency_mhz,
+                        }),
+                        s.index,
+                    ),
+                    None => (None, max_idx),
+                };
+                super::journal::DecisionView {
+                    version: self.version,
+                    req_id: task.req_id,
+                    select: selection.is_some(),
+                    hit,
+                    workload: task.req.workload.as_deref().unwrap_or(""),
+                    fp_active: task.req.fp_active.unwrap_or(0.0),
+                    dram_active: task.req.dram_active.unwrap_or(0.0),
+                    exec_time: task.req.exec_time.unwrap_or(0.0),
+                    objective: task.req.objective.as_deref(),
+                    threshold: task.req.threshold,
+                    cache_key: key.0.shard_hash(),
+                    profile_digest: fragment.digest,
+                    chosen,
+                    predicted_time_s: profile.time_s[decided_idx],
+                    predicted_energy_j: profile.energy_j[decided_idx],
+                    baseline_energy_j: profile.energy_j[max_idx],
+                }
+                .encode(jbuf);
+                producer.append_buf(jbuf);
+            }
+            scratch.clear();
+            scratch.extend_from_slice(self.prefix);
+            fast::write_json_str(scratch, task.req.workload.as_deref().unwrap_or(""));
+            scratch.extend_from_slice(fragment.tail);
+            scratch.extend_from_slice(fast::RESPONSE_SELECTION_HEAD);
+            match &selection {
+                Some(s) => fast::write_selection(scratch, s),
+                None => scratch.extend_from_slice(b"null"),
+            }
+            scratch.extend_from_slice(fast::RESPONSE_TAIL);
         }
-        scratch.clear();
-        scratch.extend_from_slice(ctx.prefix);
-        fast::write_json_str(scratch, job.req.workload.as_deref().unwrap_or(""));
-        scratch.extend_from_slice(fragment.tail);
-        scratch.extend_from_slice(fast::RESPONSE_SELECTION_HEAD);
-        match &selection {
-            Some(s) => fast::write_selection(scratch, s),
-            None => scratch.extend_from_slice(b"null"),
+        // Fragment hits answer without entering the predictor, so mirror
+        // the predictor's own per-request surface here (latency histogram
+        // + `predict.request` span with `hit=true`): predict accounting
+        // stays 1:1 with requests no matter which cache layer answered.
+        // Misses already recorded theirs inside `predict_batch_cached`.
+        if hit {
+            stats.predict_latency.record_duration(predict_t0.elapsed());
+            if obs::trace::enabled() {
+                let workload = task.req.workload.as_deref().unwrap_or("?");
+                obs::trace::complete(
+                    stats.trace_predict,
+                    predict_t0_ns,
+                    &[
+                        (
+                            stats.trace_workload,
+                            obs::trace::ArgValue::Str(obs::trace::intern(workload)),
+                        ),
+                        (stats.trace_hit, obs::trace::ArgValue::Bool(true)),
+                    ],
+                );
+            }
         }
-        scratch.extend_from_slice(fast::RESPONSE_TAIL);
     }
-    // Fragment hits answer without entering the predictor, so mirror the
-    // predictor's own per-request surface here (latency histogram +
-    // `predict.request` span with `hit=true`): predict accounting stays
-    // 1:1 with requests no matter which cache layer answered. Misses
-    // already recorded theirs inside `predict_batch_cached`.
-    if hit {
-        stats.predict_latency.record_duration(predict_t0.elapsed());
+
+    /// Renders the error frame for a prediction that does not fit in
+    /// f64. JSON has no inf or NaN: an `ok` reply would carry `null`s that
+    /// no client can read back as numbers. Counted in `serve.errors`; the
+    /// caller neither caches, journals nor books it.
+    fn write_overflow(&self, task: &Task, scratch: &mut Vec<u8>) {
+        self.shared.errors.inc();
+        let exec = task.req.exec_time.unwrap_or(0.0);
+        let resp = Response::err(
+            self.version,
+            format!("`exec_time` {exec:?} is out of range: the prediction overflows f64"),
+        );
+        scratch.clear();
+        let wrote = fast::write_response(scratch, &resp);
+        debug_assert!(wrote, "error shape is always fast-serializable");
+    }
+
+    /// Records a finished request.
+    fn finish(&self, task: &Task) {
+        let stats = &self.shared.stats;
+        stats.requests.inc();
+        stats.latency.record_duration(task.t0.elapsed());
         if obs::trace::enabled() {
-            let workload = job.req.workload.as_deref().unwrap_or("?");
+            let workload = task.req.workload.as_deref().unwrap_or("?");
+            // Flow end inside the request span (emitted just before the
+            // span closes) — the arrow head lands on the serving slice.
+            obs::trace::flow_end(stats.trace_flow, task.req_id);
             obs::trace::complete(
-                stats.trace_predict,
-                predict_t0_ns,
+                stats.trace_request,
+                task.t0_ns,
                 &[
                     (
                         stats.trace_workload,
                         obs::trace::ArgValue::Str(obs::trace::intern(workload)),
                     ),
-                    (stats.trace_hit, obs::trace::ArgValue::Bool(true)),
+                    (stats.trace_version, obs::trace::ArgValue::U64(self.version)),
                 ],
             );
         }
     }
-    deliver(ctx, job, scratch);
 }
 
 /// Whether every entry of the predicted curves is finite. An exec_time
@@ -1566,50 +1820,6 @@ fn curves_are_finite(profile: &PredictedProfile) -> bool {
     ]
     .iter()
     .all(|curve| curve.iter().all(|v| v.is_finite()))
-}
-
-/// Renders the error frame for a prediction that does not fit in f64.
-/// JSON has no inf or NaN: an `ok` reply would carry `null`s that no
-/// client can read back as numbers. Counted in `serve.errors`; the
-/// caller neither caches, journals nor books it.
-fn write_overflow(ctx: &ResponderCtx<'_>, job: &Job, scratch: &mut Vec<u8>) {
-    ctx.errors.inc();
-    let exec = job.req.exec_time.unwrap_or(0.0);
-    let resp = Response::err(
-        ctx.version,
-        format!("`exec_time` {exec:?} is out of range: the prediction overflows f64"),
-    );
-    scratch.clear();
-    let wrote = fast::write_response(scratch, &resp);
-    debug_assert!(wrote, "error shape is always fast-serializable");
-}
-
-/// Records the finished request and hands `scratch` to the job's reply
-/// slot.
-fn deliver(ctx: &ResponderCtx<'_>, job: &Job, scratch: &mut Vec<u8>) {
-    let stats = ctx.stats;
-    stats.requests.inc();
-    stats.latency.record_duration(job.t0.elapsed());
-    if obs::trace::enabled() {
-        let workload = job.req.workload.as_deref().unwrap_or("?");
-        // Flow end inside the request span (emitted just before the
-        // span closes) — the arrow head lands on the worker slice.
-        obs::trace::flow_end(stats.trace_flow, job.req_id);
-        obs::trace::complete(
-            stats.trace_request,
-            job.t0_ns,
-            &[
-                (
-                    stats.trace_workload,
-                    obs::trace::ArgValue::Str(obs::trace::intern(workload)),
-                ),
-                (stats.trace_version, obs::trace::ArgValue::U64(ctx.version)),
-            ],
-        );
-    }
-    // A closed generation (handler timed out / moved on) is fine; the
-    // work still warmed the caches.
-    let _ = job.reply.fill(job.generation, job.index, scratch);
 }
 
 /// A blocking protocol client (loadgen, tests, CLI helpers).

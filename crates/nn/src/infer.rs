@@ -42,9 +42,9 @@
 
 use crate::activation::{Activation, SELU_ALPHA, SELU_SCALE};
 use crate::network::Network;
+use crate::pool::Pool;
 use crate::workspace::Workspace;
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
 use tensor::f32x8::{self, PackedF32};
 use tensor::Matrix;
 
@@ -197,8 +197,8 @@ fn softmax32(row: &mut [f32]) {
 /// weight conversion, panel packing, scale selection — so the forward
 /// methods are pure compute over immutable state. The engine is `Send +
 /// Sync` and is designed to live inside an immutable model snapshot
-/// shared across serving threads; per-thread scratch comes from
-/// thread-local buffers, so calls are allocation-free in steady state.
+/// shared across serving threads; each call's scratch comes from a small
+/// process-wide pool, so calls are allocation-free in steady state.
 #[derive(Debug, Clone)]
 pub struct InferenceEngine {
     precision: Precision,
@@ -286,11 +286,11 @@ impl InferenceEngine {
 
     /// Batched forward pass: `x` is `(rows × in_dim)`; `out` receives
     /// `rows × out_dim` values in row-major order. Allocation-free in
-    /// steady state (thread-local scratch, `out` reuses its capacity).
+    /// steady state (pooled scratch, `out` reuses its capacity).
     pub fn predict_into(&self, x: &Matrix, out: &mut Vec<f64>) {
         assert_eq!(x.cols(), self.in_dim, "engine input width");
         if self.precision == Precision::F64 || self.packed.is_empty() {
-            Workspace::with_thread_local(&self.net, |ws| {
+            Workspace::with_pooled(&self.net, |ws| {
                 let y = self.net.predict_into(x, ws);
                 out.clear();
                 out.extend_from_slice(y.as_slice());
@@ -298,18 +298,17 @@ impl InferenceEngine {
             return;
         }
         let rows = x.rows();
-        SCRATCH.with(|cell| {
-            let (a, b) = &mut *cell.borrow_mut();
-            a.clear();
-            a.extend(x.as_slice().iter().map(|&v| v as f32));
-            for layer in &self.packed {
-                b.resize(rows * layer.out_dim(), 0.0);
-                layer.run(a, rows, b);
-                std::mem::swap(a, b);
-            }
-            out.clear();
-            out.extend(a.iter().map(|&v| f64::from(v)));
-        });
+        let (mut a, mut b) = SCRATCH.take(|_| true).unwrap_or_default();
+        a.clear();
+        a.extend(x.as_slice().iter().map(|&v| v as f32));
+        for layer in &self.packed {
+            b.resize(rows * layer.out_dim(), 0.0);
+            layer.run(&a, rows, &mut b);
+            std::mem::swap(&mut a, &mut b);
+        }
+        out.clear();
+        out.extend(a.iter().map(|&v| f64::from(v)));
+        SCRATCH.put((a, b));
     }
 
     /// Batched forward pass returning a fresh vector (test convenience).
@@ -320,10 +319,8 @@ impl InferenceEngine {
     }
 }
 
-thread_local! {
-    /// Ping-pong activation buffers for the f32 layer chain.
-    static SCRATCH: RefCell<(Vec<f32>, Vec<f32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
-}
+/// Ping-pong activation buffers for the f32 layer chain.
+static SCRATCH: Pool<(Vec<f32>, Vec<f32>)> = Pool::new();
 
 #[cfg(test)]
 mod tests {

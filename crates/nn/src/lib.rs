@@ -42,7 +42,7 @@
 //! `tests/zero_alloc.rs` proves it with a counting global allocator. That
 //! step is the only training path; [`Trainer::fit`] drives it. The
 //! convenience [`Network::predict`] runs the same kernels through a
-//! thread-local workspace, and [`reference`](mod@reference) keeps a
+//! pooled workspace ([`Workspace::with_pooled`]), and [`reference`](mod@reference) keeps a
 //! naive allocating implementation (`predict`, `fit`, `shard_step`) as
 //! the oracle the parity proptests compare against bitwise.
 //!
@@ -64,6 +64,7 @@ pub mod loss;
 pub mod metrics;
 pub mod network;
 pub mod optimizer;
+mod pool;
 pub mod reference;
 pub mod train;
 pub mod workspace;

@@ -64,14 +64,14 @@ impl Network {
 
     /// Inference forward pass (no caches touched).
     ///
-    /// Runs through this thread's cached [`Workspace`], so repeated calls
-    /// from the same thread are allocation-free apart from the returned
+    /// Runs through a pooled [`Workspace`] ([`Workspace::with_pooled`]),
+    /// so repeated calls are allocation-free apart from the returned
     /// output matrix.
     pub fn predict(&self, x: &Matrix) -> Matrix {
         if self.layers.is_empty() {
             return x.clone();
         }
-        Workspace::with_thread_local(self, |ws| self.predict_into(x, ws).clone())
+        Workspace::with_pooled(self, |ws| self.predict_into(x, ws).clone())
     }
 
     /// Inference forward pass into a caller-provided workspace, returning a

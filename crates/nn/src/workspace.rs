@@ -16,8 +16,11 @@
 //! which the parity proptests in `train.rs` assert end to end.
 
 use crate::network::Network;
-use std::cell::RefCell;
+use crate::pool::Pool;
 use tensor::Matrix;
+
+/// The workspaces [`Workspace::with_pooled`] hands out.
+static POOL: Pool<Workspace> = Pool::new();
 
 /// Per-layer scratch buffers. Each kernel sizes the rows of the buffers
 /// it writes to its batch; column counts are fixed by the layer shape.
@@ -44,9 +47,9 @@ pub(crate) struct LayerWs {
 /// Reusable buffers for [`Network::forward_ws`] / [`Network::shard_grads_ws`]
 /// / [`Network::predict_into`].
 ///
-/// Create one per training loop (or use [`Workspace::with_thread_local`]
-/// for ad-hoc inference) and pass it to every step; the first steps size
-/// the buffers, after which no step allocates.
+/// Create one per training loop (or use [`Workspace::with_pooled`] for
+/// ad-hoc inference) and pass it to every step; the first steps size the
+/// buffers, after which no step allocates.
 #[derive(Debug, Clone)]
 pub struct Workspace {
     /// `(in_dim, out_dim)` per layer — the topology the buffers were built
@@ -84,15 +87,19 @@ impl Workspace {
     /// one-row call between two larger batches touches only the buffers
     /// that call writes.
     pub fn ensure(&mut self, net: &Network, rows: usize) {
-        let matches = self.topo.len() == net.layers().len()
+        if !self.fits(net) {
+            self.rebuild(net, rows);
+        }
+    }
+
+    /// Whether the buffers were built for `net`'s topology.
+    fn fits(&self, net: &Network) -> bool {
+        self.topo.len() == net.layers().len()
             && self
                 .topo
                 .iter()
                 .zip(net.layers())
-                .all(|(&(i, o), l)| i == l.in_dim() && o == l.out_dim());
-        if !matches {
-            self.rebuild(net, rows);
-        }
+                .all(|(&(i, o), l)| i == l.in_dim() && o == l.out_dim())
     }
 
     fn rebuild(&mut self, net: &Network, rows: usize) {
@@ -139,23 +146,19 @@ impl Workspace {
         }
     }
 
-    /// Runs `f` with this thread's cached workspace, creating (or
-    /// rebuilding, on topology change) it on first use. Subsequent calls
-    /// with the same topology reuse the buffers, so repeated inference from
-    /// the same thread is allocation-free.
-    ///
-    /// # Panics
-    /// Panics if `f` re-enters `with_thread_local` on the same thread (the
-    /// workspace is exclusively borrowed for the duration of `f`).
-    pub fn with_thread_local<R>(net: &Network, f: impl FnOnce(&mut Workspace) -> R) -> R {
-        thread_local! {
-            static TL_WS: RefCell<Option<Workspace>> = const { RefCell::new(None) };
-        }
-        TL_WS.with(|cell| {
-            let mut slot = cell.borrow_mut();
-            let ws = slot.get_or_insert_with(|| Workspace::for_network(net, 1));
-            f(ws)
-        })
+    /// Runs `f` with a workspace built for `net`'s topology, taken from
+    /// a small process-wide pool and put back afterwards; the pool builds
+    /// one when none of its free workspaces fits. Repeated inference with
+    /// the same topology reuses the buffers, so it is allocation-free, and
+    /// the pool holds only as many workspaces as calls ever ran at once,
+    /// however many threads make them.
+    pub fn with_pooled<R>(net: &Network, f: impl FnOnce(&mut Workspace) -> R) -> R {
+        let mut ws = POOL
+            .take(|ws| ws.fits(net))
+            .unwrap_or_else(|| Workspace::for_network(net, 1));
+        let out = f(&mut ws);
+        POOL.put(ws);
+        out
     }
 }
 
@@ -213,16 +216,24 @@ mod tests {
     }
 
     #[test]
-    fn thread_local_reuses_across_calls() {
-        let n = net();
-        let p1 = Workspace::with_thread_local(&n, |ws| {
+    fn pooled_workspace_fits_and_is_reused_across_threads() {
+        // A topology no other test builds, so no other test's calls
+        // take this test's workspace from the shared pool.
+        let n = NetworkBuilder::new(7)
+            .hidden(5, Activation::Selu)
+            .output(3, Activation::Linear)
+            .seed(0)
+            .build();
+        let p1 = Workspace::with_pooled(&n, |ws| {
+            assert!(ws.fits(&n));
             ws.ensure(&n, 8);
             ws.layers[0].pre.as_slice().as_ptr() as usize
         });
-        let p2 = Workspace::with_thread_local(&n, |ws| {
-            ws.ensure(&n, 8);
-            ws.layers[0].pre.as_slice().as_ptr() as usize
-        });
-        assert_eq!(p1, p2);
+        let p2 = std::thread::spawn(move || {
+            Workspace::with_pooled(&n, |ws| ws.layers[0].pre.as_slice().as_ptr() as usize)
+        })
+        .join()
+        .unwrap();
+        assert_eq!(p1, p2, "another thread built a second workspace");
     }
 }

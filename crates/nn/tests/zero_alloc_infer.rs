@@ -2,11 +2,11 @@
 //! one-row batch, alternated — is allocation-free in steady state,
 //! measured with a counting global allocator.
 //!
-//! `InferenceEngine` promises allocation-free calls once its thread-local
+//! `InferenceEngine` promises allocation-free calls once its pooled
 //! scratch and the caller's output vector are warm. At `Precision::F64`
-//! every call runs `Network::predict_into` through the thread's cached
-//! `Workspace`, whose layer outputs each call resizes to its own batch
-//! within the capacity the sweep left.
+//! every call runs `Network::predict_into` through a pooled `Workspace`
+//! (`Workspace::with_pooled`), whose layer outputs each call resizes to
+//! its own batch within the capacity the sweep left.
 //!
 //! The counting allocator is process-global, so this file is a
 //! `harness = false` target holding a single test, run on the main
@@ -47,7 +47,7 @@ fn f64_engine_sweep_and_one_row_are_allocation_free_after_warmup() {
     let mut sweep = Vec::new();
     let mut one = Vec::new();
 
-    // Warm-up: size the thread-local workspace and both output vectors.
+    // Warm-up: size the pooled workspace and both output vectors.
     engine.predict_into(&x, &mut sweep);
     engine.predict_into(&singles[60], &mut one);
 

@@ -106,6 +106,17 @@ wait_for_serve "$tmp/serve_split.log"
 DVFS_LOG=error target/release/dvfs loadgen --addr "$addr" \
     --requests 400 --connections 1 --pipeline 16 --shutdown >/dev/null
 wait_for_exit "$serve_pid" 10
+# More connections than serving states: a handler that finds no parked
+# worker's state free pushes its burst to the dispatcher instead of
+# serving it on its own thread, and every reply must still arrive.
+DVFS_LOG=error target/release/dvfs serve --models "$tmp/models.json" \
+    --workers 1 > "$tmp/serve_contended.log" &
+serve_pid=$!
+wait_for_serve "$tmp/serve_contended.log"
+report="$(DVFS_LOG=error target/release/dvfs loadgen --addr "$addr" \
+    --requests 4000 --connections 8 --pipeline 4 --shutdown --json)"
+wait_for_exit "$serve_pid" 10
+printf '%s\n' "$report" | grep -q '"errors":0'
 
 echo "==> dvfs serve observability smoke (scrape mid-load, burn alert, top, flows)"
 # An impossible latency objective (p99 <= 1 ns) over tight 1 s / 2 s

@@ -908,7 +908,7 @@ fn slos_for(opts: &Flags) -> Result<Vec<obs::SloSpec>, String> {
 
 /// `dvfs serve` — the online phase as a long-lived daemon. Loads the
 /// trained models into a versioned [`ModelStore`] snapshot, binds the
-/// thread-per-core server, prints `listening on ADDR` (so scripts can
+/// server, prints `listening on ADDR` (so scripts can
 /// discover an ephemeral port), and runs until a `shutdown` frame or
 /// SIGINT/SIGTERM — both paths drain the request queue and fall through
 /// to the ordinary `--metrics-out`/`--trace-out` exports in `main`.

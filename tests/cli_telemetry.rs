@@ -6,8 +6,10 @@
 //! Also pins the exit-code contract (0 ok, 2 usage/validation, 3 I/O or
 //! config) and the `dvfs serve` lifecycle: a shutdown frame must drain
 //! in-flight requests and still land the telemetry exports; a shutdown
-//! frame or SIGTERM ends the daemon promptly with a connection idle; and
-//! an idle daemon sleeps, yet answers a new connection at once.
+//! frame or SIGTERM ends the daemon promptly with a connection idle; an
+//! idle daemon sleeps, yet answers a new connection at once; and each
+//! connection whose requests run on its own handler thread grows the
+//! daemon by a bounded amount.
 
 use std::collections::HashMap;
 use std::io::{BufRead, Read};
@@ -603,6 +605,64 @@ fn a_new_connection_to_an_idle_daemon_is_answered_at_once() {
         .expect("shutdown ack");
     assert!(resp.ok);
     assert_eq!(daemon.exit_code_within(Duration::from_secs(2)), Some(0));
+}
+
+/// VmRSS of process `pid`, kB.
+fn vm_rss_kb(pid: u32) -> u64 {
+    std::fs::read_to_string(format!("/proc/{pid}/status"))
+        .expect("/proc has the daemon's status")
+        .lines()
+        .find_map(|l| l.strip_prefix("VmRSS:"))
+        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
+        .expect("status carries VmRSS")
+}
+
+/// A connection's bursts run on its own handler thread, so that thread
+/// must not keep its own copy of the inference scratch. 64 connections,
+/// held open, each send 4 unseen-application `select`s one frame at a
+/// time, so each runs a full engine sweep inline; the daemon's VmRSS may
+/// grow by at most 96 kB per connection over the one-connection
+/// baseline. Scratch kept per thread measured ~194 kB per connection.
+#[cfg(target_os = "linux")]
+#[test]
+fn connections_served_inline_grow_the_daemon_by_a_bounded_amount() {
+    use gpu_dvfs::core::serve::{Client, Request};
+
+    const CONNECTIONS: u32 = 64;
+    const MAX_KB_PER_CONNECTION: f64 = 96.0;
+    let mut daemon = Daemon::start(&[]);
+    let pid = daemon.child.id();
+    let mut point = 0u32;
+    // Each request a never-seen 1e-3 activity bucket.
+    let mut serve_unseen = |client: &mut Client| {
+        for _ in 0..4 {
+            point += 1;
+            let fp = 0.05 + f64::from(point) * 0.0031;
+            let dram = 0.95 - f64::from(point) * 0.0017;
+            let req = Request::select("unseen", fp, dram, 2.0, "edp", Some(0.05));
+            let resp = client.call(&req).expect("select round-trip");
+            assert!(resp.ok, "select failed: {:?}", resp.error);
+        }
+    };
+    let mut clients = vec![daemon.connect()];
+    serve_unseen(&mut clients[0]);
+    let baseline = vm_rss_kb(pid);
+    for _ in 1..CONNECTIONS {
+        let mut client = daemon.connect();
+        serve_unseen(&mut client);
+        clients.push(client);
+    }
+    let grown = vm_rss_kb(pid).saturating_sub(baseline);
+    let per_connection = grown as f64 / f64::from(CONNECTIONS - 1);
+    assert!(
+        per_connection <= MAX_KB_PER_CONNECTION,
+        "VmRSS grew {grown} kB over {} connections ({per_connection:.1} kB each) \
+         from a {baseline} kB baseline",
+        CONNECTIONS - 1
+    );
+    let resp = clients[0].call(&Request::shutdown()).expect("shutdown ack");
+    assert!(resp.ok);
+    assert_eq!(daemon.exit_code_within(Duration::from_secs(5)), Some(0));
 }
 
 /// How a lifecycle test stops the daemon.
