@@ -21,7 +21,7 @@ use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock, PoisonError};
 
 /// Name prefix of the pool's worker threads (`rayon-pool-0`, …).
 pub(crate) const THREAD_NAME_PREFIX: &str = "rayon-pool-";
@@ -68,22 +68,35 @@ struct Progress {
 }
 
 impl Pool {
-    /// Starts `workers` worker threads. A thread the OS refuses to start
-    /// only makes the pool smaller: callers finish their calls alone.
+    /// Starts `workers` worker threads and returns once every one of them
+    /// runs under its name and has entered its work loop, so the pool's
+    /// threads are all visible from the moment it exists. A thread the
+    /// OS refuses to start only makes the pool smaller: callers finish
+    /// their calls alone.
     fn start(workers: usize) -> Self {
         let shared = Arc::new(Shared {
             queue: Mutex::new(VecDeque::new()),
             work: Condvar::new(),
         });
+        let (entered, all_entered) = mpsc::channel::<()>();
         let started = (0..workers)
             .filter(|i| {
                 let shared = Arc::clone(&shared);
+                let entered = entered.clone();
                 std::thread::Builder::new()
                     .name(format!("{THREAD_NAME_PREFIX}{i}"))
-                    .spawn(move || shared.work_loop())
+                    .spawn(move || {
+                        drop(entered);
+                        shared.work_loop()
+                    })
                     .is_ok()
             })
             .count();
+        // `recv` fails once every sender is gone: each started worker
+        // drops its own on entry, and a spawn that failed dropped its
+        // closure with it.
+        drop(entered);
+        while all_entered.recv().is_ok() {}
         Self {
             shared,
             workers: started,

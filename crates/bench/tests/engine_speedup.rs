@@ -10,9 +10,12 @@
 //! 2. the packed f32 engine's sweep against the f64 workspace
 //!    `predict_into` path, ≥ 1.6×.
 //!
-//! Twelve release runs on a 2-vCPU Xeon (AVX-512, glibc 2.36) read
-//! 1.27–1.34× (median 1.29×) for the first and 1.85–2.05× (median 1.95×)
-//! for the second; the floors sit below both minima.
+//! Six release runs on a 2-vCPU Xeon (AVX-512, glibc 2.36), with the f64
+//! matmul tiles in `zmm` registers, read 1.35–1.36× for the first and
+//! 1.66–1.72× (median 1.69×) for the second, against 1.35–1.38× and
+//! 1.93–1.97× with those tiles in `ymm` registers; the floors sit below
+//! every minimum. The f32 engine still runs 256-bit vectors, so a faster
+//! f64 sweep narrows the second ratio.
 //!
 //! Timing ratios are only meaningful with optimizations on, so the
 //! guards log and return under a debug build (`cargo test -q` tier-1

@@ -30,6 +30,19 @@ pub struct CacheKey {
 }
 
 impl CacheKey {
+    /// The key of a request with activities `(fp_active, dram_active)`
+    /// under a device/grid fingerprint from [`context_hash`]: equal to
+    /// what [`CacheHandle::key`] builds from the spec and grid, without
+    /// hashing them again. The serve path hashes its snapshot's context
+    /// once per binding and keys every request through this.
+    pub(crate) fn in_context(context_hash: u64, fp_active: f64, dram_active: f64) -> Self {
+        Self {
+            fp_bucket: bucket(fp_active),
+            dram_bucket: bucket(dram_active),
+            context_hash,
+        }
+    }
+
     /// A stable 64-bit mix of all three key fields, used to pick a shard
     /// in [`ShardedProfileCache`]. Deliberately *not* `std::hash::Hash`
     /// (whose `DefaultHasher` output is unspecified across releases):
@@ -116,6 +129,28 @@ const QUANTUM: f64 = 1e-3;
 
 fn bucket(activity: f64) -> i64 {
     (activity / QUANTUM).round() as i64
+}
+
+/// The device/grid fingerprint of a cache key: FNV-1a over the spec
+/// identity and the exact grid bits, so a different chip, TDP, default
+/// clock, or sweep never shares an entry. Keys do not depend on the
+/// shard count.
+pub(crate) fn context_hash(spec: &DeviceSpec, frequencies: &[f64]) -> u64 {
+    fn fnv(h: u64, byte: u8) -> u64 {
+        (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    }
+    fn mix(h: u64, word: u64) -> u64 {
+        word.to_le_bytes().into_iter().fold(h, fnv)
+    }
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    h = spec.arch.chip_name().bytes().fold(h, fnv);
+    h = mix(h, spec.max_core_mhz.to_bits());
+    h = mix(h, spec.tdp_w.to_bits());
+    h = mix(h, frequencies.len() as u64);
+    for &f in frequencies {
+        h = mix(h, f.to_bits());
+    }
+    h
 }
 
 struct Slot {
@@ -365,28 +400,7 @@ impl CacheHandle for ShardedProfileCache {
         dram_active: f64,
         frequencies: &[f64],
     ) -> CacheKey {
-        // FNV-1a over the spec identity and the exact grid bits: a
-        // different chip, TDP, default clock, or sweep must never share
-        // an entry. Keys do not depend on the shard count.
-        fn fnv(h: u64, byte: u8) -> u64 {
-            (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
-        }
-        fn mix(h: u64, word: u64) -> u64 {
-            word.to_le_bytes().into_iter().fold(h, fnv)
-        }
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        h = spec.arch.chip_name().bytes().fold(h, fnv);
-        h = mix(h, spec.max_core_mhz.to_bits());
-        h = mix(h, spec.tdp_w.to_bits());
-        h = mix(h, frequencies.len() as u64);
-        for &f in frequencies {
-            h = mix(h, f.to_bits());
-        }
-        CacheKey {
-            fp_bucket: bucket(fp_active),
-            dram_bucket: bucket(dram_active),
-            context_hash: h,
-        }
+        CacheKey::in_context(context_hash(spec, frequencies), fp_active, dram_active)
     }
 
     fn quantize(&self, activity: f64) -> f64 {
@@ -504,6 +518,30 @@ mod tests {
             cache.key(&ga, 0.5, 0.5, &grid_a),
             cache.key(&ga, 0.5, 0.5, &grid_b)
         );
+    }
+
+    /// A key built from a context hashed once equals the key the
+    /// handle builds from the spec and grid, field for field and in its
+    /// shard hash: on both devices, on the full 61-state grid and on a
+    /// strided one, across activities on and between bucket edges.
+    #[test]
+    fn keys_in_a_hashed_context_equal_handle_keys() {
+        let cache = ShardedProfileCache::new(8, 1);
+        for spec in [DeviceSpec::ga100(), DeviceSpec::gv100()] {
+            let full = gpu_model::DvfsGrid::for_spec(&spec).used();
+            let strided: Vec<f64> = full.iter().copied().step_by(8).collect();
+            for grid in [&full, &strided] {
+                let context = context_hash(&spec, grid);
+                for i in 0..=400 {
+                    let fp = i as f64 * 0.0025;
+                    let dram = 1.0 - i as f64 * 0.00137;
+                    let want = cache.key(&spec, fp, dram, grid);
+                    let got = CacheKey::in_context(context, fp, dram);
+                    assert_eq!(got, want, "{} fp {fp} dram {dram}", spec.arch.chip_name());
+                    assert_eq!(got.shard_hash(), want.shard_hash());
+                }
+            }
+        }
     }
 
     #[test]

@@ -47,14 +47,18 @@
 //!   exec time), admitted on the key's second sighting, so a hot key's
 //!   response is a few memcpys and a key seen once stores nothing.
 //!
-//! Each serving state binds to the current [`ModelSnapshot`] and
-//! rebinds (dropping its per-snapshot fragment cache) when
-//! [`ModelStore::changed_since`], checked before every batch, reports a
-//! publish; a publish also wakes the parked workers, which rebind at
-//! once. A snapshot swap never blocks a reader and never stalls the
-//! queues; a batch is served by a version at least as new as the one
-//! current when it started (the response carries that version id), so
-//! versions never move backwards on a connection.
+//! Each serving state binds to one [`ModelSnapshot`] at a time and
+//! rebinds, dropping its per-snapshot fragment cache, when a batch needs
+//! another. A batch served inline binds to the current snapshot
+//! ([`ModelStore::changed_since`], checked before every such batch); a
+//! dispatched burst carries the snapshot current when its handler pushed
+//! it, and every batch of it binds to that one, so a burst that both
+//! workers split replies with one version even when a publish lands
+//! between their batches. A publish also wakes the parked workers, which
+//! rebind at once. A snapshot swap never blocks a reader and never stalls
+//! the queues; every batch is served by a version at least as new as the
+//! one current when its burst began (the response carries that version
+//! id), so versions never move backwards on a connection.
 //!
 //! The profile cache is a [`ShardedProfileCache`] with one shard per
 //! worker, rounded up to a power of two: requests touch only the shard
@@ -71,7 +75,7 @@ use super::protocol::{
 };
 use super::reply::ReplyTable;
 use super::telemetry;
-use crate::cache::{CacheHandle, CacheKey, ShardedProfileCache};
+use crate::cache::{self, CacheKey, ShardedProfileCache};
 use crate::models::PowerTimeModels;
 use crate::objective::select_optimal;
 use crate::predictor::{PredictedProfile, Predictor};
@@ -201,6 +205,11 @@ impl AsRef<Task> for Task {
 /// A task queued for the worker pool, plus its connection's reply slot.
 struct Job {
     task: Task,
+    /// The snapshot current when the handler pushed the job's burst.
+    /// Every job of a burst is served by it, so a burst that two workers
+    /// split replies with one version even when a publish lands between
+    /// their batches.
+    snap: Arc<ModelSnapshot>,
     /// The connection's reply table plus the slot coordinates the worker
     /// fills. The generation guard makes a timed-out batch's late fills
     /// harmless.
@@ -945,6 +954,7 @@ impl Connection<'_> {
             return false;
         };
         let replies = &mut self.replies;
+        state.rebind_if_stale(&self.shared.store);
         state.serve(self.shared, &self.tasks, |i, buf| {
             std::mem::swap(&mut replies[i], buf);
         });
@@ -959,10 +969,12 @@ impl Connection<'_> {
     fn dispatch(&mut self) -> bool {
         let generation = self.table.begin(self.tasks.len());
         let table = &self.table;
+        let snap = self.shared.store.load();
         self.shared
             .dispatch
             .push_batch(self.tasks.drain(..).enumerate().map(|(index, task)| Job {
                 task,
+                snap: Arc::clone(&snap),
                 reply: Arc::clone(table),
                 generation,
                 index,
@@ -1439,6 +1451,9 @@ struct Binding {
     /// lands mid-batch.
     snap: Arc<ModelSnapshot>,
     freqs: Vec<f64>,
+    /// The cache-key fingerprint of the snapshot's device and `freqs`,
+    /// hashed once here instead of once per request.
+    context: u64,
     /// The fixed response prefix: everything up to the profile's
     /// workload string, version already rendered.
     prefix: Vec<u8>,
@@ -1450,6 +1465,7 @@ struct Binding {
 impl Binding {
     fn new(snap: Arc<ModelSnapshot>) -> Self {
         let freqs = DvfsGrid::for_spec(&snap.spec).used();
+        let context = cache::context_hash(&snap.spec, &freqs);
         let mut prefix = Vec::new();
         prefix.extend_from_slice(fast::RESPONSE_OK_HEAD);
         fast::write_f64(&mut prefix, snap.version as f64);
@@ -1457,6 +1473,7 @@ impl Binding {
         Self {
             snap,
             freqs,
+            context,
             prefix,
             fragments: HashMap::new(),
             sightings: Sightings::new(SIGHTING_SLOTS),
@@ -1485,18 +1502,23 @@ impl ServingState {
         }
     }
 
-    /// Serves one batch of at most `max_batch` tasks, handing each
-    /// task's reply to `deliver` with the task's index in `batch`:
-    /// fragment-cache hits first, then every miss through one
-    /// `predict_batch_cached` call. The batch is served by a snapshot at
-    /// least as new as the one current when the call began.
+    /// Binds to `snap` unless already bound to it, older or newer.
+    fn bind(&mut self, snap: &Arc<ModelSnapshot>) {
+        if self.binding.snap.version != snap.version {
+            self.binding = Binding::new(Arc::clone(snap));
+        }
+    }
+
+    /// Serves one batch of at most `max_batch` tasks with the bound
+    /// snapshot, handing each task's reply to `deliver` with the task's
+    /// index in `batch`: fragment-cache hits first, then every miss
+    /// through one `predict_batch_cached` call.
     fn serve<T: AsRef<Task>>(
         &mut self,
         shared: &Shared,
         batch: &[T],
         mut deliver: impl FnMut(usize, &mut Vec<u8>),
     ) {
-        self.rebind_if_stale(&shared.store);
         let Self {
             binding,
             journal,
@@ -1509,6 +1531,7 @@ impl ServingState {
         let Binding {
             snap,
             freqs,
+            context,
             prefix,
             fragments,
             sightings,
@@ -1526,7 +1549,7 @@ impl ServingState {
         miss_refs.clear();
         misses.clear();
         for (i, task) in batch.iter().map(AsRef::as_ref).enumerate() {
-            let key = fragment_key(&shared.cache, &snap.spec, &task.req, freqs);
+            let key = fragment_key(*context, &task.req);
             if let Some(fragment) = fragments.get(&key) {
                 // Booked before the reply is delivered, so a `stats`
                 // frame sent after this reply arrives counts the hit.
@@ -1608,33 +1631,33 @@ fn worker_loop(shared: &Shared, worker: usize) {
             continue;
         }
         slot.for_worker(|state| {
-            state.serve(shared, &batch, |i, buf| {
-                let job = &batch[i];
-                // A closed generation (handler timed out / moved on) is
-                // fine; the work still warmed the caches.
-                let _ = job.reply.fill(job.generation, job.index, buf);
-            });
+            // Bursts pushed on either side of a publish carry different
+            // snapshots; each run of one is served with it.
+            for run in batch.chunk_by(|a, b| Arc::ptr_eq(&a.snap, &b.snap)) {
+                state.bind(&run[0].snap);
+                state.serve(shared, run, |i, buf| {
+                    let job = &run[i];
+                    // A closed generation (handler timed out / moved on)
+                    // is fine; the work still warmed the caches.
+                    let _ = job.reply.fill(job.generation, job.index, buf);
+                });
+            }
         });
         batch.clear();
     }
 }
 
 /// The fragment-cache key: the L2 cache key (quantized activities +
-/// device/grid fingerprint) extended with the exact exec-time bits that
-/// anchor absolute times. Everything in a predict/select response except
-/// the workload name is a pure function of this pair and the snapshot.
-fn fragment_key(
-    cache: &ShardedProfileCache,
-    spec: &gpu_model::DeviceSpec,
-    req: &Request,
-    freqs: &[f64],
-) -> (CacheKey, u64) {
+/// the binding's device/grid fingerprint `context`) extended with the
+/// exact exec-time bits that anchor absolute times. Everything in a
+/// predict/select response except the workload name is a pure function
+/// of this pair and the snapshot.
+fn fragment_key(context: u64, req: &Request) -> (CacheKey, u64) {
     (
-        cache.key(
-            spec,
+        CacheKey::in_context(
+            context,
             req.fp_active.unwrap_or(0.0),
             req.dram_active.unwrap_or(0.0),
-            freqs,
         ),
         req.exec_time.unwrap_or(0.0).to_bits(),
     )
@@ -1942,11 +1965,9 @@ mod tests {
 
     #[test]
     fn fingerprint_separates_exec_times_and_keys() {
-        let cache = ShardedProfileCache::new(8, 1);
-        let spec = gpu_model::DeviceSpec::ga100();
-        let grid = [510.0, 1410.0];
-        let k1 = cache.key(&spec, 0.5, 0.25, &grid);
-        let k2 = cache.key(&spec, 0.25, 0.5, &grid);
+        let context = cache::context_hash(&gpu_model::DeviceSpec::ga100(), &[510.0, 1410.0]);
+        let k1 = CacheKey::in_context(context, 0.5, 0.25);
+        let k2 = CacheKey::in_context(context, 0.25, 0.5);
         let fps = [
             fingerprint(&(k1, 1.0f64.to_bits())),
             fingerprint(&(k1, 2.0f64.to_bits())),

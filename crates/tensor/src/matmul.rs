@@ -273,11 +273,14 @@ fn row_bands(
 }
 
 /// Rows of the register tile of the matrix kernels: `MR × NR` = 32
-/// accumulation chains in eight AVX registers. Each strip of the right
-/// operand loaded from memory feeds four rows, the row tiling of
-/// `f32x8::gemm_bias_act_into` with a separate multiply and add in place
-/// of `mul_add`. A 4 × 16 tile measured ten times slower: LLVM no longer
-/// keeps it in registers.
+/// accumulation chains, one 512-bit `zmm` register per row on AVX-512
+/// builds (`zmm::tile`) and two 256-bit `ymm` registers per row on
+/// AVX2 builds. Each strip of the right operand loaded from memory feeds
+/// four rows, the row tiling of `f32x8::gemm_bias_act_into` with a
+/// separate multiply and add in place of `mul_add`. A 4 × 16 tile in
+/// portable code measured ten times slower (LLVM no longer keeps it in
+/// registers); in `zmm` registers it was no faster on the 61-row sweep
+/// and slower on the 8-row training shard.
 const MR: usize = 4;
 
 /// Columns of the register tile; see [`MR`].
@@ -287,12 +290,26 @@ const NR: usize = 8;
 /// thread-local packing buffer at `PACK_ROWS × k` doubles.
 const PACK_ROWS: usize = 64;
 
+// Every full `MR × NR` tile (all but the last `n % NR` columns of a
+// product) runs through `full_tile`: the `zmm` tile where the build
+// enables AVX-512F, the portable `tile::<NR>` elsewhere. Both sum every
+// chain alike, so the choice changes speed only.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+use zmm::tile as full_tile;
+
+#[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
+#[inline(always)]
+fn full_tile<'w>(steps: impl Iterator<Item = ([f64; MR], &'w [f64])>) -> [[f64; NR]; MR] {
+    tile::<NR>(steps)
+}
+
 /// One register tile of `MR × S` chains: `acc[r][s] = Σ_p v_p[r] · w_p[s]`
 /// over the `(v_p, w_p)` steps in order, every chain starting from `0.0`.
 ///
-/// Every tiled kernel adds its products here. The tile decides which
-/// chains run side by side, never the order of a chain's additions, so
-/// every caller is bit-for-bit equal to the naive kernel.
+/// Every tiled kernel adds its products here or in `zmm::tile`. The
+/// tile decides which chains run side by side, never the order of a
+/// chain's additions, so every caller is bit-for-bit equal to the naive
+/// kernel.
 #[inline(always)]
 fn tile<'w, const S: usize>(steps: impl Iterator<Item = ([f64; MR], &'w [f64])>) -> [[f64; S]; MR] {
     let mut acc = [[0.0f64; S]; MR];
@@ -308,6 +325,59 @@ fn tile<'w, const S: usize>(steps: impl Iterator<Item = ([f64; MR], &'w [f64])>)
         }
     }
     acc
+}
+
+/// The full-width register tile in AVX-512 registers.
+///
+/// LLVM's tuning for current AVX-512 Xeons prefers 256-bit vectors, so
+/// the portable [`tile`] compiles to two `ymm` accumulators per row even
+/// when the build enables AVX-512F. This tile keeps each row's `NR`
+/// chains in one `zmm` register through intrinsics, and leaves the
+/// global preference alone: the flag that lifts it (`-C
+/// target-feature=-prefer-256-bit`) draws rustc's "might be unsound"
+/// warning. Each step loads the strip once, broadcasts the four
+/// left-hand values, then multiplies and adds as two instructions.
+/// Never `_mm512_fmadd_pd`: a fused multiply-add rounds once where
+/// `a += v * w` rounds twice. Every chain therefore sums over `p` in
+/// ascending order from +0.0 exactly as [`tile`] does, bit for bit.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+mod zmm {
+    use super::{MR, NR};
+    use std::arch::x86_64::{
+        __m512d, _mm512_add_pd, _mm512_loadu_pd, _mm512_mul_pd, _mm512_set1_pd, _mm512_setzero_pd,
+        _mm512_storeu_pd,
+    };
+
+    // One `__m512d` holds one row of the tile.
+    const _: () = assert!(NR == 8);
+
+    /// [`super::tile`]`::<NR>` with each row's chains in one `zmm`
+    /// register; the same sums, bit for bit.
+    #[inline(always)]
+    pub(super) fn tile<'w>(steps: impl Iterator<Item = ([f64; MR], &'w [f64])>) -> [[f64; NR]; MR] {
+        let mut out = [[0.0f64; NR]; MR];
+        // SAFETY: this module is compiled only when the build enables
+        // `avx512f` for the whole program (the `cfg` above), and such a
+        // program runs only on a CPU with AVX-512F, since LLVM may emit
+        // its instructions in any function; so the intrinsics' target
+        // feature is present. The strip load reads the `NR` doubles of
+        // `w[..NR]`, whose indexing panics unless `w` holds them; each
+        // store writes the `NR` doubles of one `[f64; NR]` row of `out`.
+        // `loadu`/`storeu` take unaligned addresses.
+        unsafe {
+            let mut acc: [__m512d; MR] = [_mm512_setzero_pd(); MR];
+            for (v, w) in steps {
+                let strip = _mm512_loadu_pd(w[..NR].as_ptr());
+                for (a, &vr) in acc.iter_mut().zip(&v) {
+                    *a = _mm512_add_pd(*a, _mm512_mul_pd(_mm512_set1_pd(vr), strip));
+                }
+            }
+            for (row, a) in out.iter_mut().zip(acc) {
+                _mm512_storeu_pd(row.as_mut_ptr(), a);
+            }
+        }
+        out
+    }
 }
 
 /// Steps through four equal-length rows in lockstep: entry `p` of each.
@@ -353,7 +423,7 @@ fn rows_into<L, I, F>(
         let orows = &mut out_chunk[i * n..(i + live) * n];
         let mut j = 0;
         while j + NR <= n {
-            let acc = tile::<NR>(lhs(i).zip(b.rows_iter().map(|w| &w[j..])));
+            let acc = full_tile(lhs(i).zip(b.rows_iter().map(|w| &w[j..])));
             for (orow, accr) in orows.chunks_exact_mut(n).zip(&acc) {
                 for (s, (o, &v)) in orow[j..j + NR].iter_mut().zip(accr).enumerate() {
                     *o = spill(j + s, v);
@@ -469,7 +539,7 @@ thread_local! {
 ///
 /// A dot product vectorizes only by reassociating it, so the kernel
 /// instead packs up to [`PACK_ROWS`] rows of `a` transposed (`k` rows of
-/// `NR`-padded width) and runs [`tile`] over them: four rows of
+/// `NR`-padded width) and runs full-width tiles over them: four rows of
 /// `b` (four output columns) against `NR` packed rows of `a`
 /// (output rows), stored transposed as the tile spills. Padding lanes
 /// hold zeros and are never stored.
@@ -503,7 +573,7 @@ fn a_bt_rows_into(
                 let live = NR.min(mb - s0);
                 for j in (0..n).step_by(MR) {
                     let lhs = zip4(rows4(b, j, n - 1));
-                    let acc = tile::<NR>(lhs.zip(block.chunks_exact(width).map(|w| &w[s0..])));
+                    let acc = full_tile(lhs.zip(block.chunks_exact(width).map(|w| &w[s0..])));
                     spill_tile(&acc, n - j, live, |t, s, v| {
                         out_chunk[(ib + s0 + s) * n + j + t] = v;
                     });
@@ -744,6 +814,45 @@ mod tests {
         }
     }
 
+    /// The `zmm` tile against the portable `tile::<NR>`, bit for bit, at
+    /// depths from an empty sum to a 64-wide layer. A quarter of the
+    /// operands are special: signed zeros (`+0.0 + -0.0` must stay
+    /// `+0.0`), subnormals, and ±1e300, whose products overflow to ±inf
+    /// (and whose opposite infinities in one chain give the default NaN).
+    /// No NaN inputs: LLVM does not pin NaN payloads.
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+    #[test]
+    fn zmm_tile_equals_portable_tile_bitwise() {
+        use rand::Rng;
+        const SPECIAL: [f64; 8] = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1.0, -1.0];
+        let mut rng = StdRng::seed_from_u64(29);
+        let draw = |rng: &mut StdRng| {
+            if rng.random_range(0..4usize) == 0 {
+                SPECIAL[rng.random_range(0..SPECIAL.len())]
+            } else {
+                rng.random_range(-2.0..2.0)
+            }
+        };
+        for depth in [0, 1, 3, 8, 64] {
+            for trial in 0..200 {
+                let v: Vec<[f64; MR]> = (0..depth)
+                    .map(|_| std::array::from_fn(|_| draw(&mut rng)))
+                    .collect();
+                // Rows wider than the strip, as in every kernel but the
+                // last tile of a row.
+                let w: Vec<Vec<f64>> = (0..depth)
+                    .map(|_| (0..NR + 3).map(|_| draw(&mut rng)).collect())
+                    .collect();
+                let steps = || v.iter().copied().zip(w.iter().map(Vec::as_slice));
+                let want = tile::<NR>(steps());
+                let got = zmm::tile(steps());
+                for (r, (g, e)) in got.iter().zip(&want).enumerate() {
+                    assert_bits(g, e, &format!("depth {depth}, trial {trial}, row {r}"));
+                }
+            }
+        }
+    }
+
     mod props {
         use super::*;
         use proptest::prelude::*;
@@ -765,7 +874,7 @@ mod tests {
                 let x = matmul_naive(&a, &b).unwrap();
                 let y = matmul_blocked(&a, &b).unwrap();
                 for (p, q) in x.as_slice().iter().zip(y.as_slice()) {
-                    prop_assert!((p - q).abs() < 1e-9);
+                    prop_assert_eq!(p.to_bits(), q.to_bits());
                 }
             }
 

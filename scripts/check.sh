@@ -225,6 +225,14 @@ echo "==> exp64 against the platform exp on 10^9 main-path inputs (release)"
 # #[ignore]d there and runs here, in release.
 cargo test --release --offline -p tensor --test exp64 -q -- --ignored
 
+echo "==> tensor and nn tests on the portable tile (target-cpu=x86-64-v3, release)"
+# The workspace builds for the host CPU, so on an AVX-512 machine every
+# full matmul tile runs in zmm registers. This leg builds for x86-64-v3
+# (AVX2 + FMA, no AVX-512) in its own target directory, so the portable
+# tile and every bitwise oracle over it still run on such a machine.
+RUSTFLAGS="-C target-cpu=x86-64-v3" CARGO_TARGET_DIR=target/x86-64-v3 \
+    cargo test --release --offline -p tensor -p nn -q
+
 echo "==> SELU pass and batch-fused engine speedup guards (release)"
 # `cargo test -q` above runs this file in a debug build where the timing
 # legs self-skip; the release run enforces the vector SELU pass's >=1.1x
