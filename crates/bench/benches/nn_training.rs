@@ -6,8 +6,10 @@
 //! zero-allocation engine: `epoch_reference` times the original
 //! allocating path (preserved verbatim in `nn::reference`), while
 //! `epoch_workspace` times `Trainer::fit` on identical data, topology,
-//! and seeds. Both paths are bitwise-identical in output, so the group
-//! isolates the pure cost of buffer churn. `shard_step_8x64` times the
+//! and seeds, its shards spread over the process's `rayon` pool
+//! (`DVFS_THREADS`, else every core). Both paths are bitwise-identical in
+//! output, so the group isolates the cost of buffer churn and what the
+//! pool's threads save. `shard_step_8x64` times the
 //! step's kernels alone: one forward and backward pass on one 8-row
 //! shard. `validate_1537` times the per-epoch validation pass: one f64
 //! forward over 1537 rows (the validation split of the paper campaign)
@@ -144,17 +146,6 @@ fn bench_epoch_cost(c: &mut Criterion) {
     group.bench_function("epoch_workspace", |b| {
         b.iter(|| {
             let mut trainer = Trainer::new(net.clone(), cfg);
-            trainer.fit(black_box(&x), black_box(&y)).unwrap()
-        })
-    });
-    // The same fit through the data-parallel engine at 4 explicit worker
-    // threads (8 shards). Output is bitwise identical to the serial run;
-    // the delta is pure engine speedup (or, on boxes with fewer cores,
-    // pure coordination overhead).
-    let par_cfg = TrainConfig { threads: 4, ..cfg };
-    group.bench_function("epoch_parallel", |b| {
-        b.iter(|| {
-            let mut trainer = Trainer::new(net.clone(), par_cfg);
             trainer.fit(black_box(&x), black_box(&y)).unwrap()
         })
     });

@@ -104,7 +104,6 @@ fn bench_offline_sweep(c: &mut Criterion) {
                     frequencies: freqs.clone(),
                     runs: 3,
                     output: None,
-                    threads: 0,
                 },
             );
             campaign.collect(black_box(&workloads)).unwrap().len()

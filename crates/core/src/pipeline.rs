@@ -62,7 +62,6 @@ impl TrainedPipeline {
             frequencies: freqs,
             runs: RUNS_PER_POINT,
             output: None,
-            threads: 0,
         };
         // Each phase publishes its wall time as a gauge so a dashboard
         // (or `dvfs obs`) can see where an offline run spends its time

@@ -49,12 +49,13 @@
 //! # Deterministic data parallelism
 //!
 //! [`Trainer::fit`] shards every mini-batch across a fixed number of
-//! logical shards ([`TrainConfig::shards`]) and runs them on
-//! [`TrainConfig::threads`] workers (default: the `DVFS_THREADS`
-//! environment variable, else all cores). Gradients are combined with a
-//! fixed-shape pairwise reduction tree, so the trained network is
-//! **bitwise identical for every thread count** — see [`engine`] for the
-//! full argument and `train.rs`'s proptests for the proof.
+//! logical shards ([`TrainConfig::shards`]) and runs each step's shards
+//! as one parallel call on the `rayon` pool, whose size the
+//! `DVFS_THREADS` environment variable sets (else all cores). Gradients
+//! are combined with a fixed-shape pairwise reduction tree, so the
+//! trained network is **bitwise identical for every thread count** — see
+//! [`engine`] for the full argument, `train.rs`'s proptests for the proof
+//! and the root package's `tests/thread_counts.rs` for the pool sizes.
 
 pub mod activation;
 pub mod engine;

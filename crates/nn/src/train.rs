@@ -5,22 +5,21 @@
 //! per-epoch train/validation losses are recorded — those curves are
 //! Figure 6 of the paper.
 //!
-//! Since the data-parallel engine landed, every mini-batch is processed
-//! as [`TrainConfig::shards`] fixed logical shards whose gradients are
-//! combined with a fixed-shape pairwise tree (see [`crate::engine`]), so
-//! the trained network is bitwise identical for every
-//! [`TrainConfig::threads`] setting — including the serial `threads = 1`
-//! case, which runs the same code with zero workers.
+//! Every mini-batch is processed as [`TrainConfig::shards`] fixed logical
+//! shards whose gradients are combined with a fixed-shape pairwise tree
+//! (see [`crate::engine`]), so the trained network is bitwise identical
+//! whatever the size of the `rayon` pool the shards run on — including a
+//! pool of one thread (`DVFS_THREADS=1`), which runs every step inline.
 
-use crate::engine::{self, Shared, StepDesc, WorkspacePool};
+use crate::engine::{self, ShardSlot};
 use crate::loss::Loss;
 use crate::network::Network;
 use crate::optimizer::OptimizerKind;
 use crate::workspace::Workspace;
-use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use tensor::Matrix;
 
@@ -46,14 +45,9 @@ pub struct TrainConfig {
     pub early_stop_patience: Option<usize>,
     /// Number of fixed logical gradient shards per mini-batch. The
     /// trained network depends on this value (it defines the gradient
-    /// reduction tree) but **not** on [`TrainConfig::threads`]. Values
-    /// `< 1` behave as 1.
+    /// reduction tree) but **not** on how many threads run the shards.
+    /// Values `< 1` behave as 1.
     pub shards: usize,
-    /// Worker threads for the data-parallel engine. `0` = auto: the
-    /// `DVFS_THREADS` environment variable if set, else all available
-    /// cores; always clamped to `[1, shards]`. Any value yields bitwise
-    /// identical results.
-    pub threads: usize,
 }
 
 impl Default for TrainConfig {
@@ -67,7 +61,6 @@ impl Default for TrainConfig {
             shuffle_seed: 0,
             early_stop_patience: None,
             shards: engine::DEFAULT_SHARDS,
-            threads: 0,
         }
     }
 }
@@ -189,135 +182,96 @@ impl Trainer {
         let mut since_best = 0usize;
 
         let shards = self.config.shards.max(1);
-        let threads = engine::resolve_threads(self.config.threads, shards);
         let max_shard_rows = engine::shard_bounds(batch.min(n_train), shards, 0).1.max(1);
-        obs::global().gauge("train.threads").set(threads as f64);
+        // Each step is one parallel call over the shard slots: one
+        // contiguous run of shards per pool thread.
+        let run_len = shards.div_ceil(rayon::current_num_threads());
+        obs::global()
+            .gauge("train.threads")
+            .set(shards.div_ceil(run_len) as f64);
         obs::global()
             .gauge("train.shard_size")
             .set(max_shard_rows as f64);
+        // Each run of shards lands on the flight-recorder timeline as one
+        // complete event on the thread that ran it.
+        let trace_run = obs::trace::intern("shard_worker");
 
         // Persistent per-shard buffers: every slot's workspace and gather
         // targets are sized for the largest shard once and reused for
-        // every step, so the epoch loop performs no heap allocation in
-        // steady state per worker (tests/zero_alloc.rs proves this with a
-        // counting allocator).
-        let pool = WorkspacePool::new(&self.network, shards, max_shard_rows);
+        // every step, so the shard loop performs no heap allocation in
+        // steady state (tests/zero_alloc_sharded.rs proves this with a
+        // counting allocator). The parallel call that runs it allocates
+        // a few bookkeeping records per step (tests/zero_alloc.rs bounds
+        // them).
+        let mut slots: Vec<ShardSlot> = (0..shards)
+            .map(|_| ShardSlot::new(&self.network, max_shard_rows))
+            .collect();
         let mut ws_val = x_val
             .as_ref()
             .map(|xv| Workspace::for_network(&self.network, xv.rows()));
+        let mut order: Vec<usize> = (0..n_train).collect();
+        let loss = self.config.loss;
 
-        // The network and the shuffled row order move behind locks for the
-        // duration of the fit so persistent workers can read them while the
-        // coordinator mutates both between steps. The rendezvous channels
-        // below guarantee reads and writes never overlap, so every lock
-        // acquisition is uncontended.
-        let net_lock = RwLock::new(std::mem::replace(
-            &mut self.network,
-            Network::new(Vec::new()),
-        ));
-        let order_lock = RwLock::new((0..n_train).collect::<Vec<usize>>());
-        let step = Mutex::new(StepDesc::default());
-        let shared = Shared {
-            net: &net_lock,
-            order: &order_lock,
-            step: &step,
-            pool: &pool,
-            x: &x_train,
-            y: &y_train,
-            loss: self.config.loss,
-            shards,
-            participants: threads,
-        };
-        let worker_parent = obs::span::current_path();
-
-        std::thread::scope(|scope| {
-            // Workers are spawned once per fit (not per batch — spawn cost
-            // would dominate small steps) and rendezvous over a pair of
-            // channels per step. The coordinator is participant 0 and
-            // processes its own shard range inline; `threads == 1` runs
-            // this identical code with zero workers. If a worker panics,
-            // the coordinator's `recv` fails and propagates the panic; if
-            // the coordinator panics, dropping the `go` senders during
-            // unwind makes every worker's `recv` fail and exit — no
-            // configuration can deadlock.
-            let mut workers = Vec::with_capacity(threads.saturating_sub(1));
-            for p in 1..threads {
-                let (go_tx, go_rx) = std::sync::mpsc::sync_channel::<()>(1);
-                let (done_tx, done_rx) = std::sync::mpsc::sync_channel::<()>(1);
-                let shared = &shared;
-                let parent = worker_parent.clone();
-                scope.spawn(move || {
-                    let _span = parent
-                        .as_deref()
-                        .map(|pp| obs::span::Span::enter_under(pp, "shard_worker"));
-                    while go_rx.recv().is_ok() {
-                        shared.run_participant(p);
-                        if done_tx.send(()).is_err() {
+        for _ in 0..self.config.epochs {
+            obs::span!("epoch");
+            order.shuffle(&mut rng);
+            let mut epoch_loss = 0.0;
+            let mut batches = 0usize;
+            let mut begin = 0usize;
+            while begin < n_train {
+                let len = batch.min(n_train - begin);
+                let rows = &order[begin..begin + len];
+                let (net, x, y) = (&self.network, &x_train, &y_train);
+                slots
+                    .par_chunks_mut(run_len)
+                    .enumerate()
+                    .for_each(|(run, run_slots)| {
+                        let t0 = obs::trace::enabled().then(obs::trace::now_ns);
+                        for (i, slot) in run_slots.iter_mut().enumerate() {
+                            let (start, n) = engine::shard_bounds(len, shards, run * run_len + i);
+                            if n > 0 {
+                                slot.step(net, x, y, &rows[start..start + n], loss);
+                            }
+                        }
+                        if let Some(t0) = t0 {
+                            obs::trace::complete(trace_run, t0, &[]);
+                        }
+                    });
+                let total = engine::reduce(&mut slots, len.min(shards));
+                self.network
+                    .apply_combined_grads(&mut opt, &mut slots[0].ws, len);
+                epoch_loss += total / (len * y_cols) as f64;
+                batches += 1;
+                begin += len;
+            }
+            let mean_loss = epoch_loss / batches.max(1) as f64;
+            loss_gauge.set(mean_loss);
+            obs::trace::counter(trace_loss, mean_loss);
+            history.train_loss.push(mean_loss);
+            if let (Some(xv), Some(yv)) = (&x_val, &y_val) {
+                let val = {
+                    obs::span!("validate");
+                    let ws = ws_val.as_mut().expect("validation workspace exists");
+                    let pred = self.network.predict_into(xv, ws);
+                    loss.value(pred, yv)
+                };
+                val_gauge.set(val);
+                obs::trace::counter(trace_val, val);
+                history.val_loss.push(val);
+                if let Some(patience) = self.config.early_stop_patience {
+                    if val < best_val - 1e-12 {
+                        best_val = val;
+                        since_best = 0;
+                    } else {
+                        since_best += 1;
+                        if since_best >= patience {
                             break;
                         }
                     }
-                });
-                workers.push((go_tx, done_rx));
-            }
-
-            'epochs: for _ in 0..self.config.epochs {
-                obs::span!("epoch");
-                order_lock.write().shuffle(&mut rng);
-                let mut epoch_loss = 0.0;
-                let mut batches = 0usize;
-                let mut begin = 0usize;
-                while begin < n_train {
-                    let len = batch.min(n_train - begin);
-                    *step.lock() = StepDesc { start: begin, len };
-                    for (go, _) in &workers {
-                        go.send(()).expect("training worker exited unexpectedly");
-                    }
-                    shared.run_participant(0);
-                    for (_, done) in &workers {
-                        done.recv().expect("training worker panicked");
-                    }
-                    let total = pool.reduce(len.min(shards));
-                    net_lock
-                        .write()
-                        .apply_combined_grads(&mut opt, &mut pool.slot0().ws, len);
-                    epoch_loss += total / (len * y_cols) as f64;
-                    batches += 1;
-                    begin += len;
-                }
-                let mean_loss = epoch_loss / batches.max(1) as f64;
-                loss_gauge.set(mean_loss);
-                obs::trace::counter(trace_loss, mean_loss);
-                history.train_loss.push(mean_loss);
-                if let (Some(xv), Some(yv)) = (&x_val, &y_val) {
-                    let val = {
-                        obs::span!("validate");
-                        let net = net_lock.read();
-                        let ws = ws_val.as_mut().expect("validation workspace exists");
-                        let pred = net.predict_into(xv, ws);
-                        self.config.loss.value(pred, yv)
-                    };
-                    val_gauge.set(val);
-                    obs::trace::counter(trace_val, val);
-                    history.val_loss.push(val);
-                    if let Some(patience) = self.config.early_stop_patience {
-                        if val < best_val - 1e-12 {
-                            best_val = val;
-                            since_best = 0;
-                        } else {
-                            since_best += 1;
-                            if since_best >= patience {
-                                break 'epochs;
-                            }
-                        }
-                    }
                 }
             }
-            // Dropping the `go` senders disconnects every worker's `recv`,
-            // which ends its loop; the scope joins them on exit.
-            drop(workers);
-        });
+        }
 
-        self.network = net_lock.into_inner();
         history.train_seconds = start.elapsed().as_secs_f64();
         Ok(history)
     }
@@ -615,10 +569,9 @@ mod tests {
 
         /// The workspace-path `fit` must be *bitwise* identical to the
         /// naive allocating oracle — same loss curves, same final weights,
-        /// same predictions — for any seed, batch size and split, **and
-        /// for every thread count**: the serial `threads = 1` engine and
-        /// the data-parallel engine at 2, 4 and 8 threads must all
-        /// produce the identical network.
+        /// same predictions — for any seed, batch size and split. This
+        /// runs on the test process's pool; `tests/thread_counts.rs` in
+        /// the root package repeats these cases at other pool sizes.
         fn assert_fit_parity(cfg: TrainConfig, net_seed: u64, data_seed: u64, rows: usize) {
             assert_fit_parity_on(paper_tiny(net_seed), cfg, data_seed, rows);
         }
@@ -629,9 +582,7 @@ mod tests {
             let mut net_ref = base.clone();
             let h_ref = reference::fit(&mut net_ref, &cfg, &x, &y).unwrap();
 
-            // Serial workspace path.
-            let serial_cfg = TrainConfig { threads: 1, ..cfg };
-            let mut t = Trainer::new(base.clone(), serial_cfg);
+            let mut t = Trainer::new(base, cfg);
             let h_ws = t.fit(&x, &y).unwrap();
             let net_ws = t.into_network();
 
@@ -651,34 +602,6 @@ mod tests {
                 net_ws.predict(&probe).as_slice(),
                 "predictions diverged"
             );
-
-            // Parallel engine at every tested thread count: bitwise equal
-            // to the serial path (and therefore to the oracle).
-            for threads in [2usize, 4, 8] {
-                let mut tp = Trainer::new(base.clone(), TrainConfig { threads, ..cfg });
-                let h_par = tp.fit(&x, &y).unwrap();
-                let net_par = tp.into_network();
-                assert_eq!(
-                    h_ws.train_loss, h_par.train_loss,
-                    "train loss diverged at {threads} threads"
-                );
-                assert_eq!(
-                    h_ws.val_loss, h_par.val_loss,
-                    "val loss diverged at {threads} threads"
-                );
-                for (ls, lp) in net_ws.layers().iter().zip(net_par.layers()) {
-                    assert_eq!(
-                        ls.weights().as_slice(),
-                        lp.weights().as_slice(),
-                        "weights diverged at {threads} threads"
-                    );
-                    assert_eq!(
-                        ls.bias().as_slice(),
-                        lp.bias().as_slice(),
-                        "bias diverged at {threads} threads"
-                    );
-                }
-            }
         }
 
         fn paper_tiny(seed: u64) -> Network {

@@ -4,7 +4,7 @@
 //!
 //! The allocator counts the allocations of every thread in the process,
 //! which is what `zero_alloc.rs`'s whole-fit comparison needs: it must see
-//! `Trainer::fit`'s worker threads. Under libtest that also counts the
+//! the `rayon` pool threads that run `Trainer::fit`'s shards. Under libtest that also counts the
 //! harness's main thread, which on a loaded host is still doing its
 //! bookkeeping for the test it just spawned when the counted window
 //! opens. So each of these files is a `harness = false` target whose

@@ -1,5 +1,7 @@
-//! Proof that the workspace training path is allocation-free in steady
-//! state, measured with a counting global allocator.
+//! Proof that the workspace training step is allocation-free in steady
+//! state, and that `Trainer::fit` adds only a small, bounded number of
+//! allocations per step around it (the `rayon` pool call that runs each
+//! step's shards), measured with a counting global allocator.
 //!
 //! The counting allocator is process-global, so this file is a
 //! `harness = false` target holding a single test, run on the main
@@ -98,8 +100,9 @@ fn training_steps_are_allocation_free_after_warmup() {
 
     // Whole-fit comparison: the workspace Trainer must allocate far less
     // per epoch than the allocating reference path. (Trainer::fit still
-    // allocates at startup — splits, history — plus obs span bookkeeping,
-    // so this is a per-epoch ratio bound rather than a strict zero.)
+    // allocates at startup — splits, history — plus obs span bookkeeping
+    // and each step's pool call, so this is a per-epoch ratio bound rather
+    // than a strict zero.)
     let cfg = TrainConfig {
         epochs: 4,
         ..TrainConfig::default()
@@ -135,5 +138,31 @@ fn training_steps_are_allocation_free_after_warmup() {
         ws_per_epoch * 5.0 < ref_per_epoch,
         "workspace path should allocate >=5x less per epoch: \
          workspace {ws_per_epoch:.0} B/epoch vs reference {ref_per_epoch:.0} B/epoch"
+    );
+
+    // Per step, the fit adds at most a few allocations around the
+    // allocation-free step: the pool call's job record and piece lists,
+    // plus the epoch spans. Startup costs cancel between a 4- and an
+    // 8-epoch fit, so their difference is what the extra steps allocate.
+    let long = TrainConfig { epochs: 8, ..cfg };
+    let mut short_fit = Trainer::new(warm.clone(), cfg);
+    let (_, short_allocs) = counted(|| {
+        short_fit.fit(&x, &y).unwrap();
+    });
+    let mut long_fit = Trainer::new(warm.clone(), long);
+    let (_, long_allocs) = counted(|| {
+        long_fit.fit(&x, &y).unwrap();
+    });
+    // `Trainer::fit`'s split: round(20%) of the rows validate, and the
+    // rest run as ceil(n_train / batch) steps per epoch.
+    let n_train = x.rows() - (x.rows() as f64 * cfg.validation_split).round() as usize;
+    let extra_steps = (long.epochs - cfg.epochs) * n_train.div_ceil(cfg.batch_size);
+    let per_step = long_allocs.saturating_sub(short_allocs) as f64 / extra_steps as f64;
+    assert!(
+        per_step <= 6.0,
+        "the fit made {per_step:.1} allocations per extra step (bound 6): \
+         {short_allocs} at {} epochs, {long_allocs} at {} epochs, {extra_steps} extra steps",
+        cfg.epochs,
+        long.epochs
     );
 }

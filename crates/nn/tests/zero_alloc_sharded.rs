@@ -1,4 +1,4 @@
-//! Proof that the *sharded* training step — the per-worker unit of the
+//! Proof that the *sharded* training step — the shard loop of the
 //! deterministic data-parallel engine — is allocation-free in steady
 //! state, measured with a counting global allocator.
 //!
@@ -6,10 +6,11 @@
 //! (see `nn::engine`): gather each shard's rows, forward + raw backward
 //! sums into that shard's private `Workspace`, fold the partials with the
 //! fixed pairwise tree, scale once at the root and apply the optimizer
-//! update. Every worker owns its shard workspaces, so proving the
-//! single-threaded shard loop allocation-free proves each parallel worker
-//! allocation-free too (the engine adds only lock acquisitions and
-//! channel rendezvous on pre-built structures).
+//! update. Each pool thread runs a contiguous run of these shard slots,
+//! so proving the single-threaded shard loop allocation-free proves every
+//! run allocation-free too. The `rayon` call that hands the runs to the
+//! pool allocates its own bookkeeping per step; `tests/zero_alloc.rs`
+//! bounds that.
 //!
 //! The counting allocator is process-global, so this file is a
 //! `harness = false` target holding a single test, run on the main
@@ -36,8 +37,7 @@ fn dataset(n: usize, seed: u64) -> (Matrix, Matrix) {
     (x, Matrix::col_vector(&y_vals))
 }
 
-/// One shard's private buffers — what each parallel worker owns per
-/// shard slot inside the engine's workspace pool.
+/// One shard's private buffers — the engine's `ShardSlot`.
 struct Shard {
     ws: Workspace,
     xb: Matrix,
@@ -77,7 +77,7 @@ fn sharded_training_steps_are_allocation_free_after_warmup() {
     let indices: Vec<usize> = (0..x.rows()).collect();
 
     // The engine's per-batch step, via the same public primitives the
-    // workers call: shard gather -> forward -> raw sums -> tree fold ->
+    // shard runs call: shard gather -> forward -> raw sums -> tree fold ->
     // root scale + update.
     let step = |net: &mut nn::Network,
                 opt: &mut nn::Optimizer,

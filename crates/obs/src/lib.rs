@@ -43,10 +43,7 @@
 //!   block, a full ring drops and counts `journal.dropped`.
 //!
 //! Plus [`log!`], a leveled stderr logger filtered by the `DVFS_LOG`
-//! environment variable (`off|error|warn|info|debug`, default `info`),
-//! and [`worker_threads`], which sizes a parallel stage: by request, or
-//! like the `rayon` pool, whose `current_num_threads` is the one reader
-//! of `DVFS_THREADS`.
+//! environment variable (`off|error|warn|info|debug`, default `info`).
 //!
 //! ```
 //! let requests = obs::global().counter("server.requests");
@@ -117,26 +114,8 @@ macro_rules! log {
     };
 }
 
-/// Worker threads for a parallel stage (training engine, collection
-/// campaign): `requested` when positive, else the size of the `rayon`
-/// pool, which `DVFS_THREADS` sets once, at the pool's first use
-/// ([`rayon::current_num_threads`]).
-pub fn worker_threads(requested: usize) -> usize {
-    if requested > 0 {
-        requested
-    } else {
-        rayon::current_num_threads()
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    #[test]
-    fn worker_threads_default_to_the_pool_size() {
-        assert_eq!(crate::worker_threads(3), 3);
-        assert_eq!(crate::worker_threads(0), rayon::current_num_threads());
-    }
-
     #[test]
     fn doc_example_flow_composes() {
         let reg = crate::MetricsRegistry::new();

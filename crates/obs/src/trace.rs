@@ -5,8 +5,8 @@
 //! flight recorder keeps a bounded *timeline*: the last
 //! `DVFS_TRACE_CAP` (default 16384) events each thread produced, with
 //! monotonic nanosecond timestamps, so a trace of the parallel engine —
-//! shard workers, campaign threads, cache hits interleaving — can be
-//! opened in `ui.perfetto.dev`.
+//! shard runs and campaign blocks on the pool's threads, cache hits
+//! interleaving — can be opened in `ui.perfetto.dev`.
 //!
 //! Design constraints, in order:
 //!

@@ -2,24 +2,22 @@
 //! (paper Section 4.1).
 //!
 //! A campaign specifies the DVFS configurations, the workloads, the number
-//! of repeated runs, the worker-thread count and the output path. On
-//! backends whose measurements are pure functions of the frequency (the
-//! simulator), workloads are profiled **concurrently** through
-//! [`GpuBackend::profile_at_clock`] and reassembled in the canonical
-//! workload → frequency → run order, so the sample stream is bitwise
-//! identical for every thread count. Hardware backends that serialize
-//! clock changes take the classic loop, streaming samples to the CSV
-//! writer over a crossbeam channel as they are produced — the shape a
-//! long-running collection framework needs when a campaign takes hours.
+//! of repeated runs and the output path. On backends whose measurements
+//! are pure functions of the frequency (the simulator), workloads are
+//! profiled **concurrently** on the `rayon` pool through
+//! [`GpuBackend::profile_at_clock`], and the pool's `collect` keeps the
+//! canonical workload → frequency → run order, so the sample stream is
+//! bitwise identical for every thread count. Hardware backends that
+//! serialize clock changes take the classic apply-then-profile loop on
+//! the calling thread.
 
 use crate::backend::GpuBackend;
 use crate::control::ClockController;
 use crate::csv;
 use crate::profiler::Profiler;
-use crossbeam::channel;
 use gpu_model::{MetricSample, PhasedWorkload};
+use rayon::prelude::*;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Configuration of one collection campaign.
 #[derive(Debug, Clone)]
@@ -30,10 +28,6 @@ pub struct LaunchConfig {
     pub runs: u32,
     /// Optional CSV output path.
     pub output: Option<PathBuf>,
-    /// Worker threads for concurrent collection when the backend supports
-    /// it; `0` = auto (the `DVFS_THREADS` environment variable, else all
-    /// available cores). Ignored on backends that serialize clock changes.
-    pub threads: usize,
 }
 
 impl Default for LaunchConfig {
@@ -42,7 +36,6 @@ impl Default for LaunchConfig {
             frequencies: Vec::new(),
             runs: 3,
             output: None,
-            threads: 0,
         }
     }
 }
@@ -74,12 +67,12 @@ impl<'a, B: GpuBackend + ?Sized> CollectionCampaign<'a, B> {
     /// the CSV if configured.
     ///
     /// On backends that support concurrent profiling (the simulator),
-    /// workloads are fanned out across [`LaunchConfig::threads`] workers
-    /// through the side-effect-free [`GpuBackend::profile_at_clock`]
-    /// path; results are reassembled in the canonical order, so the
-    /// output is **bitwise identical** to the serial sweep for every
-    /// thread count. Backends that must serialize real clock changes take
-    /// the classic apply-then-profile loop.
+    /// workloads run as one parallel call on the `rayon` pool through the
+    /// side-effect-free [`GpuBackend::profile_at_clock`] path; the pool's
+    /// `collect` keeps input order, so the output is **bitwise
+    /// identical** to the serial sweep for every thread count. Backends
+    /// that must serialize real clock changes take the classic
+    /// apply-then-profile loop.
     pub fn collect(&self, workloads: &[PhasedWorkload]) -> std::io::Result<Vec<MetricSample>> {
         let freqs = self.frequencies();
         let samples = if self.backend.supports_concurrent_profiling() {
@@ -98,51 +91,40 @@ impl<'a, B: GpuBackend + ?Sized> CollectionCampaign<'a, B> {
         Ok(samples)
     }
 
-    /// Classic single-threaded sweep: applies each clock on the device,
-    /// profiles every run, and streams the samples to the writer thread
-    /// over a channel — the shape a real-hardware campaign needs.
+    /// Classic single-threaded sweep: applies each clock on the device
+    /// and profiles every run — the shape a real-hardware campaign needs.
     fn collect_serial(&self, workloads: &[PhasedWorkload], freqs: &[f64]) -> Vec<MetricSample> {
         let controller = ClockController::new(self.backend);
         let profiler = Profiler::new(self.backend);
-
-        let (tx, rx) = channel::unbounded::<MetricSample>();
-        let collector = std::thread::spawn(move || {
-            let mut all = Vec::new();
-            while let Ok(s) = rx.recv() {
-                all.push(s);
-            }
-            all
-        });
-
+        let mut all = Vec::with_capacity(workloads.len() * freqs.len() * self.config.runs as usize);
         for workload in workloads {
             for &f in freqs {
                 let applied = controller.apply_nearest(f);
                 debug_assert_eq!(applied, f, "campaign frequencies must be on grid");
                 for run in 0..self.config.runs {
-                    let profile = profiler.profile_run(workload, run);
-                    tx.send(profile.sample).expect("collector thread alive");
+                    all.push(profiler.profile_run(workload, run).sample);
                 }
             }
         }
-        drop(tx);
-        collector.join().expect("collector thread panicked")
+        all
     }
 
-    /// Concurrent sweep over the pure profiling path: workloads are
-    /// claimed from a shared counter by a fixed pool of scoped workers,
-    /// each producing its workload's full frequency × run block; blocks
-    /// are then reassembled by workload index, preserving the canonical
-    /// sample order exactly.
+    /// Concurrent sweep over the pure profiling path: each workload's
+    /// full frequency × run block is one item of a parallel call, and the
+    /// blocks come back in workload order.
     fn collect_concurrent(&self, workloads: &[PhasedWorkload], freqs: &[f64]) -> Vec<MetricSample> {
-        let threads = obs::worker_threads(self.config.threads)
-            .min(workloads.len())
-            .max(1);
         // Each workload's block lands on the flight-recorder timeline as
         // one complete event tagged with the workload name, so a trace
-        // shows how blocks interleaved across campaign workers.
+        // shows how blocks interleaved across the pool's threads.
         let trace_block = obs::trace::intern("campaign.profile_block");
         let arg_workload = obs::trace::intern("workload");
+        let parent = obs::span::current_path();
         let profile_block = |workload: &PhasedWorkload| -> Vec<MetricSample> {
+            // Graft the block under the calling thread's span tree (and
+            // the trace timeline), whichever pool thread runs it.
+            let _span = parent
+                .as_deref()
+                .map(|pp| obs::span::Span::enter_under(pp, "campaign_worker"));
             let t0 = obs::trace::now_ns();
             let mut block = Vec::with_capacity(freqs.len() * self.config.runs as usize);
             for &f in freqs {
@@ -166,44 +148,7 @@ impl<'a, B: GpuBackend + ?Sized> CollectionCampaign<'a, B> {
             );
             block
         };
-
-        if threads <= 1 {
-            return workloads.iter().flat_map(profile_block).collect();
-        }
-
-        let next = AtomicUsize::new(0);
-        let parent = obs::span::current_path();
-        let mut blocks: Vec<(usize, Vec<MetricSample>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let next = &next;
-                    let profile_block = &profile_block;
-                    let parent = parent.clone();
-                    scope.spawn(move || {
-                        // Graft the worker under the dispatching thread's
-                        // span tree (and the trace timeline).
-                        let _span = parent
-                            .as_deref()
-                            .map(|pp| obs::span::Span::enter_under(pp, "campaign_worker"));
-                        let mut mine = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= workloads.len() {
-                                break;
-                            }
-                            mine.push((i, profile_block(&workloads[i])));
-                        }
-                        mine
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("collection worker panicked"))
-                .collect()
-        });
-        blocks.sort_by_key(|&(i, _)| i);
-        blocks.into_iter().flat_map(|(_, block)| block).collect()
+        workloads.par_iter().flat_map_iter(profile_block).collect()
     }
 }
 
@@ -241,7 +186,6 @@ mod tests {
             frequencies: vec![510.0, 1410.0],
             runs: 3,
             output: None,
-            threads: 0,
         };
         let c = CollectionCampaign::new(&b, cfg);
         let samples = c.collect(&workloads()).unwrap();
@@ -258,7 +202,6 @@ mod tests {
             frequencies: vec![510.0],
             runs: 1,
             output: None,
-            threads: 0,
         };
         CollectionCampaign::new(&b, cfg)
             .collect(&workloads())
@@ -276,7 +219,6 @@ mod tests {
             frequencies: vec![1410.0],
             runs: 2,
             output: Some(path.clone()),
-            threads: 0,
         };
         let samples = CollectionCampaign::new(&b, cfg)
             .collect(&workloads())
@@ -315,7 +257,6 @@ mod tests {
             frequencies: vec![510.0, 1005.0, 1410.0],
             runs: 2,
             output: None,
-            threads: 4,
         };
         let concurrent = CollectionCampaign::new(&b, cfg.clone())
             .collect(&workloads())
@@ -328,41 +269,12 @@ mod tests {
     }
 
     #[test]
-    fn collection_is_identical_for_every_thread_count() {
-        let b = SimulatorBackend::ga100();
-        let base = CollectionCampaign::new(
-            &b,
-            LaunchConfig {
-                runs: 2,
-                threads: 1,
-                ..Default::default()
-            },
-        )
-        .collect(&workloads())
-        .unwrap();
-        for threads in [2usize, 4, 8] {
-            let got = CollectionCampaign::new(
-                &b,
-                LaunchConfig {
-                    runs: 2,
-                    threads,
-                    ..Default::default()
-                },
-            )
-            .collect(&workloads())
-            .unwrap();
-            assert_eq!(base, got, "sample stream diverged at {threads} threads");
-        }
-    }
-
-    #[test]
     fn concurrent_workers_graft_spans_and_trace_blocks() {
         let b = SimulatorBackend::ga100();
         let cfg = LaunchConfig {
             frequencies: vec![510.0, 1410.0],
             runs: 1,
             output: None,
-            threads: 2,
         };
         {
             let _root = obs::span::Span::enter("campaign-graft-test");
@@ -370,8 +282,9 @@ mod tests {
                 .collect(&workloads())
                 .unwrap();
         }
+        // One `campaign_worker` span per workload block.
         let stat = obs::span::stat("campaign-graft-test/campaign_worker")
-            .expect("campaign workers graft under the dispatching span");
+            .expect("campaign blocks graft under the calling span");
         assert_eq!(stat.count, 2);
     }
 
@@ -382,7 +295,6 @@ mod tests {
             frequencies: vec![510.0, 1410.0],
             runs: 1,
             output: None,
-            threads: 0,
         };
         let samples = CollectionCampaign::new(&b, cfg)
             .collect(&workloads())

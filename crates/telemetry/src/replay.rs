@@ -176,7 +176,6 @@ mod tests {
             frequencies: vec![510.0, 1005.0, 1410.0],
             runs: 2,
             output: None,
-            threads: 0,
         };
         let samples = CollectionCampaign::new(&sim, cfg)
             .collect(&workloads)

@@ -42,10 +42,17 @@ echo "==> dvfs --trace-out smoke (4-thread train + batch -> validate traces)"
 DVFS_LOG=error DVFS_THREADS=4 target/release/dvfs train --stride 8 \
     --out "$tmp/models_t4.json" --trace-out "$tmp/train_trace.json" >/dev/null
 # DESIGN §10: training is bitwise identical at every thread count, so the
-# 4-thread models must equal the default-thread ones byte for byte once
-# the wall-clock `train_seconds` fields are stripped.
+# serial, 3-thread (uneven runs of shards) and 4-thread models must equal
+# the default-thread ones byte for byte once the wall-clock
+# `train_seconds` fields are stripped.
+DVFS_LOG=error DVFS_THREADS=1 target/release/dvfs train --stride 8 \
+    --out "$tmp/models_t1.json" >/dev/null
+DVFS_LOG=error DVFS_THREADS=3 target/release/dvfs train --stride 8 \
+    --out "$tmp/models_t3.json" >/dev/null
 strip_train_seconds() { sed 's/"train_seconds":[^,}]*//g' "$1"; }
-cmp <(strip_train_seconds "$tmp/models.json") <(strip_train_seconds "$tmp/models_t4.json")
+for t in 1 3 4; do
+    cmp <(strip_train_seconds "$tmp/models.json") <(strip_train_seconds "$tmp/models_t$t.json")
+done
 DVFS_LOG=error DVFS_THREADS=4 target/release/dvfs batch --models "$tmp/models.json" \
     --requests 64 --capacity 4 --trace-out "$tmp/batch_trace.json" >/dev/null
 cargo run --release --offline -p obs --example validate_trace -- "$tmp/train_trace.json" \
@@ -242,7 +249,7 @@ cargo test --release --offline -p bench --test engine_speedup -q
 echo "==> bench baseline smoke (BENCH_SMOKE=1)"
 BENCH_SMOKE=1 BENCH_OUT="$tmp/BENCH_nn.json" scripts/bench_baseline.sh >/dev/null
 test -s "$tmp/BENCH_nn.json"
-grep -q '"nn_training/epoch_parallel"' "$tmp/BENCH_nn.json"
+grep -q '"nn_training/epoch_workspace"' "$tmp/BENCH_nn.json"
 grep -q '"pipeline/offline_sweep"' "$tmp/BENCH_nn.json"
 grep -q '"trace_overhead/instant_enabled"' "$tmp/BENCH_nn.json"
 grep -q '"obs_plane/sampler_tick"' "$tmp/BENCH_nn.json"

@@ -479,9 +479,11 @@ fn backend_for(opts: &Flags) -> Result<SimulatorBackend, String> {
     }
 }
 
-/// Publishes `--threads` as the `DVFS_THREADS` environment variable —
-/// the knob every parallel stage (training engine, collection campaign)
-/// resolves its worker count from. A `0` value clears the variable,
+/// Publishes `--threads` as the `DVFS_THREADS` environment variable,
+/// the process's one thread setting: it sizes the `rayon` pool that every
+/// parallel stage (kernels, collection campaign, training shards, batch
+/// prediction) runs on. The pool reads it once, at first use, so this
+/// runs before any command does. A `0` value clears the variable,
 /// restoring auto-detection.
 fn apply_threads(opts: &Flags) -> Result<(), String> {
     match flag::<usize>(opts, "threads")? {
@@ -585,7 +587,6 @@ fn cmd_campaign(opts: &Flags) -> Result<(), CliError> {
         frequencies: freqs,
         runs: 3,
         output: Some(out.as_str().into()),
-        threads: 0,
     };
     let samples = gpu_dvfs::telemetry::CollectionCampaign::new(&backend, cfg)
         .collect(&workloads)

@@ -29,7 +29,6 @@ fn campaign_csv_round_trip_feeds_training() {
         frequencies: freqs,
         runs: 2,
         output: Some(path.clone()),
-        threads: 0,
     };
     let samples = CollectionCampaign::new(&backend, cfg)
         .collect(&workloads)
@@ -59,7 +58,6 @@ fn campaign_leaves_device_at_default_clock() {
         frequencies: vec![510.0, 750.0],
         runs: 1,
         output: None,
-        threads: 0,
     };
     CollectionCampaign::new(&backend, cfg)
         .collect(&workloads)
