@@ -118,15 +118,28 @@ fn bench_prediction(c: &mut Criterion) {
     group.finish();
     assert_eq!(shard.len(), 2048, "the shard stayed full");
 
-    // What `dvfs serve` renders on every fragment-cache miss: the four
-    // 61-entry float arrays of one profile, into a reused buffer.
+    // What `dvfs serve` renders on a fragment-cache miss, into a reused
+    // buffer: all four 61-entry float arrays of one profile when its
+    // cache key has no head yet, and for a fresh run of a key that has
+    // one, a copy of the stored head (frequencies and power) plus the
+    // body (times and energies).
     let profile = predictor.predict_from_reference(&reference, &freqs);
     let mut tail = Vec::new();
+    let mut head = Vec::new();
+    fast::write_profile_head(&mut head, &profile);
     let mut group = c.benchmark_group("serve_render");
     group.bench_function("profile_tail_61", |b| {
         b.iter(|| {
             tail.clear();
             fast::write_profile_tail(&mut tail, black_box(&profile));
+            tail.len()
+        })
+    });
+    group.bench_function("profile_body_61", |b| {
+        b.iter(|| {
+            tail.clear();
+            tail.extend_from_slice(black_box(&head));
+            fast::write_profile_body(&mut tail, black_box(&profile));
             tail.len()
         })
     });

@@ -6,12 +6,15 @@
 //! rings, so the worker only pays an encode + ring push per decision;
 //! this gate keeps that claim honest.
 //!
-//! Timing gates are only meaningful with optimizations on, so under a
-//! debug build (`cargo test -q` tier-1) the guard runs the functional
-//! legs — every request answered, every decision journaled, nothing
-//! dropped — and skips the budget check. Slow or noisy hosts can relax
-//! it with `JOURNAL_BUDGET_SCALE` (the allowed regression factor is
-//! multiplied), mirroring `SERVE_BUDGET_SCALE`.
+//! Timing gates are only meaningful with optimizations on, so the guard
+//! is `#[ignore]`d (`scripts/check.sh` runs the ignored legs) and logs
+//! and exits under a debug build; a release run
+//! (`cargo test --release -p bench --test journal_overhead -- --ignored`)
+//! enforces it. The functional leg runs in every build, tier-1 included:
+//! every request answered, every decision journaled, nothing torn. Slow
+//! or noisy hosts can relax the budget with `JOURNAL_BUDGET_SCALE` (the
+//! allowed regression factor is multiplied), mirroring
+//! `SERVE_BUDGET_SCALE`.
 
 use dvfs_core::dataset::Dataset;
 use dvfs_core::models::PowerTimeModels;
@@ -112,30 +115,41 @@ fn run_leg(
     report
 }
 
-#[test]
-fn journal_keeps_p99_within_five_percent_of_bare_serving() {
-    let models = trained_models();
-    let debug_build = cfg!(debug_assertions);
-    let requests: u64 = if debug_build { 2_000 } else { 60_000 };
-    let dir = std::env::temp_dir().join(format!("dvfs-journal-gate-{}", std::process::id()));
+/// Runs the journal leg into a fresh directory and requires every
+/// decision durable and no torn bytes.
+fn journaled_leg(models: &PowerTimeModels, requests: u64) -> loadgen::LoadgenReport {
+    let dir = std::env::temp_dir().join(format!(
+        "dvfs-journal-gate-{}-{requests}",
+        std::process::id()
+    ));
     std::fs::remove_dir_all(&dir).ok();
-
-    // Bare leg first, journal leg second: identical load, fresh server
-    // each, so the only delta is the journal feed.
-    let bare = run_leg(&models, None, requests);
-    let journaled = run_leg(&models, Some(dir.clone()), requests);
-
-    // Functional half of the gate, debug and release alike: the journal
-    // leg must have made every decision durable.
+    let report = run_leg(models, Some(dir.clone()), requests);
     let scan = obs::journal::scan_dir(&dir).expect("scan journal");
     assert_eq!(scan.records, requests, "every decision must be journaled");
     assert_eq!(scan.torn_bytes, 0);
     std::fs::remove_dir_all(&dir).ok();
+    report
+}
 
-    if debug_build {
+#[test]
+fn journal_makes_every_served_decision_durable() {
+    journaled_leg(&trained_models(), 2_000);
+}
+
+#[test]
+#[ignore = "timing gate; scripts/check.sh runs it"]
+fn journal_keeps_p99_within_five_percent_of_bare_serving() {
+    if cfg!(debug_assertions) {
         eprintln!("journal_overhead: debug build, timing gate skipped");
         return;
     }
+    let models = trained_models();
+    let requests: u64 = 60_000;
+    // Bare leg first, journal leg second: identical load, fresh server
+    // each, so the only delta is the journal feed.
+    let bare = run_leg(&models, None, requests);
+    let journaled = journaled_leg(&models, requests);
+
     let host = host_scale();
     if host > 1.0 {
         eprintln!(

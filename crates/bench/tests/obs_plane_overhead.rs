@@ -6,10 +6,12 @@
 //! below the request path's latency budget or the plane itself would
 //! show up in the p99 it reports.
 //!
-//! Budgets (min over several trials, debug build): < 250 µs per tick
+//! Budgets (min over several trials, test profile): < 250 µs per tick
 //! and < 500 µs per render on a registry sized like a busy server
-//! (dozens of counters/gauges, several live histograms). Slow hosts can
-//! relax with `OBS_BUDGET_SCALE=2 cargo test ...`.
+//! (dozens of counters/gauges, several live histograms). The guard is a
+//! timing gate, so it is `#[ignore]`d and `scripts/check.sh` runs it
+//! (`cargo test -p bench --test obs_plane_overhead -- --ignored`). Slow
+//! hosts can relax with `OBS_BUDGET_SCALE=2`.
 
 use obs::timeseries::TimeSeries;
 use obs::{prom, MetricsRegistry};
@@ -66,6 +68,7 @@ fn budget_scale() -> u32 {
 }
 
 #[test]
+#[ignore = "timing gate; scripts/check.sh runs it"]
 fn sampler_tick_and_prom_render_stay_within_budget() {
     let scale = budget_scale();
     let reg = loaded_registry();

@@ -6,8 +6,10 @@
 //!
 //! Budgets (min over several trials, the same statistic the criterion
 //! `trace_overhead` group reports): < 60 ns per recorded event with
-//! tracing enabled, < 5 ns per call with tracing disabled. Slow or noisy
-//! hosts can relax both with `TRACE_BUDGET_SCALE=2 cargo test ...`.
+//! tracing enabled, < 5 ns per call with tracing disabled. The guard is
+//! a timing gate, so it is `#[ignore]`d and `scripts/check.sh` runs it
+//! (`cargo test -p bench --test trace_overhead -- --ignored`). Slow or
+//! noisy hosts can relax both with `TRACE_BUDGET_SCALE=2`.
 
 use obs::trace;
 use obs::ArgValue;
@@ -38,6 +40,7 @@ fn budget_scale() -> f64 {
 }
 
 #[test]
+#[ignore = "timing gate; scripts/check.sh runs it"]
 fn record_path_stays_within_budget() {
     let scale = budget_scale();
     let name = trace::intern("overhead.guard");

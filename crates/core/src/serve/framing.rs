@@ -113,14 +113,10 @@ impl FrameReader {
     /// Returns `Ok(None)` when no complete frame is buffered. The slice
     /// borrows the internal buffer — consume it before the next call.
     pub fn next_frame(&mut self, max_frame: usize) -> Result<Option<&[u8]>, FrameError> {
-        if self.pending() < 4 {
+        let Some(&prefix) = self.buf[self.start..].first_chunk::<4>() else {
             return Ok(None);
-        }
-        let announced = u32::from_be_bytes(
-            self.buf[self.start..self.start + 4]
-                .try_into()
-                .expect("4-byte slice"),
-        ) as usize;
+        };
+        let announced = u32::from_be_bytes(prefix) as usize;
         if announced > max_frame {
             return Err(FrameError::TooLarge {
                 announced,

@@ -193,40 +193,45 @@ impl DecisionRecord {
         if body.len() < FIXED_LEN || body[0] != FORMAT {
             return None;
         }
-        let u32_at = |o: usize| u32::from_le_bytes(body[o..o + 4].try_into().unwrap());
-        let u64_at = |o: usize| u64::from_le_bytes(body[o..o + 8].try_into().unwrap());
-        let f64_at = |o: usize| f64::from_le_bytes(body[o..o + 8].try_into().unwrap());
+        // Every offset below lies inside the checked `FIXED_LEN` bytes.
+        let u32_at = |o: usize| body[o..].first_chunk().map(|b| u32::from_le_bytes(*b));
+        let u64_at = |o: usize| body[o..].first_chunk().map(|b| u64::from_le_bytes(*b));
+        let f64_at = |o: usize| body[o..].first_chunk().map(|b| f64::from_le_bytes(*b));
         let flags = body[1];
-        let workload_len = u32_at(4) as usize;
+        let workload_len = u32_at(4)? as usize;
         if body.len() != FIXED_LEN + workload_len {
             return None;
         }
         let workload = String::from_utf8(body[FIXED_LEN..].to_vec()).ok()?;
         let chosen = if flags & FLAG_SELECTION != 0 {
             Some(ChosenClock {
-                index: u32_at(72),
-                frequency_mhz: f64_at(80),
+                index: u32_at(72)?,
+                frequency_mhz: f64_at(80)?,
             })
         } else {
             None
         };
         Some(DecisionRecord {
-            version: u64_at(8),
-            req_id: u64_at(16),
+            version: u64_at(8)?,
+            req_id: u64_at(16)?,
             select: flags & FLAG_SELECT != 0,
             hit: flags & FLAG_HIT != 0,
             workload,
-            fp_active: f64_at(40),
-            dram_active: f64_at(48),
-            exec_time: f64_at(56),
+            fp_active: f64_at(40)?,
+            dram_active: f64_at(48)?,
+            exec_time: f64_at(56)?,
             objective: objective_name(body[2]).map(str::to_string),
-            threshold: (flags & FLAG_THRESHOLD != 0).then(|| f64_at(64)),
-            cache_key: u64_at(24),
-            profile_digest: u64_at(32),
+            threshold: if flags & FLAG_THRESHOLD != 0 {
+                Some(f64_at(64)?)
+            } else {
+                None
+            },
+            cache_key: u64_at(24)?,
+            profile_digest: u64_at(32)?,
             chosen,
-            predicted_time_s: f64_at(88),
-            predicted_energy_j: f64_at(96),
-            baseline_energy_j: f64_at(104),
+            predicted_time_s: f64_at(88)?,
+            predicted_energy_j: f64_at(96)?,
+            baseline_energy_j: f64_at(104)?,
         })
     }
 

@@ -172,7 +172,7 @@ impl FrameTable {
             let (fp, dram, exec) = key_features(key);
             let workload = format!("wl-{key}");
             let predict = serde_json::to_string(&Request::predict(&workload, fp, dram, exec))
-                .expect("request serializes")
+                .expect("a `Request` of strings and finite numbers always serializes")
                 .into_bytes();
             let select = serde_json::to_string(&Request::select(
                 &workload,
@@ -182,7 +182,7 @@ impl FrameTable {
                 "edp",
                 Some(0.05),
             ))
-            .expect("request serializes")
+            .expect("a `Request` of strings and finite numbers always serializes")
             .into_bytes();
             frames.push((predict, select));
             workloads.push(workload);
@@ -331,7 +331,10 @@ pub fn run(config: &LoadgenConfig) -> io::Result<LoadgenReport> {
                             VecDeque::with_capacity(depth);
                         for seq in 0..share {
                             while pending.len() >= depth {
-                                let (sent, key) = pending.pop_front().unwrap();
+                                // `depth` ≥ 1, so this pops a request.
+                                let Some((sent, key)) = pending.pop_front() else {
+                                    break;
+                                };
                                 recorder.take_reply(&mut client, table, key, sent)?;
                             }
                             let due = t0 + gap.mul_f64(seq as f64);
@@ -352,7 +355,8 @@ pub fn run(config: &LoadgenConfig) -> io::Result<LoadgenReport> {
             }));
         }
         for t in threads {
-            t.join().expect("loadgen thread panicked")?;
+            t.join()
+                .map_err(|_| io::Error::other("a loadgen connection thread panicked"))??;
         }
         Ok(())
     })?;

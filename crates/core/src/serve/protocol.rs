@@ -334,8 +334,10 @@ pub mod fast {
                 '\r' => out.extend_from_slice(b"\\r"),
                 '\t' => out.extend_from_slice(b"\\t"),
                 c if (c as u32) < 0x20 => {
-                    use std::io::Write;
-                    write!(out, "\\u{:04x}", c as u32).expect("write to Vec");
+                    const HEX: &[u8; 16] = b"0123456789abcdef";
+                    let c = c as usize;
+                    out.extend_from_slice(b"\\u00");
+                    out.extend_from_slice(&[HEX[c >> 4], HEX[c & 0xf]]);
                 }
                 c => {
                     let mut utf8 = [0u8; 4];
@@ -359,13 +361,29 @@ pub mod fast {
 
     /// The workload-independent tail of a serialized profile object:
     /// everything from the comma after the workload string through the
-    /// profile's closing brace. The serve workers cache exactly these
+    /// profile's closing brace, that is [`write_profile_head`] then
+    /// [`write_profile_body`]. The serve workers cache exactly these
     /// bytes per (quantized activities, exec-time) key.
     pub fn write_profile_tail(out: &mut Vec<u8>, profile: &PredictedProfile) {
+        write_profile_head(out, profile);
+        write_profile_body(out, profile);
+    }
+
+    /// The first half of the tail: `,"frequencies":[…],"power_w":[…]`.
+    /// Both curves depend on the snapshot and the quantized activities
+    /// only, not on the exec time, so the serve workers keep these bytes
+    /// per cache key and a fresh run of a known application renders
+    /// only the body.
+    pub fn write_profile_head(out: &mut Vec<u8>, profile: &PredictedProfile) {
         out.extend_from_slice(b",\"frequencies\":");
         write_f64_array(out, &profile.frequencies);
         out.extend_from_slice(b",\"power_w\":");
         write_f64_array(out, &profile.power_w);
+    }
+
+    /// The second half of the tail: `,"time_s":[…],"energy_j":[…]}`,
+    /// the curves the exec time anchors.
+    pub fn write_profile_body(out: &mut Vec<u8>, profile: &PredictedProfile) {
         out.extend_from_slice(b",\"time_s\":");
         write_f64_array(out, &profile.time_s);
         out.extend_from_slice(b",\"energy_j\":");
@@ -803,6 +821,85 @@ mod tests {
             }
             composed.extend_from_slice(fast::RESPONSE_TAIL);
             assert_eq!(composed, whole);
+        }
+    }
+
+    /// The serve workers keep a profile's head per cache key and render
+    /// only its body for a fresh run, so head then body must be the tail
+    /// byte for byte, and so the serde rendering of the profile: on the
+    /// edge values of the whole-response test (the smallest subnormal,
+    /// the 2^50 + 0.25 tie, 1e21, which `{}` writes as 22 digits,
+    /// negative zero, 2^53 - 1 and 2^53 + 2) and on seeded random curves of every
+    /// magnitude.
+    #[test]
+    fn profile_head_then_body_is_the_tail_and_the_serde_rendering() {
+        use rand::{Rng, SeedableRng};
+        let edges = [
+            5e-324,
+            (1u64 << 50) as f64 + 0.25,
+            1e21,
+            1e-7,
+            -0.0,
+            0.1 + 0.2,
+            (1u64 << 53) as f64 + 2.0,
+            (1u64 << 53) as f64 - 1.0,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            213.4567890123,
+        ];
+        let mut profiles = vec![PredictedProfile {
+            workload: "edges".into(),
+            frequencies: edges.iter().map(|&e| e * 0.5).collect(),
+            power_w: edges.to_vec(),
+            time_s: edges.iter().rev().copied().collect(),
+            energy_j: edges.iter().map(|&e| -e).collect(),
+        }];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(28);
+        for n in 0..200 {
+            let states = 1 + n % 61;
+            let mut curve = || -> Vec<f64> {
+                (0..states)
+                    .map(|_| {
+                        let v = f64::from_bits(rng.random::<u64>());
+                        if v.is_finite() {
+                            v
+                        } else {
+                            rng.random::<f64>() * 1e3
+                        }
+                    })
+                    .collect()
+            };
+            profiles.push(PredictedProfile {
+                workload: format!("r{n}"),
+                frequencies: curve(),
+                power_w: curve(),
+                time_s: curve(),
+                energy_j: curve(),
+            });
+        }
+        for profile in &profiles {
+            let mut tail = Vec::new();
+            fast::write_profile_tail(&mut tail, profile);
+            let mut halves = Vec::new();
+            fast::write_profile_head(&mut halves, profile);
+            let head_len = halves.len();
+            fast::write_profile_body(&mut halves, profile);
+            assert_eq!(
+                halves, tail,
+                "{}: head + body differs from the tail",
+                profile.workload
+            );
+            assert!(halves[..head_len].starts_with(b",\"frequencies\":["));
+            assert!(halves[head_len..].starts_with(b",\"time_s\":["));
+            let mut whole = b"{\"workload\":".to_vec();
+            fast::write_json_str(&mut whole, &profile.workload);
+            whole.extend_from_slice(&halves);
+            assert_eq!(
+                String::from_utf8(whole).unwrap(),
+                serde_json::to_string(profile).unwrap(),
+                "{}: head + body differs from serde",
+                profile.workload
+            );
         }
     }
 

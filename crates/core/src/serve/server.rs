@@ -45,7 +45,10 @@
 //!   serving state additionally caches the serialized,
 //!   workload-independent profile fragment per (quantized activities,
 //!   exec time), admitted on the key's second sighting, so a hot key's
-//!   response is a few memcpys and a key seen once stores nothing.
+//!   response is a few memcpys and a key seen once stores nothing. Beside
+//!   it, a profile *head* (frequencies and power) is kept per quantized
+//!   key alone, also from its second sighting, so a fresh run of a known
+//!   application renders only its times and energies.
 //!
 //! Each serving state binds to one [`ModelSnapshot`] at a time and
 //! rebinds, dropping its per-snapshot fragment cache, when a batch needs
@@ -104,9 +107,10 @@ const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 /// [`wake_listener`]).
 const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
-/// Max entries in each serving state's fragment cache before it is
-/// reset wholesale (a cheap epoch clear beats per-entry LRU bookkeeping
-/// at this size; the cache also clears on every snapshot rebind).
+/// Max entries in each serving state's fragment cache, and in its head
+/// cache, before that cache is reset wholesale (a cheap epoch clear beats
+/// per-entry LRU bookkeeping at this size; both also clear on every
+/// snapshot rebind).
 const FRAGMENT_CACHE_MAX: usize = 8192;
 
 /// Slots in each serving state's [`Sightings`] table: twice the
@@ -495,73 +499,83 @@ impl Server {
             precision: config.precision,
             ledger: super::journal::EnergyLedger::new(),
         });
-        let workers = (0..worker_count)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("serve-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, i))
-                    .expect("spawn serve worker")
-            })
-            .collect();
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("serve-acceptor".to_string())
-                .spawn(move || accept_loop(&listener, &shared))
-                .expect("spawn serve acceptor")
+        let mut server = Server {
+            shared,
+            acceptor: None,
+            workers: Vec::with_capacity(worker_count),
+            sampler: None,
+            telemetry: None,
+            journal,
         };
+        for i in 0..worker_count {
+            let shared = Arc::clone(&server.shared);
+            match std::thread::Builder::new()
+                .name(format!("serve-worker-{i}"))
+                .spawn(move || worker_loop(&shared, i))
+            {
+                Ok(worker) => server.workers.push(worker),
+                Err(e) => return Err(server.abandon(e)),
+            }
+        }
+        let shared = Arc::clone(&server.shared);
+        match std::thread::Builder::new()
+            .name("serve-acceptor".to_string())
+            .spawn(move || accept_loop(&listener, &shared))
+        {
+            Ok(acceptor) => server.acceptor = Some(acceptor),
+            Err(e) => return Err(server.abandon(e)),
+        }
         // The sampler periodically captures a registry snapshot into the
         // time series; its pre-hook republishes the derived gauges so
         // each tick (and anything reading the registry) is fresh.
-        let sampler = {
-            let series = Arc::clone(&shared.series);
-            let live = Arc::clone(&shared);
-            let interval = config
-                .ts_interval
-                .unwrap_or_else(obs::timeseries::interval_from_env);
-            Some(Sampler::start(series, interval, move || {
-                live.publish_live()
-            }))
-        };
-        let telemetry = match (telemetry_listener, telemetry_addr) {
-            (Some(tl), Some(taddr)) => {
-                let scrape_shared = Arc::clone(&shared);
-                let handle = std::thread::Builder::new()
-                    .name("serve-telemetry".to_string())
-                    .spawn(move || {
-                        let stop_shared = Arc::clone(&scrape_shared);
-                        telemetry::telemetry_loop(
-                            tl,
-                            move || stop_shared.stop.load(Ordering::Acquire),
-                            move |path| match path {
-                                "/metrics" => {
-                                    scrape_shared.publish_live();
-                                    Some((
-                                        obs::prom::CONTENT_TYPE.to_string(),
-                                        render_exposition(&scrape_shared),
-                                    ))
-                                }
-                                "/healthz" => Some(("text/plain".to_string(), "ok\n".to_string())),
-                                _ => None,
-                            },
-                        );
-                    })
-                    .expect("spawn serve telemetry");
-                obs::log!(Info, "serve: telemetry on {taddr}");
-                Some(handle)
+        let series = Arc::clone(&server.shared.series);
+        let live = Arc::clone(&server.shared);
+        let interval = config
+            .ts_interval
+            .unwrap_or_else(obs::timeseries::interval_from_env);
+        server.sampler = Some(Sampler::start(series, interval, move || {
+            live.publish_live()
+        }));
+        if let (Some(tl), Some(taddr)) = (telemetry_listener, telemetry_addr) {
+            let scrape_shared = Arc::clone(&server.shared);
+            let serve_telemetry = move || {
+                let stop_shared = Arc::clone(&scrape_shared);
+                telemetry::telemetry_loop(
+                    tl,
+                    move || stop_shared.stop.load(Ordering::Acquire),
+                    move |path| match path {
+                        "/metrics" => {
+                            scrape_shared.publish_live();
+                            Some((
+                                obs::prom::CONTENT_TYPE.to_string(),
+                                render_exposition(&scrape_shared),
+                            ))
+                        }
+                        "/healthz" => Some(("text/plain".to_string(), "ok\n".to_string())),
+                        _ => None,
+                    },
+                );
+            };
+            match std::thread::Builder::new()
+                .name("serve-telemetry".to_string())
+                .spawn(serve_telemetry)
+            {
+                Ok(telemetry) => server.telemetry = Some(telemetry),
+                Err(e) => return Err(server.abandon(e)),
             }
-            _ => None,
-        };
+            obs::log!(Info, "serve: telemetry on {taddr}");
+        }
         obs::log!(Info, "serve: listening on {local_addr}");
-        Ok(Server {
-            shared,
-            acceptor: Some(acceptor),
-            workers,
-            sampler,
-            telemetry,
-            journal,
-        })
+        Ok(server)
+    }
+
+    /// Stops and joins whatever a failed [`Server::start`] had started,
+    /// and returns the error it failed with.
+    fn abandon(self, e: io::Error) -> io::Error {
+        obs::log!(Error, "serve: cannot start: {e}");
+        self.shutdown();
+        self.join();
+        e
     }
 
     /// The bound address (resolves the ephemeral port).
@@ -860,7 +874,12 @@ impl Connection<'_> {
                         self.handle(Action::Reply(Box::new(resp)));
                         return;
                     }
-                    Err(_) => unreachable!("next_frame only fails on size"),
+                    // `next_frame` reads no socket, so it reports no other
+                    // error today; were it to, the stream is past use.
+                    Err(e) => {
+                        obs::log!(Warn, "serve: closing a connection: {e}");
+                        return;
+                    }
                 };
                 if !self.handle(action) {
                     return;
@@ -1296,14 +1315,16 @@ struct FragmentView<'a> {
     digest: u64,
 }
 
-/// The fragment cache's admission filter: a direct-mapped table of
-/// fragment-key fingerprints, one per [`Binding`].
+/// The fragment and head caches' admission filter: a direct-mapped
+/// table of fragment-key and cache-key fingerprints, one per [`Binding`].
 ///
 /// A miss stores its fragment only on the key's second sighting, when
 /// the key's fingerprint already holds its slot. A key that never
 /// repeats (an unseen application, a fresh profiling run) then costs one
-/// slot write instead of a ~6 KB fragment that nothing reads again. Two
-/// keys that share a slot evict each other's fingerprint, which only
+/// slot write instead of a ~6 KB fragment that nothing reads again. A
+/// cache key's head is admitted the same way, under
+/// [`head_fingerprint`], so an unseen application stores no head either.
+/// Two keys that share a slot evict each other's fingerprint, which only
 /// delays their admission; replies never depend on the table.
 struct Sightings {
     slots: Box<[u64]>,
@@ -1336,15 +1357,79 @@ impl Sightings {
     }
 }
 
+/// Folds `bytes` into the FNV-1a state `h`.
+fn fnv_fold(h: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(h, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// A 64-bit fingerprint of a fragment key: the exec-time bits folded
 /// into the cache key's FNV-1a shard hash.
 fn fingerprint(key: &(CacheKey, u64)) -> u64 {
-    key.1
-        .to_le_bytes()
-        .into_iter()
-        .fold(key.0.shard_hash(), |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
+    fnv_fold(key.0.shard_hash(), key.1.to_le_bytes())
+}
+
+/// The fingerprint of a cache key's head in the same [`Sightings`]
+/// table: one marker byte folded into the shard hash, where a fragment
+/// key folds eight exec-time bytes, so a key's head and its fragments
+/// keep separate sightings.
+fn head_fingerprint(key: &CacheKey) -> u64 {
+    fnv_fold(key.shard_hash(), [0xff])
+}
+
+/// A profile's head as [`fast::write_profile_head`] rendered it, kept
+/// per cache key by a [`Binding`].
+struct Head {
+    /// The power curve the text renders. The sharded LRU outlives a
+    /// snapshot, so after a reload a key's entry can be refilled from
+    /// other models while this binding lives; the text is reused only
+    /// for a profile with the same power bits (the frequencies are the
+    /// binding's own).
+    power_w: Box<[f64]>,
+    text: Box<[u8]>,
+}
+
+impl Head {
+    /// Whether the text renders `profile`'s head.
+    fn renders(&self, profile: &PredictedProfile) -> bool {
+        let bits = |v: &f64| v.to_bits();
+        self.power_w
+            .iter()
+            .map(bits)
+            .eq(profile.power_w.iter().map(bits))
+    }
+}
+
+/// Renders `profile`'s tail into `tail` (cleared first) for a
+/// fragment-cache miss on `key`: the head from `heads` when it holds one
+/// for this profile, else rendered here and stored on the key's second
+/// sighting; then the body, which the exec time anchors.
+fn render_tail(
+    heads: &mut HashMap<CacheKey, Head>,
+    sightings: &mut Sightings,
+    key: &CacheKey,
+    profile: &PredictedProfile,
+    tail: &mut Vec<u8>,
+) {
+    tail.clear();
+    match heads.get(key) {
+        Some(head) if head.renders(profile) => tail.extend_from_slice(&head.text),
+        _ => {
+            fast::write_profile_head(tail, profile);
+            if sightings.seen_before(head_fingerprint(key)) {
+                if heads.len() >= FRAGMENT_CACHE_MAX {
+                    heads.clear();
+                }
+                let head = Head {
+                    power_w: profile.power_w.as_slice().into(),
+                    text: tail.as_slice().into(),
+                };
+                heads.insert(*key, head);
+            }
+        }
+    }
+    fast::write_profile_body(tail, profile);
 }
 
 /// Interned trace/metric handles every serving thread records through.
@@ -1457,8 +1542,10 @@ struct Binding {
     /// The fixed response prefix: everything up to the profile's
     /// workload string, version already rendered.
     prefix: Vec<u8>,
-    /// The serialized-fragment cache and its admission filter.
+    /// The serialized-fragment cache, the per-key heads a fragment miss
+    /// renders from, and their shared admission filter.
     fragments: HashMap<(CacheKey, u64), Fragment>,
+    heads: HashMap<CacheKey, Head>,
     sightings: Sightings,
 }
 
@@ -1476,6 +1563,7 @@ impl Binding {
             context,
             prefix,
             fragments: HashMap::new(),
+            heads: HashMap::new(),
             sightings: Sightings::new(SIGHTING_SLOTS),
         }
     }
@@ -1534,6 +1622,7 @@ impl ServingState {
             context,
             prefix,
             fragments,
+            heads,
             sightings,
         } = binding;
         let responder = Responder {
@@ -1572,8 +1661,7 @@ impl ServingState {
         for (&(i, key), profile) in misses.iter().zip(profiles) {
             let task = batch[i].as_ref();
             if curves_are_finite(&profile) {
-                tail.clear();
-                fast::write_profile_tail(tail, &profile);
+                render_tail(heads, sightings, &key.0, &profile, tail);
                 let digest = match journal {
                     Some(_) => super::journal::profile_digest(&profile),
                     None => 0,
@@ -1698,7 +1786,7 @@ impl Responder<'_> {
         let predict_t0_ns = obs::trace::now_ns();
         let selection = if task.req.cmd == "select" {
             let objective = parse_objective(task.req.objective.as_deref().unwrap_or(""))
-                .expect("validated at dispatch");
+                .expect("`validate` accepted this objective before the task was queued");
             Some(select_optimal(
                 &fragment.profile.frequencies,
                 &fragment.profile.energy_j,
@@ -1866,7 +1954,8 @@ impl Client {
 
     /// Sends one request and waits for its response.
     pub fn call(&mut self, req: &Request) -> Result<Response, FrameError> {
-        let payload = serde_json::to_string(req).expect("request serializes");
+        let payload = serde_json::to_string(req)
+            .map_err(|e| FrameError::Io(io::Error::new(io::ErrorKind::InvalidInput, e)))?;
         write_frame(&mut self.stream, payload.as_bytes()).map_err(FrameError::Io)?;
         self.read_response()
     }
@@ -1961,6 +2050,184 @@ mod tests {
             "an empty slot read as a sighting of 0"
         );
         assert!(table.seen_before(0));
+    }
+
+    /// A small profile whose power curve is `power`.
+    fn head_profile(power: f64) -> PredictedProfile {
+        PredictedProfile::new(
+            "w".into(),
+            vec![705.0, 1410.0],
+            vec![power, power * 2.0],
+            vec![1.5, 1.0],
+        )
+    }
+
+    fn tail_of(profile: &PredictedProfile) -> Vec<u8> {
+        let mut tail = Vec::new();
+        fast::write_profile_tail(&mut tail, profile);
+        tail
+    }
+
+    #[test]
+    fn a_head_is_stored_on_its_keys_second_sighting_and_read_after() {
+        let context = cache::context_hash(&gpu_model::DeviceSpec::ga100(), &[705.0, 1410.0]);
+        let key = CacheKey::in_context(context, 0.5, 0.25);
+        let mut heads = HashMap::new();
+        let mut sightings = Sightings::new(SIGHTING_SLOTS);
+        let mut tail = Vec::new();
+        // Fresh runs: one power curve, a new anchor each time.
+        let runs: Vec<PredictedProfile> = (1..=4)
+            .map(|n| {
+                let p = head_profile(200.0);
+                PredictedProfile::new(
+                    "w".into(),
+                    p.frequencies,
+                    p.power_w,
+                    vec![1.5 * n as f64, n as f64],
+                )
+            })
+            .collect();
+        for (n, run) in runs.iter().enumerate() {
+            render_tail(&mut heads, &mut sightings, &key, run, &mut tail);
+            assert_eq!(tail, tail_of(run), "run {n}: the tail differs");
+            assert_eq!(heads.len(), usize::from(n >= 1), "heads after run {n}");
+        }
+        let head = &heads[&key];
+        let mut want = Vec::new();
+        fast::write_profile_head(&mut want, &runs[0]);
+        assert_eq!(&*head.text, want.as_slice());
+
+        // The same key with other power bits (its LRU entry refilled
+        // from other models) renders its own head, never the stored one,
+        // and replaces it once its key is sighted again.
+        let other = head_profile(300.0);
+        render_tail(&mut heads, &mut sightings, &key, &other, &mut tail);
+        assert_eq!(tail, tail_of(&other));
+        assert!(
+            heads[&key].renders(&other),
+            "the stale head was not replaced"
+        );
+        assert!(!heads[&key].renders(&runs[0]));
+    }
+
+    #[test]
+    fn the_head_cache_clears_at_capacity() {
+        let context = cache::context_hash(&gpu_model::DeviceSpec::ga100(), &[705.0, 1410.0]);
+        let key = |n: usize| {
+            CacheKey::in_context(context, (n % 1000) as f64 * 1e-3, (n / 1000) as f64 * 1e-3)
+        };
+        let profile = head_profile(200.0);
+        let mut heads = HashMap::new();
+        for n in 0..FRAGMENT_CACHE_MAX {
+            heads.insert(
+                key(n),
+                Head {
+                    power_w: profile.power_w.as_slice().into(),
+                    text: Box::default(),
+                },
+            );
+        }
+        assert_eq!(heads.len(), FRAGMENT_CACHE_MAX);
+        let mut sightings = Sightings::new(SIGHTING_SLOTS);
+        let mut tail = Vec::new();
+        let fresh = key(FRAGMENT_CACHE_MAX);
+        // A key already held is read, not stored again.
+        render_tail(&mut heads, &mut sightings, &key(7), &profile, &mut tail);
+        assert_eq!(heads.len(), FRAGMENT_CACHE_MAX);
+        // A new key's first sighting stores nothing; its second clears
+        // the full cache and stores its own head alone.
+        render_tail(&mut heads, &mut sightings, &fresh, &profile, &mut tail);
+        assert_eq!(heads.len(), FRAGMENT_CACHE_MAX);
+        render_tail(&mut heads, &mut sightings, &fresh, &profile, &mut tail);
+        assert_eq!(heads.len(), 1);
+        assert!(heads.contains_key(&fresh));
+        assert_eq!(tail, tail_of(&profile));
+    }
+
+    /// The heads of a live one-worker server's serving state: none from
+    /// a key's first sighting or from any exec time whose prediction
+    /// overflows, one from the key's second finite sighting, none again
+    /// once a publish rebinds the state.
+    #[test]
+    fn a_live_server_stores_heads_from_the_second_sighting_and_none_for_an_overflow() {
+        use crate::dataset::Dataset;
+        use gpu_model::{DeviceSpec, NoiseModel, SignatureBuilder};
+        let spec = DeviceSpec::ga100();
+        let nm = NoiseModel::default_bench();
+        let sigs = [
+            SignatureBuilder::new("c").flops(2e13).bytes(2e11).build(),
+            SignatureBuilder::new("m").flops(2e11).bytes(2e13).build(),
+        ];
+        let mut samples = Vec::new();
+        for sig in &sigs {
+            for &f in DvfsGrid::for_spec(&spec).used().iter().step_by(10) {
+                samples.push(gpu_model::sample::measure(&spec, sig, f, 0, &nm));
+            }
+            let f = spec.max_core_mhz;
+            samples.push(gpu_model::sample::measure(&spec, sig, f, 0, &nm));
+        }
+        let models = PowerTimeModels::train(&Dataset::from_samples(&spec, &samples).unwrap());
+        let snapshot = |label: &str| {
+            let meta = SnapshotMeta {
+                label: label.into(),
+                dataset_rows: 0,
+                train_seconds: 0.0,
+            };
+            ModelSnapshot::new(models.clone(), spec.clone(), meta)
+        };
+        let store = Arc::new(ModelStore::new(snapshot("v1")));
+        let config = ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        };
+        let server = Server::start(config, Arc::clone(&store)).expect("bind");
+        let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
+        let heads = || {
+            let state = server.shared.serving[0].state.lock().unwrap();
+            state.binding.heads.len()
+        };
+        let mut call = |exec: f64| client.call(&Request::predict("w", 0.4, 0.6, exec)).unwrap();
+
+        for _ in 0..3 {
+            assert!(!call(1e308).ok, "an overflow was served as ok");
+        }
+        assert_eq!(heads(), 0, "an overflow stored a head");
+        assert!(call(2.0).ok);
+        assert_eq!(heads(), 0, "the key's first finite sighting stored a head");
+        assert!(!call(1e308).ok);
+        assert!(call(3.0).ok);
+        assert_eq!(
+            heads(),
+            1,
+            "the key's second finite sighting stored no head"
+        );
+        assert!(call(4.0).ok);
+        assert_eq!(heads(), 1);
+
+        store.publish(snapshot("v2"));
+        let resp = call(5.0);
+        assert_eq!(resp.version, 2.0);
+        assert_eq!(heads(), 0, "the rebind kept the old binding's heads");
+        assert!(call(6.0).ok);
+        assert_eq!(heads(), 1);
+
+        server.shutdown();
+        server.join();
+    }
+
+    #[test]
+    fn head_fingerprints_differ_from_fragment_fingerprints() {
+        let context = cache::context_hash(&gpu_model::DeviceSpec::ga100(), &[510.0, 1410.0]);
+        let k = CacheKey::in_context(context, 0.5, 0.25);
+        let head = head_fingerprint(&k);
+        assert_ne!(head, k.shard_hash());
+        for exec in [0.0f64, 1.0, 7.25, 1e308] {
+            assert_ne!(head, fingerprint(&(k, exec.to_bits())));
+        }
+        assert_ne!(
+            head,
+            head_fingerprint(&CacheKey::in_context(context, 0.25, 0.5))
+        );
     }
 
     #[test]

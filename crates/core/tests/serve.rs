@@ -1218,3 +1218,166 @@ fn repeated_request_is_bitwise_on_unadmitted_admitted_and_hit_paths() {
     assert_eq!(report.divergent, 0, "{:?}", report.divergences.first());
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A fresh run of a known application (same activities, new exec_time)
+/// renders only its times and energies once its cache key has a head.
+/// On a one-worker journaling server, one key's fresh runs on their
+/// first, second and later sightings (no head, head stored, head read),
+/// interleaved with exact repeats, unseen points and an exec_time whose
+/// prediction overflows, sent in bursts of one to five frames, must each
+/// reply byte for byte as the in-process oracle rendered through serde.
+/// A `reload` drops the heads and bumps the version, and the same holds
+/// after it; the journal replays without divergence.
+#[test]
+fn fresh_runs_are_bitwise_before_and_after_their_key_has_a_head() {
+    let base = std::env::temp_dir().join(format!("dvfs-serve-heads-{}", std::process::id()));
+    std::fs::remove_dir_all(&base).ok();
+    std::fs::create_dir_all(&base).unwrap();
+    let journal_dir = base.join("journal");
+    let models_path = base.join("models.json");
+    std::fs::write(&models_path, shared_models().to_json()).unwrap();
+    let (server, _store) = start_server_with(ServeConfig {
+        workers: 1,
+        journal: Some(obs::journal::JournalConfig::new(journal_dir.clone())),
+        ..ServeConfig::default()
+    });
+    let addr = server.local_addr().to_string();
+    let mut client = Client::connect(&addr).unwrap();
+
+    let spec = DeviceSpec::ga100();
+    let predictor = Predictor::new(shared_models(), spec.clone());
+    let freqs = DvfsGrid::for_spec(&spec).used();
+    let oracle_cache = ShardedProfileCache::new(64, 1);
+    let want = |req: &Request, version: u64| -> String {
+        let exec = req.exec_time.unwrap();
+        let reference = reference_like_server(
+            &spec,
+            req.workload.as_deref().unwrap(),
+            req.fp_active.unwrap(),
+            req.dram_active.unwrap(),
+            exec,
+        );
+        let profile = predictor
+            .predict_batch_cached(&oracle_cache, &[reference], &freqs)
+            .remove(0);
+        let finite = [&profile.power_w, &profile.time_s, &profile.energy_j]
+            .iter()
+            .all(|curve| curve.iter().all(|v| v.is_finite()));
+        let resp = if finite {
+            let mut resp = dvfs_core::serve::Response::ok(version);
+            if req.cmd == "select" {
+                let objective = match req.objective.as_deref() {
+                    Some("edp") => dvfs_core::objective::Objective::Edp,
+                    _ => dvfs_core::objective::Objective::Ed2p,
+                };
+                resp.selection = Some(profile.select(objective, req.threshold));
+            }
+            resp.profile = Some(profile);
+            resp
+        } else {
+            dvfs_core::serve::Response::err(
+                version,
+                format!("`exec_time` {exec:?} is out of range: the prediction overflows f64"),
+            )
+        };
+        serde_json::to_string(&resp).unwrap()
+    };
+
+    let (fp, dram) = (0.31, 0.57);
+    let fresh = |n: usize| {
+        let exec = 3.0 + 0.37 * n as f64;
+        if n.is_multiple_of(2) {
+            Request::predict(&format!("fresh-{n}"), fp, dram, exec)
+        } else {
+            Request::select(&format!("fresh-{n}"), fp, dram, exec, "edp", Some(0.05))
+        }
+    };
+    let exact = |n: usize| Request::select(&format!("exact-{n}"), fp, dram, 9.5, "ed2p", None);
+    let unseen = |n: usize| {
+        Request::predict(
+            &format!("unseen-{n}"),
+            0.05 + 0.004 * n as f64,
+            0.9 - 0.003 * n as f64,
+            2.0,
+        )
+    };
+    let huge = |n: usize| Request::predict(&format!("huge-{n}"), fp, dram, 1e308);
+    // One phase per snapshot version: the key's first fresh run, then
+    // its second (the head is stored) and every later one (the head is
+    // read), with the other paths in between.
+    let phase = |round: usize| -> Vec<Vec<Request>> {
+        let k = 100 * round;
+        vec![
+            vec![huge(k)],
+            vec![fresh(k + 1)],
+            vec![unseen(k + 1), huge(k + 1)],
+            vec![exact(k + 1), fresh(k + 2), unseen(k + 2)],
+            vec![fresh(k + 3)],
+            vec![
+                exact(k + 2),
+                fresh(k + 4),
+                fresh(k + 5),
+                huge(k + 2),
+                exact(k + 3),
+            ],
+            vec![unseen(k + 3), fresh(k + 6), fresh(k + 7), unseen(k + 4)],
+        ]
+    };
+
+    let mut served = 0;
+    let mut overflowed = 0;
+    for (round, version) in [(0, 1u64), (1, 2)] {
+        if round > 0 {
+            let resp = client
+                .call(&Request::reload(models_path.to_str().unwrap()))
+                .unwrap();
+            assert!(resp.ok, "reload failed: {:?}", resp.error);
+            assert_eq!(resp.version, version as f64);
+        }
+        for burst in phase(round) {
+            let frames: Vec<Vec<u8>> = burst
+                .iter()
+                .map(|req| serde_json::to_string(req).unwrap().into_bytes())
+                .collect();
+            let spans: Vec<&[u8]> = frames.iter().map(Vec::as_slice).collect();
+            client.send_frames(&spans).unwrap();
+            for req in &burst {
+                let got = String::from_utf8(client.read_frame_raw().unwrap()).unwrap();
+                assert_eq!(
+                    got,
+                    want(req, version),
+                    "{} at version {version}: served reply differs from the oracle",
+                    req.workload.as_deref().unwrap()
+                );
+                if req.exec_time == Some(1e308) {
+                    assert!(got.starts_with("{\"ok\":false,"), "{got}");
+                    overflowed += 1;
+                } else {
+                    served += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(overflowed, 6);
+    stop(server, &addr);
+
+    let records = obs::journal::read_records(&journal_dir).expect("read journal");
+    assert_eq!(
+        records.len(),
+        served,
+        "every ok reply is journaled, no overflow"
+    );
+    let replay_snapshot = ModelSnapshot::new(
+        shared_models().clone(),
+        spec,
+        SnapshotMeta {
+            label: "replay".into(),
+            dataset_rows: 0,
+            train_seconds: 0.0,
+        },
+    );
+    let report = dvfs_core::serve::journal::replay(&records, &replay_snapshot);
+    assert_eq!(report.records, served as u64);
+    assert_eq!(report.divergent, 0, "{:?}", report.divergences.first());
+    std::fs::remove_dir_all(&base).ok();
+}

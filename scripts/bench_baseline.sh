@@ -188,6 +188,7 @@ grep -q '"nn_forward_61_states/engine_f32"' "$out"
 grep -q '"nn_forward_61_states/engine_bf16"' "$out"
 grep -q '"nn_training/shard_step_8x64"' "$out"
 grep -q '"serve_render/profile_tail_61"' "$out"
+grep -q '"serve_render/profile_body_61"' "$out"
 grep -q '"profile_cache/insert_evict_2048"' "$out"
 
 echo "==> wrote $out"
